@@ -14,10 +14,10 @@ from .polyexp import (
 from .kinetics import (
     DomainError,
     KineticParams,
+    RegionKernel,
     TissueCurves,
-    free_concentration,
-    integrate_compartments_rk4,
     integrate_compartments_rk4_grid,
+    region_kernel,
     tissue_concentration,
     tissue_concentration_quadrature,
     tissue_curves,

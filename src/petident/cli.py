@@ -26,6 +26,7 @@ import numpy as np
 
 from .experiments import (
     SECONDS_PER_MINUTE,
+    _fmt,
     CampaignSpec,
     Scenario,
     add_noise,
@@ -61,10 +62,6 @@ class CliParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _load_scenario_arg(path: str) -> Scenario:
     try:
         return load_scenario(path)
@@ -79,20 +76,14 @@ class ParseFailure(Exception):
 
 
 def _settings_from_args(args, delta_y: float) -> IrgnmSettings:
-    kwargs = dict(
-        max_iter=args.max_iter if args.max_iter is not None else (300 if delta_y == 0 else 200),
-        delta_estimate=delta_y,
+    flags = dict(
+        max_iter=args.max_iter, tau=args.tau, a=args.alpha_a, b=args.alpha_b,
+        epsilon=args.epsilon,
     )
-    if args.tau is not None:
-        kwargs["tau"] = args.tau
-    if args.alpha_a is not None:
-        kwargs["a"] = args.alpha_a
-    if args.alpha_b is not None:
-        kwargs["b"] = args.alpha_b
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
     try:
-        return IrgnmSettings(**kwargs)
+        return IrgnmSettings.for_noise(
+            delta_y, **{key: v for key, v in flags.items() if v is not None}
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -180,20 +171,27 @@ def cmd_simulate(args) -> int:
 def _read_measurements(path: str, template: MeasurementSet, n: int) -> MeasurementSet:
     expected = n * template.n_times + template.q
     path = Path(path)
-    if path.suffix == ".json":
-        with open(path) as fh:
-            payload = json.load(fh)
-        values = np.asarray(payload["y"] if isinstance(payload, dict) else payload, dtype=float)
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "value" not in reader.fieldnames:
-                raise ParseFailure(f"{path}: expected a 'value' column")
-            values = np.asarray([float(row["value"]) for row in reader])
+    try:
+        if path.suffix == ".json":
+            with open(path) as fh:
+                payload = json.load(fh)
+            raw = payload["y"] if isinstance(payload, dict) else payload
+        else:
+            with open(path, newline="") as fh:
+                reader = csv.DictReader(fh)
+                if reader.fieldnames is None or "value" not in reader.fieldnames:
+                    raise ParseFailure(f"{path}: expected a 'value' column")
+                raw = [row["value"] for row in reader]
+        values = np.asarray([float(v) for v in raw])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseFailure(f"{path}: cannot read measurements: {exc}") from exc
     if values.size != expected:
         raise ParseFailure(
             f"{path}: {values.size} values, scenario requires {expected}"
         )
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmin(np.isfinite(values)))
+        raise ParseFailure(f"{path}: value {bad} is not finite ({values[bad]})")
     nT = n * template.n_times
     return template.with_blocks(values[:nT].reshape(n, template.n_times), values[nT:])
 
@@ -215,7 +213,10 @@ def cmd_identify(args) -> int:
     x0 = perturb_initial(
         x_true, args.delta_x, [args.seed, 0], settings.epsilon, scenario.plasma.model_id
     )
-    record = run_irgnm(x0, y_delta, settings, x_true=x_true)
+    # measured data have no known truth: the scenario is only the prior
+    record = run_irgnm(
+        x0, y_delta, settings, x_true=x_true if args.data is None else None
+    )
 
     lam, mu, m = record.final_x.lam, record.final_x.mu, record.final_x.m
     print(f"mode: {scenario.mode}")
@@ -297,15 +298,13 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"cannot parse campaign {path}: {exc}") from exc
     try:
-        settings = IrgnmSettings(
-            a=data.get("a", 800.0),
-            b=data.get("b", 0.2),
-            tau=data.get("tau", 1.1),
-            epsilon=data.get("epsilon", 1e-3),
-            max_iter=data.get(
-                "max_iter", 300 if data.get("delta_y", 0.0) == 0 else 200
-            ),
-            delta_estimate=data.get("delta_y", 0.0),
+        settings = IrgnmSettings.for_noise(
+            data.get("delta_y", 0.0),
+            **{
+                key: data[key]
+                for key in ("a", "b", "tau", "epsilon", "max_iter")
+                if key in data
+            },
         )
         return CampaignSpec(
             delta_y=data["delta_y"],

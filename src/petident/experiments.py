@@ -284,17 +284,6 @@ def perturb_initial(
     return project_to_domain(perturbed, epsilon, plasma_model)
 
 
-def default_settings(delta_y: float, **overrides) -> IrgnmSettings:
-    """Campaign solver settings: 300 iterations for noise-free data, 200
-    otherwise, with the noise level as discrepancy estimate."""
-    base = dict(
-        max_iter=300 if delta_y == 0 else 200,
-        delta_estimate=float(delta_y),
-    )
-    base.update(overrides)
-    return IrgnmSettings(**base)
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """One experiment cell: noise level, initialization level, mode,
@@ -316,7 +305,9 @@ class CampaignSpec:
             raise ValueError("noise and perturbation levels must be nonnegative")
 
     def resolved_settings(self) -> IrgnmSettings:
-        return self.settings if self.settings is not None else default_settings(self.delta_y)
+        if self.settings is not None:
+            return self.settings
+        return IrgnmSettings.for_noise(float(self.delta_y))
 
 
 @dataclass
@@ -406,7 +397,8 @@ def run_campaign(spec: CampaignSpec, scenario: Scenario) -> CampaignSummary:
 
 
 def _fmt(value: float) -> str:
-    return format(value, ".17g")
+    """Shortest-safe text form: 17 significant digits round-trip a double."""
+    return format(float(value), ".17g")
 
 
 def summary_to_dict(summary: CampaignSummary) -> dict:

@@ -18,7 +18,10 @@ and maps to the measurement vector ``y = (F1(x), F2(x))``:
   direct measurements of ``C_art`` and ``F2_l = C_art_meas(s_l) - C_art(s_l)``
   (the plasma parameters ``m`` stay in the vector but do not enter).
 
-All entries and all partial derivatives are closed-form expressions in
+The tissue block, its derivatives and its rounding scale all come from the
+region-vectorized closed-form kernel :func:`.kinetics.region_kernel`; this
+module only adds the blood block and places the kernel's arrays.  All
+entries and all partial derivatives are closed-form expressions in
 exponentials, ``psi0(z,t) = (e^(zt)-1)/z`` and its derivative, so the
 Jacobian is exact up to rounding and continuous across the resonant
 configurations.
@@ -31,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinetics import DomainError, KineticParams, _psi0, _psi0_dz
+from .kinetics import KineticParams, region_kernel
 from .plasma import get_family
 
 MODES = ("full", "known_cart")
@@ -165,47 +168,22 @@ class MeasurementSet:
         )
 
 
-def _region_psis(mu, beta, t):
-    """Shared per-region intermediates over exponents x times."""
-    eb = np.exp(-beta * t)
-    psi0 = _psi0(mu[:, None], t[None, :])
-    psi1 = eb[None, :] * _psi0((beta + mu)[:, None], t[None, :])
-    return eb, psi0, psi1
-
-
-def _check_kinetics(kin_block):
-    beta = kin_block[:, 1] + kin_block[:, 2]
-    if np.any(beta <= 0.0):
-        bad = int(np.argmax(beta <= 0.0))
-        raise DomainError(
-            f"k2 + k3 must be positive in every region (region {bad}: {beta[bad]})"
-        )
+def _blood_block(x: ParamVector, template: MeasurementSet, es: np.ndarray):
+    """``F2`` from the arterial exponentials ``es = e^(mu s)`` at the blood
+    sample times."""
+    c_art_s = x.lam @ es
+    if template.mode == "full":
+        fam = get_family(template.plasma_model)
+        return template.c_bl_values * fam.value(x.m, template.s_grid) - c_art_s
+    return template.c_bl_values - c_art_s
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def forward_vector(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     """Flat forward value ``(F1(x), F2(x))`` of length ``n*T + q``."""
-    lam, mu = x.lam, x.mu
-    kin = x.kinetic_block
-    _check_kinetics(kin)
-    t = template.t_grid
-    s = template.s_grid
-
-    blocks = np.empty((x.layout.n, t.size))
-    for i, (K1, k2, k3) in enumerate(kin):
-        beta = k2 + k3
-        g1 = K1 * k3 / beta
-        g2 = K1 * k2 / beta
-        _, psi0, psi1 = _region_psis(mu, beta, t)
-        blocks[i] = lam @ (g1 * psi0 + g2 * psi1)
-
-    c_art_s = lam @ np.exp(np.outer(mu, s)) if x.layout.p else np.zeros_like(s)
-    if template.mode == "full":
-        fam = get_family(template.plasma_model)
-        f2 = template.c_bl_values * fam.value(x.m, s) - c_art_s
-    else:
-        f2 = template.c_bl_values - c_art_s
-    return np.concatenate([blocks.ravel(), f2])
+    kernel = region_kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
+    es = np.exp(np.outer(x.mu, template.s_grid))
+    return np.concatenate([(x.lam @ kernel.w).ravel(), _blood_block(x, template, es)])
 
 
 def apply_forward(x: ParamVector, template: MeasurementSet) -> MeasurementSet:
@@ -229,54 +207,32 @@ def jacobian(
     as well.
     """
     layout = x.layout
-    p, q_hat, n = layout.p, layout.q_hat, layout.n
+    p, n = layout.p, layout.n
     lam, mu = x.lam, x.mu
-    kin = x.kinetic_block
-    _check_kinetics(kin)
-    t = template.t_grid
     s = template.s_grid
-    T = t.size
-    q = s.size
+    T = template.n_times
+    nT = n * T
+    kernel = region_kernel(lam, mu, x.kinetic_block, template.t_grid, derivatives=True)
 
-    J = np.zeros((n * T + q, layout.dim))
-    value = np.empty(n * T + q) if with_value else None
-
-    dpsi0 = _psi0_dz(mu[:, None], t[None, :])
-    for i, (K1, k2, k3) in enumerate(kin):
-        beta = k2 + k3
-        g1 = K1 * k3 / beta
-        g2 = K1 * k2 / beta
-        eb, psi0, psi1 = _region_psis(mu, beta, t)
-        dpsid = _psi0_dz((beta + mu)[:, None], t[None, :])
-        dpsi1_dbeta = -t[None, :] * psi1 + eb[None, :] * dpsid
-
-        rows = slice(i * T, (i + 1) * T)
-        w = g1 * psi0 + g2 * psi1
-        J[rows, :p] = w.T
-        J[rows, p : 2 * p] = (lam[:, None] * (g1 * dpsi0 + g2 * eb[None, :] * dpsid)).T
-        col = 2 * p + q_hat + 3 * i
-        J[rows, col] = lam @ ((k3 / beta) * psi0 + (k2 / beta) * psi1)
-        shared = g2 * (lam @ dpsi1_dbeta)
-        J[rows, col + 1] = (g1 / beta) * (lam @ (psi1 - psi0)) + shared
-        J[rows, col + 2] = (g2 / beta) * (lam @ (psi0 - psi1)) + shared
-        if with_value:
-            value[rows] = lam @ w
+    J = np.zeros((nT + template.q, layout.dim))
+    # tissue rows: region i owns rows i*T .. (i+1)*T and its three rate columns
+    J[:nT, :p] = kernel.w.transpose(0, 2, 1).reshape(nT, p)
+    J[:nT, p : 2 * p] = kernel.d_mu.transpose(0, 2, 1).reshape(nT, p)
+    rows = np.arange(nT)[:, None]
+    rate_cols = layout.kinetic_slice().start + 3 * (rows // T) + np.arange(3)
+    J[rows, rate_cols] = kernel.d_rates.reshape(nT, 3)
 
     es = np.exp(np.outer(mu, s))
-    rows = slice(n * T, n * T + q)
-    J[rows, :p] = -es.T
-    J[rows, p : 2 * p] = -(lam[:, None] * s[None, :] * es).T
+    J[nT:, :p] = -es.T
+    J[nT:, p : 2 * p] = -(lam[:, None] * s[None, :] * es).T
     if template.mode == "full":
         fam = get_family(template.plasma_model)
-        J[rows, layout.m_slice()] = template.c_bl_values[:, None] * fam.param_jacobian(
+        J[nT:, layout.m_slice()] = template.c_bl_values[:, None] * fam.param_jacobian(
             x.m, s
         )
-        if with_value:
-            value[rows] = template.c_bl_values * fam.value(x.m, s) - lam @ es
-    elif with_value:
-        value[rows] = template.c_bl_values - lam @ es
 
     if with_value:
+        value = np.concatenate([(lam @ kernel.w).ravel(), _blood_block(x, template, es)])
         return J, value
     return J
 
@@ -300,23 +256,13 @@ def _forward_scale(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     (the forward map with all additive pieces replaced by absolute values).
     Rounding in the forward value is proportional to this, not to the
     possibly cancellation-small value itself."""
-    lam, mu = np.abs(x.lam), x.mu
-    kin = x.kinetic_block
-    t = template.t_grid
-    s = template.s_grid
-    scale = np.empty(x.layout.n * t.size + s.size)
-    for i, (K1, k2, k3) in enumerate(kin):
-        beta = k2 + k3
-        g1 = abs(K1 * k3 / beta)
-        g2 = abs(K1 * k2 / beta)
-        _, psi0, psi1 = _region_psis(mu, beta, t)
-        scale[i * t.size : (i + 1) * t.size] = lam @ np.abs(g1 * psi0 + g2 * psi1)
-    art = lam @ np.exp(np.outer(mu, s)) if x.layout.p else np.zeros_like(s)
+    lam, s = np.abs(x.lam), template.s_grid
+    kernel = region_kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
+    art = lam @ np.exp(np.outer(x.mu, s))
     blood = np.abs(template.c_bl_values)
     if template.mode == "full":
         blood = blood * get_family(template.plasma_model).magnitude(x.m, s)
-    scale[x.layout.n * t.size :] = blood + art
-    return scale
+    return np.concatenate([(lam @ np.abs(kernel.w)).ravel(), blood + art])
 
 
 @dataclass(frozen=True)

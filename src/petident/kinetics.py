@@ -1,5 +1,5 @@
 """Closed-form and numerical solutions of the irreversible two-tissue
-compartment system for a single region.
+compartment system.
 
 The model is the linear ODE pair
 
@@ -7,9 +7,17 @@ The model is the linear ODE pair
     d/dt C_bd = k3 * C_fr,                          C_bd(0) = 0
 
 with tissue concentration ``C_tis = C_fr + C_bd``.  For a polyexponential
-arterial input the solution is available in closed form; two independent
-numerical routes (adaptive quadrature of the variation-of-constants formula
-and a fixed-step RK4 integration) are provided as oracles.
+arterial input ``C_art = sum_j lambda_j e^(mu_j t)`` the solution is
+
+    C_tis = sum_j lambda_j (G1 psi0(mu_j, t) + G2 e^(-beta t) psi0(beta + mu_j, t))
+
+with ``beta = k2 + k3``, ``G1 = K1 k3 / beta`` and ``G2 = K1 k2 / beta``.
+:func:`region_kernel` is the one implementation of this closed form and of
+its exact parameter derivatives, vectorized over regions; the single-region
+curves here and the forward operator and Jacobian in :mod:`.forward` are
+views of its arrays.  Two independent numerical routes (adaptive quadrature
+of the variation-of-constants formula and a fixed-step RK4 integration) are
+provided as oracles.
 
 All closed-form expressions are evaluated through the functions
 
@@ -97,32 +105,77 @@ def _psi0_dz(z, t):
     return t * _psi0(z, t) - t * t * _phi2(np.asarray(z) * np.asarray(t))
 
 
-def _check_params(k: KineticParams):
-    if not (k.beta > 0.0):
-        raise DomainError(f"k2 + k3 must be positive, got {k.beta}")
+def _check_clearance(beta):
+    """Reject regions whose ``k2 + k3`` is not positive (NaN passes: it
+    propagates into the values and surfaces as a numerical failure)."""
+    beta = np.ravel(beta)
+    if np.any(beta <= 0.0):
+        bad = int(np.argmax(beta <= 0.0))
+        raise DomainError(
+            f"k2 + k3 must be positive in every region (region {bad}: {beta[bad]})"
+        )
 
 
-# -- closed forms -------------------------------------------------------------
+# -- the closed form ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RegionKernel:
+    """Closed-form pieces of the tissue curves of ``n`` regions driven by a
+    ``p``-term arterial input, on ``T`` time points.
+
+    ``psi0[j, l] = psi0(mu_j, t_l)`` and
+    ``psi1[i, j, l] = e^(-beta_i t_l) psi0(beta_i + mu_j, t_l)``, so that
+    ``w = G1 psi0 + G2 psi1`` holds the per-term tissue contributions and
+    ``lam @ w`` the tissue curves ``(n, T)``.  With derivatives requested,
+    ``d_mu[i, j, l]`` is the derivative of ``lam @ w`` with respect to
+    ``mu_j`` and ``d_rates[i, l]`` the derivatives with respect to
+    ``(K1, k2, k3)`` of region ``i``.
+    """
+
+    psi0: np.ndarray
+    psi1: np.ndarray
+    w: np.ndarray
+    d_mu: np.ndarray | None = None
+    d_rates: np.ndarray | None = None
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def free_concentration(c_art: PolyExp, k: KineticParams, t):
-    """Free-compartment value ``C_fr(t)`` for a polyexponential input.
+def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
+    """Evaluate the closed form for all regions at once.
 
-    Evaluates ``K1 * sum_j lambda_j * e^(-beta t) * psi0(beta + mu_j, t)``,
-    the explicit solution of the first model equation.
+    ``rates`` is an ``(n, 3)`` array of rows ``(K1, k2, k3)``, ``t`` a 1-d
+    time grid.  Raises :class:`DomainError` naming the first region with
+    ``k2 + k3 <= 0``.
     """
-    _check_params(k)
+    lam = np.asarray(lam, dtype=float)
+    mu = np.asarray(mu, dtype=float)[:, None]
     t = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t)
-    lam, mu = c_art.coefficients, c_art.exponents
-    if lam.size == 0:
-        out = np.zeros_like(tt)
-    else:
-        eb = np.exp(-k.beta * tt)
-        psi1 = eb[None, :] * _psi0((k.beta + mu)[:, None], tt[None, :])
-        out = k.K1 * (lam @ psi1)
-    return float(out[0]) if t.ndim == 0 else out
+    # each (n, 1, 1): broadcasts against (p, T) term arrays
+    K1, k2, k3 = np.asarray(rates, dtype=float).T[:, :, None, None]
+    beta = k2 + k3
+    _check_clearance(beta)
+    g1 = K1 * k3 / beta
+    g2 = K1 * k2 / beta
+    eb = np.exp(-beta * t)
+    psi0 = _psi0(mu, t)
+    psi1 = eb * _psi0(beta + mu, t)
+    w = g1 * psi0 + g2 * psi1
+    if not derivatives:
+        return RegionKernel(psi0, psi1, w)
+
+    dpsid = _psi0_dz(beta + mu, t)
+    d_mu = lam[:, None] * (g1 * _psi0_dz(mu, t) + g2 * eb * dpsid)
+    shared = g2[:, 0] * (lam @ (-t * psi1 + eb * dpsid))
+    d_rates = np.stack(
+        [
+            lam @ ((k3 / beta) * psi0 + (k2 / beta) * psi1),
+            (g1 / beta)[:, 0] * (lam @ (psi1 - psi0)) + shared,
+            (g2 / beta)[:, 0] * (lam @ (psi0 - psi1)) + shared,
+        ],
+        axis=-1,
+    )
+    return RegionKernel(psi0, psi1, w, d_mu, d_rates)
 
 
 def tissue_concentration(c_art: PolyExp, k: KineticParams, t):
@@ -139,21 +192,16 @@ def tissue_concentration(c_art: PolyExp, k: KineticParams, t):
 
 @np.errstate(over="ignore", invalid="ignore")
 def tissue_curves(c_art: PolyExp, k: KineticParams, t):
-    """Both compartments at scalar or array ``t``."""
-    _check_params(k)
+    """Both compartments at scalar or array ``t``:
+    ``C_fr = K1 * lam @ psi1`` and ``C_bd = G1 * lam @ (psi0 - psi1)``."""
     t = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t)
-    lam, mu = c_art.coefficients, c_art.exponents
-    if lam.size == 0:
-        fr = bd = np.zeros_like(tt)
-    else:
-        beta = k.beta
-        g1 = k.K1 * k.k3 / beta
-        eb = np.exp(-beta * tt)
-        psi0 = _psi0(mu[:, None], tt[None, :])
-        psi1 = eb[None, :] * _psi0((beta + mu)[:, None], tt[None, :])
-        fr = k.K1 * (lam @ psi1)
-        bd = g1 * (lam @ (psi0 - psi1))
+    lam = c_art.coefficients
+    kernel = region_kernel(
+        lam, c_art.exponents, [[k.K1, k.k2, k.k3]], np.atleast_1d(t)
+    )
+    psi1 = kernel.psi1[0]
+    fr = k.K1 * (lam @ psi1)
+    bd = (k.K1 * k.k3 / k.beta) * (lam @ (kernel.psi0 - psi1))
     if t.ndim == 0:
         return TissueCurves(c_fr=float(fr[0]), c_bd=float(bd[0]))
     return TissueCurves(c_fr=fr, c_bd=bd)
@@ -184,7 +232,7 @@ def tissue_concentration_quadrature(
     RuntimeError
         If the quadrature does not reach the requested tolerance.
     """
-    _check_params(k)
+    _check_clearance(k.beta)
     t = float(t)
     if t == 0.0:
         return 0.0
@@ -207,21 +255,6 @@ def default_rk4_step(t_end: float) -> float:
     """Default RK4 step: 1e-3 of the integration span for sub-unit spans,
     otherwise 1e-3 time units, never larger than 1e-2 time units."""
     return min(1e-3 * t_end / max(1.0, t_end), 1e-2)
-
-
-def integrate_compartments_rk4(
-    c_art_values: Callable[[float], float],
-    k: KineticParams,
-    t_end: float,
-    step: float | None = None,
-) -> TissueCurves:
-    """Classical fixed-step RK4 integration of the compartment ODE pair from
-    zero initial conditions up to ``t_end``.
-
-    Serves as a formula-independent oracle; the global error is O(step^4).
-    """
-    curves = integrate_compartments_rk4_grid(c_art_values, k, [t_end], step)
-    return TissueCurves(c_fr=float(curves.c_fr[0]), c_bd=float(curves.c_bd[0]))
 
 
 def integrate_compartments_rk4_grid(

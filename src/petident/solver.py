@@ -65,6 +65,15 @@ class IrgnmSettings:
         if self.delta_estimate < 0:
             raise ValueError("delta_estimate must be nonnegative")
 
+    @classmethod
+    def for_noise(cls, delta_y: float, **overrides) -> "IrgnmSettings":
+        """Defaults for data at noise level ``delta_y``: 300 iterations for
+        noise-free data, 200 otherwise, with the noise level as discrepancy
+        estimate.  Keyword arguments replace any field."""
+        fields = dict(max_iter=300 if delta_y == 0 else 200, delta_estimate=delta_y)
+        fields.update(overrides)
+        return cls(**fields)
+
     def alpha(self, k: int) -> float:
         return self.a * math.exp(-self.b * k)
 

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from petident.cli import main
+from petident.cli import _campaign_from_file, build_parser, main
 from petident.experiments import default_scenario, scenario_to_dict
+from petident.solver import IrgnmSettings
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,39 @@ class TestIdentify:
         assert code == 0
         assert "stop:" in capsys.readouterr().out
 
+    def test_measured_data_reports_no_truth_errors(self, scenario_files, tmp_path, capsys):
+        # the scenario is only the prior for measured data: no error against it
+        out = tmp_path / "sim"
+        run_cli("simulate", "--scenario", scenario_files["min"], "--out", out)
+        capsys.readouterr()
+        code = run_cli(
+            "identify", "--scenario", scenario_files["min"],
+            "--data", out / "y_true.csv", "--max-iter", "3", "--out", tmp_path,
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "rel_error" not in printed and "rho_" not in printed
+        rows = list(csv.DictReader((tmp_path / "identify_trace.csv").read_text().splitlines()))
+        assert len(rows) == 4 and all(row["rel_error"] == "" for row in rows)
+
+    @pytest.mark.parametrize("bad", ["nan", "abc"])
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_invalid_data_value_exits_2(self, scenario_files, tmp_path, bad, suffix):
+        values = ["0.5"] * 100
+        values[7] = bad
+        data = tmp_path / f"bad{suffix}"
+        if suffix == ".json":
+            # NaN is a JSON literal for the parser; "abc" is a non-numeric string
+            y = [float(v) if v != "abc" else v for v in values]
+            data.write_text(json.dumps({"y": y}))
+        else:
+            data.write_text("value\n" + "\n".join(values) + "\n")
+        code = run_cli(
+            "identify", "--scenario", scenario_files["min"], "--data", data,
+            "--out", tmp_path,
+        )
+        assert code == 2
+
 
 class TestCheck:
     def test_reference_scenario_report(self, scenario_files, capsys):
@@ -161,6 +195,19 @@ class TestReproduce:
         table = (out / "table1.csv").read_text().splitlines()
         assert len(table) == 2 and table[0].startswith("delta_y,")
         assert (out / "results.json").exists()
+
+    @pytest.mark.parametrize(
+        "fields, max_iter",
+        [({"delta_y": 1e-3}, 200), ({"delta_y": 0.0}, 300), ({"delta_y": 1e-3, "max_iter": 50}, 50)],
+    )
+    def test_campaign_file_solver_defaults(self, tmp_path, fields, max_iter):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({**fields, "delta_x": 0.1}))
+        args = build_parser().parse_args(["reproduce", "--campaign", str(campaign)])
+        assert _campaign_from_file(str(campaign), args).settings == IrgnmSettings(
+            a=800.0, b=0.2, tau=1.1, epsilon=1e-3, max_iter=max_iter,
+            delta_estimate=fields["delta_y"],
+        )
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert run_cli("reproduce", "--out", tmp_path) == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,18 @@ from petident import (
     tikhonov_objective,
     unpack,
 )
+from petident.experiments import default_scenario
 from petident.polyexp import eval_polyexp
+
+
+def twelve_region_scenario(mode):
+    """Reference input with 12 regions spread +-30 % around the reference
+    rates: exercises the region-vectorized column placement beyond n = 3."""
+    ref = default_scenario(mode)
+    rates = np.array([[k.K1, k.k2, k.k3] for k in ref.kinetics])
+    spread = np.random.default_rng(12).uniform(0.7, 1.3, size=(12, 3))
+    kinetics = [KineticParams(*row) for row in rates[np.arange(12) % 3] * spread]
+    return replace(ref, kinetics=tuple(kinetics))
 
 
 def random_in_domain(x_true, rng, spread=0.3):
@@ -128,12 +141,25 @@ class TestJacobian:
         assert np.all(J[75:, 6:9] == 0.0)
 
     def test_matches_finite_differences_at_random_points(self, ground_truth, template, rng):
-        x_true, _ = ground_truth
-        for _ in range(20):
-            x = random_in_domain(x_true, rng)
-            check = finite_difference_check(x, template)
-            assert check.passed, check
-            assert check.max_rel_dev <= 1e-5
+        cases = [(ground_truth[0], template, 20)] + [
+            (wide.true_vector(), wide.template(), 5)
+            for wide in map(twelve_region_scenario, ("full", "known_cart"))
+        ]
+        for x_true, tmpl, points in cases:
+            for _ in range(points):
+                x = random_in_domain(x_true, rng)
+                check = finite_difference_check(x, tmpl)
+                assert check.passed, check
+                assert check.max_rel_dev <= 1e-5
+
+    @pytest.mark.parametrize("n_regions", [3, 12])
+    def test_value_is_forward_vector_bitwise(self, n_regions, rng):
+        scenario = default_scenario() if n_regions == 3 else twelve_region_scenario("full")
+        template = scenario.template()
+        for _ in range(5):
+            x = random_in_domain(scenario.true_vector(), rng)
+            _, value = jacobian(x, template, with_value=True)
+            assert np.array_equal(value, forward_vector(x, template))
 
     def test_corrupted_jacobian_detected(self, ground_truth, template):
         x_true, _ = ground_truth

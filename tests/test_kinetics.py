@@ -8,8 +8,6 @@ from petident import (
     KineticParams,
     PolyExp,
     eval_polyexp,
-    free_concentration,
-    integrate_compartments_rk4,
     integrate_compartments_rk4_grid,
     tissue_concentration,
     tissue_concentration_quadrature,
@@ -27,15 +25,15 @@ def arterial_fn(t):
 
 class TestRk4Oracle:
     def test_zero_horizon(self):
-        curves = integrate_compartments_rk4(arterial_fn, REGION1, 0.0, step=0.1)
-        assert curves.c_fr == 0.0 and curves.c_bd == 0.0 and curves.c_tis == 0.0
+        curves = integrate_compartments_rk4_grid(arterial_fn, REGION1, [0.0], step=0.1)
+        assert curves.c_fr[0] == 0.0 and curves.c_bd[0] == 0.0 and curves.c_tis[0] == 0.0
 
     def test_fourth_order_convergence(self):
         # halving the step shrinks the error against the closed form ~16x
         exact = tissue_concentration(ARTERIAL, REGION1, 5.0)
         errors = []
         for step in (0.5, 0.25):
-            approx = integrate_compartments_rk4(arterial_fn, REGION1, 5.0, step).c_tis
+            approx = integrate_compartments_rk4_grid(arterial_fn, REGION1, [5.0], step).c_tis[0]
             errors.append(abs(approx - exact))
         ratio = errors[0] / errors[1]
         assert 11.0 < ratio < 22.0
@@ -65,7 +63,7 @@ class TestClosedForm:
     def test_region1_matches_rk4_at_one_minute(self):
         # t = 60 s on the per-minute scale
         value = tissue_concentration(ARTERIAL, REGION1, 1.0)
-        oracle = integrate_compartments_rk4(arterial_fn, REGION1, 1.0, step=1e-4).c_tis
+        oracle = integrate_compartments_rk4_grid(arterial_fn, REGION1, [1.0], step=1e-4).c_tis[0]
         assert value == pytest.approx(oracle, rel=1e-8)
 
     def test_domain_error(self):
@@ -98,17 +96,17 @@ class TestClosedForm:
 
 class TestFreeCompartment:
     def test_initial_condition(self):
-        assert free_concentration(ARTERIAL, REGION2, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert tissue_curves(ARTERIAL, REGION2, 0.0).c_fr == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_input(self):
         zero = PolyExp([])
         for t in (0.0, 2.5, 50.0):
-            assert free_concentration(zero, REGION2, t) == 0.0
+            assert tissue_curves(zero, REGION2, t).c_fr == 0.0
 
     def test_region2_matches_rk4_at_five_minutes(self):
         # t = 300 s on the per-minute scale
-        value = free_concentration(ARTERIAL, REGION2, 5.0)
-        oracle = integrate_compartments_rk4(arterial_fn, REGION2, 5.0, step=1e-4).c_fr
+        value = tissue_curves(ARTERIAL, REGION2, 5.0).c_fr
+        oracle = integrate_compartments_rk4_grid(arterial_fn, REGION2, [5.0], step=1e-4).c_fr[0]
         assert value == pytest.approx(oracle, rel=1e-8)
 
 
@@ -149,7 +147,9 @@ class TestOracleEquivalence:
             t = float(rng.uniform(0.5, 30.0))
             closed = tissue_concentration(art, k, t)
             quad = tissue_concentration_quadrature(lambda s: eval_polyexp(art, s), k, t)
-            rk4 = integrate_compartments_rk4(lambda s: eval_polyexp(art, s), k, t, step=5e-4).c_tis
+            rk4 = integrate_compartments_rk4_grid(
+                lambda s: eval_polyexp(art, s), k, [t], step=5e-4
+            ).c_tis[0]
             assert closed == pytest.approx(quad, rel=1e-8)
             assert closed == pytest.approx(rk4, rel=1e-8)
 
@@ -168,12 +168,16 @@ class TestResonance:
         k = KineticParams(0.15, 0.2, 0.1)
         art = PolyExp([(2.0, -0.3)])
         value = tissue_concentration(art, k, 7.0)
-        oracle = integrate_compartments_rk4(lambda s: eval_polyexp(art, s), k, 7.0, 1e-4).c_tis
+        oracle = integrate_compartments_rk4_grid(
+            lambda s: eval_polyexp(art, s), k, [7.0], 1e-4
+        ).c_tis[0]
         assert value == pytest.approx(oracle, rel=1e-9)
 
     def test_zero_exponent_matches_rk4(self):
         k = KineticParams(0.15, 0.2, 0.1)
         art = PolyExp([(1.3, 0.0), (1.0, -0.2)])
         value = tissue_concentration(art, k, 4.0)
-        oracle = integrate_compartments_rk4(lambda s: eval_polyexp(art, s), k, 4.0, 1e-4).c_tis
+        oracle = integrate_compartments_rk4_grid(
+            lambda s: eval_polyexp(art, s), k, [4.0], 1e-4
+        ).c_tis[0]
         assert value == pytest.approx(oracle, rel=1e-9)
