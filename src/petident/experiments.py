@@ -163,7 +163,12 @@ def scenario_to_dict(scn: Scenario, units: str = "min") -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a scenario from its file form, converting declared units
-    (rates 1/unit, times in the unit) to the internal per-minute scale."""
+    (rates 1/unit, times in the unit) to the internal per-minute scale.
+
+    Raises ``ValueError`` unless every value is finite, ``lambda`` and
+    ``mu`` (and the plasma parameters and their family) have matching
+    lengths, and both time grids are nonnegative and strictly increasing.
+    """
     units = data.get("grid", {}).get("units", data.get("units", "min"))
     if units in ("min", "minute", "minutes"):
         scale = 1.0
@@ -218,6 +223,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         if "blood_times" in grid
         else t_grid.copy()
     )
+    _check_scenario_values(
+        lam, mu, m, get_family(model).n_params, regions, t_grid, s_grid
+    )
     return Scenario(
         c_art=PolyExp(list(zip(lam, mu))),
         plasma=PlasmaParams(model, m),
@@ -226,6 +234,25 @@ def scenario_from_dict(data: dict) -> Scenario:
         s_grid=s_grid,
         mode=data.get("mode", "full"),
     )
+
+
+def _check_scenario_values(lam, mu, m, n_params, regions, t_grid, s_grid):
+    if lam.shape != mu.shape:
+        raise ValueError(f"lambda has {lam.size} entries, mu has {mu.size}")
+    if len(m) != n_params:
+        raise ValueError(f"plasma family takes {n_params} parameters, got {len(m)}")
+    rates = [[k.K1, k.k2, k.k3] for k in regions]
+    for name, values in (
+        ("lambda", lam), ("mu", mu), ("plasma parameters", m),
+        ("region rates", rates), ("grid times", t_grid), ("blood times", s_grid),
+    ):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got {np.asarray(values).tolist()}")
+    for name, grid in (("grid times", t_grid), ("blood times", s_grid)):
+        if np.any(grid < 0):
+            raise ValueError(f"{name} must be nonnegative")
+        if np.any(np.diff(grid) <= 0):
+            raise ValueError(f"{name} must be strictly increasing")
 
 
 def load_scenario(path) -> Scenario:
@@ -341,44 +368,53 @@ class CampaignSummary:
 def run_campaign(spec: CampaignSpec, scenario: Scenario) -> CampaignSummary:
     """Run one experiment cell.
 
-    Every repetition draws its own initialization and noise, runs the
-    solver, and is classified as diverged when no iterate improved on the
-    initialization or when the iteration broke down numerically.  The
-    representative ``median_run`` is the non-diverged repetition whose best
-    improvement is closest to the median over non-diverged repetitions.
+    Every repetition draws its own initialization and noise; all
+    repetitions then run as one batch of the solver.  A run is classified
+    as diverged when no iterate improved on the initialization or when the
+    iteration broke down numerically.  The representative ``median_run`` is
+    the non-diverged repetition whose best improvement is closest to the
+    median over non-diverged repetitions.
     """
     scenario = replace(scenario, mode=spec.mode)
     x_true, y_true = simulate_ground_truth(scenario)
     settings = spec.resolved_settings()
 
-    digests: list[RunDigest] = []
-    records: list[RunRecord | None] = []
+    starts, data = [], []
     for r in range(spec.repetitions):
         rep_seed = spec.seed ^ r
-        x0 = perturb_initial(
-            x_true, spec.delta_x, [rep_seed, 0], settings.epsilon,
-            scenario.plasma.model_id,
+        starts.append(
+            perturb_initial(
+                x_true, spec.delta_x, [rep_seed, 0], settings.epsilon,
+                scenario.plasma.model_id,
+            ).flat
         )
-        y_delta = add_noise(y_true, spec.delta_y, [rep_seed, 1])
-        record = run_irgnm(x0, y_delta, settings, x_true=x_true)
-        digests.append(
-            RunDigest(
-                repetition=r,
-                diverged=bool(record.diverged),
-                stop_reason=record.stop_reason,
-                stop_iter=record.stop_iter,
-                final_residual=float(record.residual_norms[-1]),
-                rho_opt=record.rho_opt,
-                rho_d=record.rho_d,
-                rel_error_best=(
-                    float(np.min(record.rel_errors))
-                    if record.rel_errors is not None
-                    else None
-                ),
-                failure=record.failure,
-            )
+        data.append(add_noise(y_true, spec.delta_y, [rep_seed, 1]))
+    records = run_irgnm(
+        ParamVector(np.stack(starts), x_true.layout),
+        y_true.with_blocks(
+            np.stack([y.c_tis_block for y in data]), np.stack([y.f2_block for y in data])
+        ),
+        settings,
+        x_true=x_true,
+    )
+    digests = [
+        RunDigest(
+            repetition=r,
+            diverged=bool(record.diverged),
+            stop_reason=record.stop_reason,
+            stop_iter=record.stop_iter,
+            final_residual=float(record.residual_norms[-1]),
+            rho_opt=record.rho_opt,
+            rho_d=record.rho_d,
+            rel_error_best=(
+                float(np.min(record.rel_errors))
+                if record.rel_errors is not None
+                else None
+            ),
+            failure=record.failure,
         )
-        records.append(record)
+        for r, record in enumerate(records)
+    ]
 
     diverged_count = sum(d.diverged for d in digests)
     survivors = [d for d in digests if not d.diverged and d.rho_opt is not None]
@@ -444,32 +480,54 @@ def load_results(path) -> dict:
         return json.load(fh)
 
 
+def _cell_key(entry: dict) -> tuple:
+    spec = entry["spec"]
+    return tuple(spec[k] for k in ("delta_y", "delta_x", "mode", "repetitions", "seed"))
+
+
 def emit_results(summary: CampaignSummary, out_dir) -> list[Path]:
     """Write the campaign outputs: divergence-count table row, the median
-    run's per-iteration trace, and the full JSON summary."""
+    run's per-iteration trace, and the full JSON summary.
+
+    ``results.json`` holds one entry per cell ``(delta_y, delta_x, mode,
+    repetitions, seed)``: emitting a cell again replaces its entry, so
+    re-running a cell leaves the files as one run leaves them.  The table
+    is rewritten from those entries, one row per cell in entry order.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = summary.spec
     written: list[Path] = []
 
+    results = out / "results.json"
+    entries = []
+    if results.exists():
+        loaded = load_results(results)
+        entries = loaded if isinstance(loaded, list) else [loaded]
+    entry = summary_to_dict(summary)
+    keys = [_cell_key(e) for e in entries]
+    if _cell_key(entry) in keys:
+        entries[keys.index(_cell_key(entry))] = entry
+    else:
+        entries.append(entry)
+
     table = out / "table1.csv"
-    new = not table.exists()
-    with open(table, "a", newline="") as fh:
+    with open(table, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if new:
-            writer.writerow(
-                ["delta_y", "delta_x", "mode", "repetitions", "diverged", "median_run"]
-            )
         writer.writerow(
-            [
-                _fmt(spec.delta_y),
-                _fmt(spec.delta_x),
-                spec.mode,
-                spec.repetitions,
-                summary.diverged_count,
-                summary.median_run if summary.median_run is not None else "",
-            ]
+            ["delta_y", "delta_x", "mode", "repetitions", "diverged", "median_run"]
         )
+        for e in entries:
+            writer.writerow(
+                [
+                    _fmt(e["spec"]["delta_y"]),
+                    _fmt(e["spec"]["delta_x"]),
+                    e["spec"]["mode"],
+                    e["spec"]["repetitions"],
+                    e["diverged_count"],
+                    e["median_run"] if e["median_run"] is not None else "",
+                ]
+            )
     written.append(table)
 
     if summary.median_run is not None:
@@ -485,13 +543,7 @@ def emit_results(summary: CampaignSummary, out_dir) -> list[Path]:
                 )
         written.append(trace)
 
-    results = out / "results.json"
-    existing = []
-    if results.exists():
-        loaded = load_results(results)
-        existing = loaded if isinstance(loaded, list) else [loaded]
-    existing.append(summary_to_dict(summary))
     with open(results, "w") as fh:
-        json.dump(existing, fh, indent=1)
+        json.dump(entries, fh, indent=1)
     written.append(results)
     return written

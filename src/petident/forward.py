@@ -20,7 +20,10 @@ and maps to the measurement vector ``y = (F1(x), F2(x))``:
 
 The tissue block, its derivatives and its rounding scale all come from the
 region-vectorized closed-form kernel :func:`.kinetics.region_kernel`; this
-module only adds the blood block and places the kernel's arrays.  All
+module only adds the blood block and places the kernel's arrays.  The
+forward map, the Jacobian and the projection also take a batch of points:
+``ParamVector.flat`` of shape ``(..., dim)`` gives results with the same
+leading axes, each row bitwise equal to the single-point result.  All
 entries and all partial derivatives are closed-form expressions in
 exponentials, ``psi0(z,t) = (e^(zt)-1)/z`` and its derivative, so the
 Jacobian is exact up to rounding and continuous across the resonant
@@ -34,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinetics import KineticParams, region_kernel
+from .kinetics import KineticParams, region_kernel, term_sum
 from .plasma import get_family
 
 MODES = ("full", "known_cart")
@@ -64,39 +67,47 @@ class ParamLayout:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Flat parameter vector plus its layout descriptor."""
+    """Flat parameter vector plus its layout descriptor.
+
+    ``flat`` may carry leading batch axes, ``(..., dim)``; the block views
+    then carry them too.
+    """
 
     flat: np.ndarray
     layout: ParamLayout
 
     def __init__(self, flat, layout: ParamLayout):
         flat = np.asarray(flat, dtype=float)
-        if flat.shape != (layout.dim,):
+        if flat.shape[-1:] != (layout.dim,):
             raise ValueError(
-                f"flat vector has length {flat.shape}, layout requires {layout.dim}"
+                f"flat vector has shape {flat.shape}, layout requires {layout.dim} "
+                "entries in the last axis"
             )
         object.__setattr__(self, "flat", flat.copy())
         object.__setattr__(self, "layout", layout)
 
     @property
     def lam(self) -> np.ndarray:
-        return self.flat[: self.layout.p]
+        return self.flat[..., : self.layout.p]
 
     @property
     def mu(self) -> np.ndarray:
-        return self.flat[self.layout.p : 2 * self.layout.p]
+        return self.flat[..., self.layout.p : 2 * self.layout.p]
 
     @property
     def m(self) -> np.ndarray:
-        return self.flat[self.layout.m_slice()]
+        return self.flat[..., self.layout.m_slice()]
 
     @property
     def kinetic_block(self) -> np.ndarray:
-        """Per-region rates as an (n, 3) array of rows (K1, k2, k3)."""
-        return self.flat[self.layout.kinetic_slice()].reshape(self.layout.n, 3)
+        """Per-region rates as an (..., n, 3) array of rows (K1, k2, k3)."""
+        return self.flat[..., self.layout.kinetic_slice()].reshape(
+            self.flat.shape[:-1] + (self.layout.n, 3)
+        )
 
     @property
     def kinetics(self) -> tuple[KineticParams, ...]:
+        """Per-region rates of a single (unbatched) vector."""
         return tuple(KineticParams(*row) for row in self.kinetic_block)
 
 
@@ -126,6 +137,8 @@ class MeasurementSet:
     defines the forward operator (grids, blood values, mode, plasma family);
     filled instances additionally carry data.  ``flat()`` concatenates the
     row-major tissue block and the blood block into the solver's data vector.
+    The blocks may carry leading batch axes, ``(..., n, T)`` and
+    ``(..., q)``: one data set per run of a batch.
     """
 
     t_grid: np.ndarray
@@ -158,7 +171,9 @@ class MeasurementSet:
     def flat(self) -> np.ndarray:
         if self.c_tis_block is None or self.f2_block is None:
             raise ValueError("measurement blocks are not filled")
-        return np.concatenate([np.ravel(self.c_tis_block), self.f2_block])
+        tissue = np.asarray(self.c_tis_block)
+        tissue = tissue.reshape(tissue.shape[:-2] + (-1,))
+        return np.concatenate([tissue, self.f2_block], axis=-1)
 
     def with_blocks(self, c_tis_block, f2_block) -> "MeasurementSet":
         return replace(
@@ -171,7 +186,7 @@ class MeasurementSet:
 def _blood_block(x: ParamVector, template: MeasurementSet, es: np.ndarray):
     """``F2`` from the arterial exponentials ``es = e^(mu s)`` at the blood
     sample times."""
-    c_art_s = x.lam @ es
+    c_art_s = term_sum(x.lam[..., None, :], es)
     if template.mode == "full":
         fam = get_family(template.plasma_model)
         return template.c_bl_values * fam.value(x.m, template.s_grid) - c_art_s
@@ -180,10 +195,23 @@ def _blood_block(x: ParamVector, template: MeasurementSet, es: np.ndarray):
 
 @np.errstate(over="ignore", invalid="ignore")
 def forward_vector(x: ParamVector, template: MeasurementSet) -> np.ndarray:
-    """Flat forward value ``(F1(x), F2(x))`` of length ``n*T + q``."""
+    """Flat forward value ``(F1(x), F2(x))`` of length ``n*T + q`` (with
+    the leading axes of a batch ``x``)."""
     kernel = region_kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
-    es = np.exp(np.outer(x.mu, template.s_grid))
-    return np.concatenate([(x.lam @ kernel.w).ravel(), _blood_block(x, template, es)])
+    return _forward_value(x, template, kernel, _arterial_exponentials(x, template))
+
+
+def _arterial_exponentials(x: ParamVector, template: MeasurementSet):
+    """``e^(mu_j s_l)`` at the blood sample times, shape ``(..., p, q)``."""
+    return np.exp(x.mu[..., :, None] * template.s_grid)
+
+
+def _forward_value(x, template, kernel, es):
+    tissue = term_sum(x.lam[..., None, None, :], kernel.w)
+    return np.concatenate(
+        [tissue.reshape(tissue.shape[:-2] + (-1,)), _blood_block(x, template, es)],
+        axis=-1,
+    )
 
 
 def apply_forward(x: ParamVector, template: MeasurementSet) -> MeasurementSet:
@@ -199,7 +227,8 @@ def apply_forward(x: ParamVector, template: MeasurementSet) -> MeasurementSet:
 def jacobian(
     x: ParamVector, template: MeasurementSet, with_value: bool = False
 ):
-    """Analytic Jacobian of the flat forward map, shape ``(n*T + q, dim)``.
+    """Analytic Jacobian of the flat forward map, shape ``(n*T + q, dim)``
+    (with the leading axes of a batch ``x``).
 
     With ``with_value=True`` also returns the forward vector computed from
     the same intermediates.  Blood rows have zero derivatives with respect
@@ -209,31 +238,31 @@ def jacobian(
     layout = x.layout
     p, n = layout.p, layout.n
     lam, mu = x.lam, x.mu
+    lead = x.flat.shape[:-1]
     s = template.s_grid
     T = template.n_times
     nT = n * T
     kernel = region_kernel(lam, mu, x.kinetic_block, template.t_grid, derivatives=True)
 
-    J = np.zeros((nT + template.q, layout.dim))
+    J = np.zeros(lead + (nT + template.q, layout.dim))
     # tissue rows: region i owns rows i*T .. (i+1)*T and its three rate columns
-    J[:nT, :p] = kernel.w.transpose(0, 2, 1).reshape(nT, p)
-    J[:nT, p : 2 * p] = kernel.d_mu.transpose(0, 2, 1).reshape(nT, p)
+    J[..., :nT, :p] = kernel.w.swapaxes(-1, -2).reshape(lead + (nT, p))
+    J[..., :nT, p : 2 * p] = kernel.d_mu.swapaxes(-1, -2).reshape(lead + (nT, p))
     rows = np.arange(nT)[:, None]
     rate_cols = layout.kinetic_slice().start + 3 * (rows // T) + np.arange(3)
-    J[rows, rate_cols] = kernel.d_rates.reshape(nT, 3)
+    J[..., rows, rate_cols] = kernel.d_rates.reshape(lead + (nT, 3))
 
-    es = np.exp(np.outer(mu, s))
-    J[nT:, :p] = -es.T
-    J[nT:, p : 2 * p] = -(lam[:, None] * s[None, :] * es).T
+    es = _arterial_exponentials(x, template)
+    J[..., nT:, :p] = -es.swapaxes(-1, -2)
+    J[..., nT:, p : 2 * p] = -(lam[..., :, None] * s * es).swapaxes(-1, -2)
     if template.mode == "full":
         fam = get_family(template.plasma_model)
-        J[nT:, layout.m_slice()] = template.c_bl_values[:, None] * fam.param_jacobian(
+        J[..., nT:, layout.m_slice()] = template.c_bl_values[:, None] * fam.param_jacobian(
             x.m, s
         )
 
     if with_value:
-        value = np.concatenate([(lam @ kernel.w).ravel(), _blood_block(x, template, es)])
-        return J, value
+        return J, _forward_value(x, template, kernel, es)
     return J
 
 
@@ -241,12 +270,13 @@ def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,
                       plasma_model: str = "biexp") -> ParamVector:
     """Euclidean projection onto the admissible box: kinetic rates clamped to
     ``[eps, inf)``, plasma parameters onto their family's set, arterial
-    weights and exponents left free.  Idempotent and nonexpansive."""
+    weights and exponents left free.  Idempotent and nonexpansive; a batch
+    ``x`` is projected row by row."""
     flat = x.flat.copy()
     ks = x.layout.kinetic_slice()
-    flat[ks] = np.maximum(flat[ks], eps)
+    flat[..., ks] = np.maximum(flat[..., ks], eps)
     if x.layout.q_hat:
-        flat[x.layout.m_slice()] = get_family(plasma_model).project(x.m)
+        flat[..., x.layout.m_slice()] = get_family(plasma_model).project(x.m)
     return ParamVector(flat, x.layout)
 
 
@@ -258,7 +288,7 @@ def _forward_scale(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     possibly cancellation-small value itself."""
     lam, s = np.abs(x.lam), template.s_grid
     kernel = region_kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
-    art = lam @ np.exp(np.outer(x.mu, s))
+    art = lam @ _arterial_exponentials(x, template)
     blood = np.abs(template.c_bl_values)
     if template.mode == "full":
         blood = blood * get_family(template.plasma_model).magnitude(x.m, s)

@@ -97,7 +97,7 @@ def _psi0(z, t):
     zt = z * t
     zero = z == 0.0
     zs = np.where(zero, 1.0, z)
-    return np.where(zero, t * np.ones_like(zt), np.expm1(zt) / zs)
+    return np.where(zero, t, np.expm1(zt) / zs)
 
 
 def _psi0_dz(z, t):
@@ -107,13 +107,28 @@ def _psi0_dz(z, t):
 
 def _check_clearance(beta):
     """Reject regions whose ``k2 + k3`` is not positive (NaN passes: it
-    propagates into the values and surfaces as a numerical failure)."""
-    beta = np.ravel(beta)
-    if np.any(beta <= 0.0):
-        bad = int(np.argmax(beta <= 0.0))
+    propagates into the values and surfaces as a numerical failure).
+    ``beta`` holds one entry per region in its last axis."""
+    beta = np.atleast_1d(beta)
+    bad = beta <= 0.0
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
         raise DomainError(
-            f"k2 + k3 must be positive in every region (region {bad}: {beta[bad]})"
+            f"k2 + k3 must be positive in every region "
+            f"(region {index[-1]}: {beta[index]})"
         )
+
+
+def term_sum(lam_row, terms):
+    """``sum_j lam_j * terms[..., j, :]``: the arterial weights applied to
+    per-term arrays whose term axis is the second to last.
+
+    ``lam_row`` holds the weights as a row, ``(..., 1, p)``, with one more
+    axis before it for each broadcast axis of ``terms`` (e.g. regions).
+    Each row of a batch is the same vector-matrix product as ``lam @ terms``
+    of a single point, so a batch gives the single-point results bit for
+    bit."""
+    return (lam_row @ terms)[..., 0, :]
 
 
 # -- the closed form ------------------------------------------------------------
@@ -130,7 +145,8 @@ class RegionKernel:
     ``lam @ w`` the tissue curves ``(n, T)``.  With derivatives requested,
     ``d_mu[i, j, l]`` is the derivative of ``lam @ w`` with respect to
     ``mu_j`` and ``d_rates[i, l]`` the derivatives with respect to
-    ``(K1, k2, k3)`` of region ``i``.
+    ``(K1, k2, k3)`` of region ``i``.  A batch of parameter points prefixes
+    every array with its leading axes.
     """
 
     psi0: np.ndarray
@@ -144,34 +160,38 @@ class RegionKernel:
 def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     """Evaluate the closed form for all regions at once.
 
-    ``rates`` is an ``(n, 3)`` array of rows ``(K1, k2, k3)``, ``t`` a 1-d
-    time grid.  Raises :class:`DomainError` naming the first region with
-    ``k2 + k3 <= 0``.
+    ``lam`` and ``mu`` are ``(..., p)`` arrays, ``rates`` an ``(..., n, 3)``
+    array of rows ``(K1, k2, k3)`` and ``t`` a 1-d time grid; leading axes
+    are a batch of independent parameter points.  Raises
+    :class:`DomainError` naming the first region with ``k2 + k3 <= 0``.
     """
     lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)[:, None]
+    mu = np.asarray(mu, dtype=float)[..., :, None]
     t = np.asarray(t, dtype=float)
-    # each (n, 1, 1): broadcasts against (p, T) term arrays
-    K1, k2, k3 = np.asarray(rates, dtype=float).T[:, :, None, None]
+    rates = np.asarray(rates, dtype=float)
+    # each (..., n, 1, 1): broadcasts against (..., 1, p, T) term arrays
+    K1, k2, k3 = (rates[..., i, None, None] for i in range(3))
     beta = k2 + k3
-    _check_clearance(beta)
+    _check_clearance(beta[..., 0, 0])
     g1 = K1 * k3 / beta
     g2 = K1 * k2 / beta
     eb = np.exp(-beta * t)
     psi0 = _psi0(mu, t)
-    psi1 = eb * _psi0(beta + mu, t)
-    w = g1 * psi0 + g2 * psi1
+    terms0 = psi0[..., None, :, :]
+    psi1 = eb * _psi0(beta + mu[..., None, :, :], t)
+    w = g1 * terms0 + g2 * psi1
     if not derivatives:
         return RegionKernel(psi0, psi1, w)
 
-    dpsid = _psi0_dz(beta + mu, t)
-    d_mu = lam[:, None] * (g1 * _psi0_dz(mu, t) + g2 * eb * dpsid)
-    shared = g2[:, 0] * (lam @ (-t * psi1 + eb * dpsid))
+    dpsid = _psi0_dz(beta + mu[..., None, :, :], t)
+    d_mu = lam[..., None, :, None] * (g1 * _psi0_dz(mu, t)[..., None, :, :] + g2 * eb * dpsid)
+    lam_row = lam[..., None, None, :]
+    shared = g2[..., 0] * term_sum(lam_row, -t * psi1 + eb * dpsid)
     d_rates = np.stack(
         [
-            lam @ ((k3 / beta) * psi0 + (k2 / beta) * psi1),
-            (g1 / beta)[:, 0] * (lam @ (psi1 - psi0)) + shared,
-            (g2 / beta)[:, 0] * (lam @ (psi0 - psi1)) + shared,
+            term_sum(lam_row, (k3 / beta) * terms0 + (k2 / beta) * psi1),
+            (g1 / beta)[..., 0] * term_sum(lam_row, psi1 - terms0) + shared,
+            (g2 / beta)[..., 0] * term_sum(lam_row, terms0 - psi1) + shared,
         ],
         axis=-1,
     )

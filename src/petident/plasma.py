@@ -31,7 +31,9 @@ class PlasmaFamily:
     ``value(m, t)`` evaluates ``f_m`` on an array of times,
     ``param_jacobian(m, t)`` returns the ``(len(t), n_params)`` matrix of
     partial derivatives with respect to ``m``, and ``project(m)`` is the
-    Euclidean projection onto the admissible parameter set.
+    Euclidean projection onto the admissible parameter set.  Each accepts
+    ``m`` with leading batch axes, ``(..., n_params)``, and prefixes its
+    result with the same axes.
     """
 
     model_id: str
@@ -93,30 +95,35 @@ def plasma_fraction(params: PlasmaParams, t):
 # -- biexponential family ------------------------------------------------------
 
 
+def _biexp_params(m):
+    """``(A, xi1, xi2)``, each with a trailing axis to broadcast over times."""
+    m = np.asarray(m, dtype=float)
+    return m[..., 0, None], m[..., 1, None], m[..., 2, None]
+
+
 def _biexp_value(m, t):
-    A, xi1, xi2 = m
+    A, xi1, xi2 = _biexp_params(m)
     return A * np.exp(xi1 * t) + (1.0 - A) * np.exp(xi2 * t)
 
 
 def _biexp_jacobian(m, t):
-    A, xi1, xi2 = m
+    A, xi1, xi2 = _biexp_params(m)
     e1 = np.exp(xi1 * t)
     e2 = np.exp(xi2 * t)
-    return np.column_stack((e1 - e2, A * t * e1, (1.0 - A) * t * e2))
+    return np.stack((e1 - e2, A * t * e1, (1.0 - A) * t * e2), axis=-1)
 
 
 def _biexp_project(m):
-    m = np.asarray(m, dtype=float)
-    out = m.copy()
-    out[0] = max(out[0], 0.0)
-    out[1] = min(out[1], 0.0)
-    out[2] = min(out[2], 0.0)
+    out = np.array(m, dtype=float)
+    A, xi = out[..., 0], out[..., 1:]
+    A[A < 0.0] = 0.0
+    xi[xi > 0.0] = 0.0
     return out
 
 
 def _biexp_magnitude(m, t):
-    A, xi1, xi2 = m
-    return abs(A) * np.exp(xi1 * t) + abs(1.0 - A) * np.exp(xi2 * t)
+    A, xi1, xi2 = _biexp_params(m)
+    return np.abs(A) * np.exp(xi1 * t) + np.abs(1.0 - A) * np.exp(xi2 * t)
 
 
 BIEXP = PlasmaFamily(

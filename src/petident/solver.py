@@ -12,6 +12,12 @@ steps stay close to the initial guess and late steps approach plain
 Gauss-Newton.  With noisy data the iteration stops at the first iterate
 whose residual drops below ``tau * delta`` (discrepancy principle); without
 a noise estimate it runs for a fixed number of iterations.
+
+:func:`run_irgnm` is the one IRGNM loop.  It iterates a ``(B, dim)`` stack
+of runs (the repetitions of a campaign cell; a lone run is a batch of one),
+stops each run on its own and drops it from the stack, and evaluates the
+forward map once per iteration: the Jacobian call that yields
+``F(x_{k+1})`` for the residual also linearizes the next step.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, LinAlgWarning, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, LinAlgWarning, get_lapack_funcs
 from scipy.linalg import solve as linalg_solve
 
 from .forward import (
@@ -91,11 +97,13 @@ class RunRecord:
     entry more than the number of steps taken); ``rel_errors`` the matching
     ``|x_k - x_true| / |x_true|`` when the truth was supplied.  A run is
     ``diverged`` when no iterate after the initialization improved on it or
-    when the step computation broke down numerically
-    (``stop_reason = "failure"``, e.g. an iterate wandered into overflow; no
-    usable terminal iterate exists then).  ``rho_opt``/``rho_d`` are the
-    percent improvements over the initialization at the best iterate and at
-    the discrepancy stop, over the recorded part of the run.
+    when the run broke down numerically (``stop_reason = "failure"``: a
+    residual that is not finite, or a step that cannot be computed, e.g.
+    after an iterate wandered into overflow; ``failure`` says what broke
+    down, and no usable terminal iterate exists then).
+    ``rho_opt``/``rho_d`` are the percent improvements over the
+    initialization at the best iterate and at the discrepancy stop, over the
+    recorded part of the run.
     """
 
     residual_norms: np.ndarray
@@ -122,13 +130,18 @@ class StepFailure(RuntimeError):
         self.cond = cond
 
 
+#: The LAPACK Cholesky pair behind scipy's ``cho_factor``/``cho_solve``,
+#: called directly: same results, without their per-call argument handling,
+#: which costs more than the factorization of these small systems.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, alpha: float):
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise StepFailure(alpha, float("inf"))
-    try:
-        return cho_solve(cho_factor(gram), rhs)
-    except LinAlgError:
-        pass
+    factor, info = _POTRF(gram, lower=False, clean=False)
+    if info == 0:
+        return _POTRS(factor, rhs, lower=False)[0]
     try:
         # pivoted symmetric-indefinite fallback; conditioning warnings are
         # expected here, the caller accounts for breakdown separately
@@ -145,19 +158,59 @@ def irgnm_step(
     y_delta: MeasurementSet,
     alpha_k: float,
     epsilon: float = DEFAULT_EPSILON,
-) -> ParamVector:
-    """One regularized Gauss-Newton step followed by the box projection."""
+    linearization: tuple[np.ndarray, np.ndarray] | None = None,
+):
+    """One regularized Gauss-Newton step followed by the box projection.
+
+    ``linearization`` is ``(J, F(x_k))`` as ``jacobian(x_k, y_delta,
+    with_value=True)`` returns it; without it the step computes it.
+
+    A single vector ``x_k`` returns the stepped vector and raises
+    :class:`StepFailure` when the normal equations cannot be solved.  A
+    batch (``x_k.flat`` and ``x0.flat`` of shape ``(B, dim)``, data blocks
+    of ``y_delta`` with the same leading axis) solves each run's normal
+    equations on its own and returns ``(stepped, failures)``:
+    ``failures[b]`` is the :class:`StepFailure` of run ``b`` or ``None``, and
+    the row of a failed run in ``stepped`` is not a step.
+    """
     if alpha_k <= 0:
         raise ValueError("alpha_k must be positive")
-    J, value = jacobian(x_k, y_delta, with_value=True)
+    if linearization is None:
+        linearization = jacobian(x_k, y_delta, with_value=True)
+    J, value = linearization
+    dim = x_k.layout.dim
     residual = y_delta.flat() - value
     with np.errstate(invalid="ignore", over="ignore"):
-        # nonfinite products surface as StepFailure in the solve below
-        gram = J.T @ J + alpha_k * np.eye(x_k.layout.dim)
-        rhs = J.T @ residual + alpha_k * (x0.flat - x_k.flat)
-    step = _solve_normal_equations(gram, rhs, alpha_k)
-    return project_to_domain(
-        ParamVector(x_k.flat + step, x_k.layout), epsilon, y_delta.plasma_model
+        # nonfinite products surface as StepFailure in the solve below; the
+        # matmul forms give each run of a batch the products of a lone run
+        # bit for bit
+        Jt = J.swapaxes(-1, -2)
+        gram = Jt @ J + alpha_k * np.eye(dim)
+        rhs = (Jt @ residual[..., None])[..., 0] + alpha_k * (x0.flat - x_k.flat)
+    steps = np.zeros(rhs.shape)
+    rows = steps.reshape(-1, dim)
+    failures: list[StepFailure | None] = []
+    for b, (gram_b, rhs_b) in enumerate(zip(gram.reshape(-1, dim, dim), rhs.reshape(-1, dim))):
+        try:
+            rows[b] = _solve_normal_equations(gram_b, rhs_b, alpha_k)
+            failures.append(None)
+        except StepFailure as exc:
+            failures.append(exc)
+    single = x_k.flat.ndim == 1
+    if single and failures[0] is not None:
+        raise failures[0]
+    stepped = project_to_domain(
+        ParamVector(x_k.flat + steps, x_k.layout), epsilon, y_delta.plasma_model
+    )
+    return stepped if single else (stepped, failures)
+
+
+def _take_rows(keep, x: ParamVector, anchor: ParamVector, y_delta: MeasurementSet):
+    """Rows ``keep`` of a batch of iterates, their anchors and their data."""
+    return (
+        ParamVector(x.flat[keep], x.layout),
+        ParamVector(anchor.flat[keep], anchor.layout),
+        y_delta.with_blocks(y_delta.c_tis_block[keep], y_delta.f2_block[keep]),
     )
 
 
@@ -166,58 +219,123 @@ def run_irgnm(
     y_delta: MeasurementSet,
     settings: IrgnmSettings = IrgnmSettings(),
     x_true: ParamVector | None = None,
-) -> RunRecord:
+):
     """Run the projected IRGNM iteration from ``x0`` on data ``y_delta``.
 
-    With ``delta_estimate > 0`` the run stops at the first iterate whose
-    residual is below ``tau * delta_estimate`` (including the initial guess),
-    otherwise after ``max_iter`` iterations.  When ``x_true`` is given the
-    relative-error trace and the improvement metrics are recorded.
+    With ``delta_estimate > 0`` a run stops at the first iterate whose
+    residual is below ``tau * delta_estimate`` (including the initial
+    guess), otherwise after ``max_iter`` iterations.  A run stops as
+    ``failure`` at the first iterate whose residual is not finite, or whose
+    step cannot be computed.  When ``x_true`` is given the relative-error
+    trace and the improvement metrics are recorded.
+
+    ``x0.flat`` of shape ``(B, dim)``, with the data blocks of ``y_delta``
+    carrying the same leading axis, makes ``B`` independent runs in one loop
+    and returns their ``B`` records; a single vector is a batch of one and
+    returns its record.  Each trip of the loop takes one step of every run
+    still going and evaluates their Jacobians and forward values in one
+    call; the next step reuses that linearization.  A run so costs one
+    forward evaluation at ``x0`` and one Jacobian per iteration.
     """
+    single = x0.flat.ndim == 1
+    if single:
+        y_delta.flat()  # a template without data fails here
+        x0 = ParamVector(x0.flat[None], x0.layout)
+        y_delta = y_delta.with_blocks(y_delta.c_tis_block[None], y_delta.f2_block[None])
+    if x0.flat.ndim != 2 or y_delta.flat().shape[:-1] != x0.flat.shape[:1]:
+        raise ValueError(
+            "a batch takes x0.flat of shape (B, dim) and data blocks with the same "
+            "leading axis B"
+        )
+    layout = x0.layout
     x = project_to_domain(x0, settings.epsilon, y_delta.plasma_model)
     anchor = x
-    y = y_delta.flat()
     threshold = settings.tau * settings.delta_estimate
 
-    residuals = [float(np.linalg.norm(forward_vector(x, y_delta) - y))]
+    B = x.flat.shape[0]
     truth = x_true.flat if x_true is not None else None
     truth_norm = float(np.linalg.norm(truth)) if truth is not None else 0.0
+    residuals: list[list[float]] = [[] for _ in range(B)]
     rel_errors = (
-        [float(np.linalg.norm(x.flat - truth)) / truth_norm]
-        if truth is not None and truth_norm > 0
-        else None
+        [[] for _ in range(B)] if truth is not None and truth_norm > 0 else None
     )
-    iterates = [x] if settings.store_iterates else None
+    iterates = [[] for _ in range(B)] if settings.store_iterates else None
+    # per run: (stop reason, stop iteration, final iterate, failure message)
+    stops: list[tuple] = [()] * B
 
+    active = np.arange(B)  # the runs still going, in the row order of x
+    value = forward_vector(x, y_delta)
+    J = None
     k = 0
-    failure = None
     while True:
-        if settings.delta_estimate > 0 and residuals[-1] <= threshold:
-            reason = "discrepancy"
+        residual_rows = value - y_delta.flat()
+        going = []
+        for i, b in enumerate(active):
+            norm = float(np.linalg.norm(residual_rows[i]))
+            residuals[b].append(norm)
+            if rel_errors is not None:
+                rel_errors[b].append(float(np.linalg.norm(x.flat[i] - truth)) / truth_norm)
+            if iterates is not None:
+                iterates[b].append(ParamVector(x.flat[i], layout))
+            if not math.isfinite(norm):
+                stops[b] = ("failure", k, x.flat[i], f"residual norm is {norm} at iteration {k}")
+            elif settings.delta_estimate > 0 and norm <= threshold:
+                stops[b] = ("discrepancy", k, x.flat[i], None)
+            elif k >= settings.max_iter:
+                stops[b] = ("max_iter", k, x.flat[i], None)
+            else:
+                going.append(i)
+        if not going:
             break
-        if k >= settings.max_iter:
-            reason = "max_iter"
-            break
-        try:
-            x = irgnm_step(x, anchor, y_delta, settings.alpha(k), settings.epsilon)
-        except StepFailure as exc:
-            # numerical breakdown (e.g. an iterate wandered into overflow);
-            # close the record here and judge divergence on what was recorded
-            reason = "failure"
-            failure = str(exc)
-            break
-        k += 1
-        residuals.append(float(np.linalg.norm(forward_vector(x, y_delta) - y)))
-        if rel_errors is not None:
-            rel_errors.append(float(np.linalg.norm(x.flat - truth)) / truth_norm)
-        if iterates is not None:
-            iterates.append(x)
+        if len(going) < active.size:
+            # finished runs leave the batch and cost nothing from here on
+            active = active[going]
+            x, anchor, y_delta = _take_rows(going, x, anchor, y_delta)
+            value = value[going]
+            J = J[going] if J is not None else None
 
+        stepped, failures = irgnm_step(
+            x, anchor, y_delta, settings.alpha(k), settings.epsilon,
+            linearization=(J, value) if J is not None else None,
+        )
+        going = []
+        for i, exc in enumerate(failures):
+            if exc is None:
+                going.append(i)
+            else:
+                # numerical breakdown (e.g. an iterate wandered into
+                # overflow); close the record on the last iterate
+                stops[active[i]] = ("failure", k, x.flat[i], str(exc))
+        if not going:
+            break
+        if len(going) < active.size:
+            active = active[going]
+            stepped, anchor, y_delta = _take_rows(going, stepped, anchor, y_delta)
+        x = stepped
+        k += 1
+        J, value = jacobian(x, y_delta, with_value=True)
+
+    records = [
+        _run_record(
+            np.array(residuals[b]), *stops[b],
+            ParamVector(x0.flat[b], layout), x_true,
+            rel_errors[b] if rel_errors is not None else None,
+            iterates[b] if iterates is not None else None,
+        )
+        for b in range(B)
+    ]
+    return records[0] if single else records
+
+
+def _run_record(
+    residuals, reason, k, final, failure, x0, x_true, rel_errors, iterates
+) -> RunRecord:
+    """The record of one finished run, with its divergence verdict."""
     record = RunRecord(
-        residual_norms=np.array(residuals),
+        residual_norms=residuals,
         stop_reason=reason,
         stop_iter=k,
-        final_x=x,
+        final_x=ParamVector(final, x0.layout),
         rel_errors=np.array(rel_errors) if rel_errors is not None else None,
         iterates=iterates,
         failure=failure,

@@ -137,6 +137,51 @@ class TestIdentify:
         assert code == 2
 
 
+def _spoil_rate(data):
+    data["regions"][1]["k2"] = float("nan")
+
+
+def _spoil_lambda(data):
+    data["lambda"][0] = float("inf")
+
+
+def _spoil_grid_order(data):
+    times = data["grid"]["times"]
+    times[3], times[4] = times[4], times[3]
+
+
+def _spoil_grid_sign(data):
+    data["grid"]["times"][0] = -1.0
+
+
+class TestScenarioValidation:
+    """A scenario file with a non-finite value or a bad time grid is an
+    input error for every subcommand that reads it."""
+
+    @pytest.mark.parametrize(
+        "spoil", [_spoil_rate, _spoil_lambda, _spoil_grid_order, _spoil_grid_sign]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check"],
+            ["simulate"],
+            ["identify", "--synthesize", "--max-iter", "1"],
+            ["reproduce", "--all", "--repetitions", "1"],
+            ["jaccheck", "--trials", "1"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_bad_scenario_exits_2(self, tmp_path, capsys, spoil, command):
+        data = scenario_to_dict(default_scenario())
+        spoil(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = run_cli(*command, "--scenario", path, "--out", tmp_path / "out")
+        assert code == 2
+        assert "cannot parse scenario" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_reference_scenario_report(self, scenario_files, capsys):
         assert run_cli("check", "--scenario", scenario_files["min"]) == 0

@@ -13,8 +13,10 @@ from petident import (
     perturb_initial,
     region_diversity_report,
     run_campaign,
+    run_irgnm,
     scenario_from_dict,
     scenario_to_dict,
+    simulate_ground_truth,
 )
 from petident.experiments import SECONDS_PER_MINUTE, load_results
 
@@ -217,6 +219,59 @@ class TestCampaign:
         assert counts["known_cart"] <= counts["full"]
 
 
+class TestBatchedCampaign:
+    """One solver loop runs all repetitions of a cell; each run must come
+    out as it does alone.  Both cells have ragged run lengths."""
+
+    # (stop reason, stop iteration, final residual at 12 digits) per run of
+    # the full-mode cells with 5 repetitions and seed 5, as the loop that ran
+    # one repetition after another gave them
+    GOLDEN = {
+        (0.0, 0.15): [
+            ("max_iter", 300, "2.2681292296e-15"),
+            ("max_iter", 300, "3.88371877846e-15"),
+            ("max_iter", 300, "2.62057420225e-15"),
+            ("failure", 93, "nan"),
+            ("failure", 79, "nan"),
+        ],
+        # run 3 overflows its residual norm on the way to the failure
+        (1e-4, 0.15): [
+            ("discrepancy", 115, "0.000109732566113"),
+            ("discrepancy", 104, "0.000108576022381"),
+            ("discrepancy", 103, "0.000103473388105"),
+            ("failure", 89, "nan"),
+            ("discrepancy", 110, "0.000101845776356"),
+        ],
+    }
+
+    @pytest.mark.parametrize("cell", sorted(GOLDEN))
+    def test_runs_equal_lone_runs_and_golden_stops(self, scenario, cell):
+        delta_y, delta_x = cell
+        spec = CampaignSpec(delta_y, delta_x, repetitions=5, mode="full", seed=5)
+        with np.errstate(over="ignore"):
+            summary = run_campaign(spec, scenario)
+        x_true, y_true = simulate_ground_truth(scenario)
+        settings = spec.resolved_settings()
+        for r, record in enumerate(summary.records):
+            x0 = perturb_initial(x_true, delta_x, [spec.seed ^ r, 0], settings.epsilon)
+            y_delta = add_noise(y_true, delta_y, [spec.seed ^ r, 1])
+            with np.errstate(over="ignore"):
+                alone = run_irgnm(x0, y_delta, settings, x_true=x_true)
+            assert (record.stop_reason, record.stop_iter) == (alone.stop_reason, alone.stop_iter)
+            assert np.array_equal(record.residual_norms, alone.residual_norms, equal_nan=True)
+            assert np.array_equal(record.rel_errors, alone.rel_errors, equal_nan=True)
+            assert np.array_equal(record.final_x.flat, alone.final_x.flat)
+            assert record.diverged == alone.diverged
+            assert record.failure == alone.failure
+            if record.stop_reason == "failure":
+                assert f"iteration {record.stop_iter}" in record.failure
+        stops = [
+            (rec.stop_reason, rec.stop_iter, format(float(rec.residual_norms[-1]), ".12g"))
+            for rec in summary.records
+        ]
+        assert stops == self.GOLDEN[cell]
+
+
 class TestEmitResults:
     def test_files_schema_and_round_trip(self, scenario, tmp_path):
         spec = CampaignSpec(delta_y=1e-3, delta_x=0.05, repetitions=4, seed=13)
@@ -239,3 +294,19 @@ class TestEmitResults:
         assert len(loaded[0]["runs"]) == 4
         round_tripped = json.dumps(loaded)
         assert json.loads(round_tripped) == loaded
+
+    def test_emitting_a_cell_again_replaces_it(self, scenario, tmp_path):
+        specs = [
+            CampaignSpec(delta_y=1e-3, delta_x=0.05, repetitions=2, seed=seed)
+            for seed in (13, 14)
+        ]
+        summaries = [run_campaign(spec, scenario) for spec in specs]
+        for summary in (summaries[0], summaries[1], summaries[0]):
+            emit_results(summary, tmp_path)
+        once = tmp_path / "once"
+        for summary in summaries:
+            emit_results(summary, once)
+        for name in ("table1.csv", "results.json"):
+            assert (tmp_path / name).read_bytes() == (once / name).read_bytes()
+        assert len((tmp_path / "table1.csv").read_text().splitlines()) == 3
+        assert [e["spec"]["seed"] for e in load_results(tmp_path / "results.json")] == [13, 14]

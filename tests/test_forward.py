@@ -21,6 +21,7 @@ from petident import (
     unpack,
 )
 from petident.experiments import default_scenario
+from petident.forward import MODES
 from petident.polyexp import eval_polyexp
 
 
@@ -165,6 +166,57 @@ class TestJacobian:
         x_true, _ = ground_truth
         check = finite_difference_check(x_true, template, corrupt_entry=(74, 0, 1e-2))
         assert not check.passed
+
+
+def scenario_with_regions(n, mode):
+    if n == 12:
+        return twelve_region_scenario(mode)
+    ref = default_scenario(mode)
+    return replace(ref, kinetics=ref.kinetics[:n])
+
+
+BATCH_CASES = {(n, mode): scenario_with_regions(n, mode) for n in (1, 3, 12) for mode in MODES}
+
+
+class TestBatch:
+    """A ``(B, dim)`` stack of points gives each row's single-point results
+    bit for bit; the batched solver rests on this."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stack_equals_row_by_row_bitwise(self, data):
+        n = data.draw(st.sampled_from([1, 3, 12]), label="n")
+        mode = data.draw(st.sampled_from(MODES), label="mode")
+        batch = data.draw(st.integers(1, 6), label="B")
+        scenario = BATCH_CASES[n, mode]
+        x_true, template = scenario.true_vector(), scenario.template()
+        layout = x_true.layout
+        factor = st.floats(0.7, 1.3)
+        rows = []
+        for _ in range(batch):
+            flat = x_true.flat * np.array(
+                data.draw(st.lists(factor, min_size=layout.dim, max_size=layout.dim))
+            )
+            if data.draw(st.booleans()):
+                # an arterial exponent at or next to a region's resonance
+                # mu_j = -(k2 + k3)
+                j = data.draw(st.integers(0, layout.p - 1))
+                i = data.draw(st.integers(0, n - 1))
+                k2, k3 = flat[layout.kinetic_slice()][3 * i + 1 : 3 * i + 3]
+                offset = data.draw(st.sampled_from([0.0, 1e-13, -1e-10, 1e-6, -1e-3]))
+                flat[layout.p + j] = -(k2 + k3) * (1.0 + offset)
+            rows.append(flat)
+        stack = project_to_domain(ParamVector(np.array(rows), layout))
+        values = forward_vector(stack, template)
+        J, with_value = jacobian(stack, template, with_value=True)
+        assert J.shape == (batch, template.n_times * n + template.q, layout.dim)
+        for b, flat in enumerate(rows):
+            x = project_to_domain(ParamVector(flat, layout))
+            J_b, value_b = jacobian(x, template, with_value=True)
+            assert np.array_equal(stack.flat[b], x.flat)
+            assert np.array_equal(values[b], forward_vector(x, template))
+            assert np.array_equal(J[b], J_b)
+            assert np.array_equal(with_value[b], value_b)
 
 
 class TestProjection:

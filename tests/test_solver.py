@@ -7,6 +7,7 @@ from petident import (
     IrgnmSettings,
     ParamVector,
     RunRecord,
+    StepFailure,
     add_noise,
     irgnm_step,
     jacobian,
@@ -76,6 +77,38 @@ class TestStep:
         with pytest.raises(ValueError):
             irgnm_step(x_true, x_true, y_true, 0.0)
 
+    def test_batch_steps_each_run_alone(self, ground_truth):
+        # rows of a batch step as lone runs do; a run whose normal equations
+        # fail is reported in its slot instead of raising
+        x_true, y_true = ground_truth
+        starts = [perturb_initial(x_true, 0.1, [seed, 0]) for seed in range(3)]
+        anchors = [perturb_initial(x_true, 0.05, [seed, 1]) for seed in range(3)]
+        blocks = [y_true.c_tis_block.copy() for _ in range(3)]
+        blocks[1][0, 3] = np.nan
+        data = [y_true.with_blocks(b, y_true.f2_block) for b in blocks]
+        stepped, failures = irgnm_step(
+            ParamVector(np.stack([x.flat for x in starts]), x_true.layout),
+            ParamVector(np.stack([x.flat for x in anchors]), x_true.layout),
+            y_true.with_blocks(np.stack(blocks), np.stack([y_true.f2_block] * 3)),
+            alpha_k=0.5,
+        )
+        assert failures[0] is None and failures[2] is None
+        assert isinstance(failures[1], StepFailure)
+        for b in (0, 2):
+            alone = irgnm_step(starts[b], anchors[b], data[b], 0.5)
+            assert np.array_equal(stepped.flat[b], alone.flat)
+        with pytest.raises(StepFailure):
+            irgnm_step(starts[1], anchors[1], data[1], 0.5)
+
+    def test_given_linearization_is_used(self, ground_truth):
+        x_true, y_true = ground_truth
+        x_k = perturb_initial(x_true, 0.1, [4, 0])
+        linearization = jacobian(x_k, y_true, with_value=True)
+        assert np.array_equal(
+            irgnm_step(x_k, x_true, y_true, 0.3, linearization=linearization).flat,
+            irgnm_step(x_k, x_true, y_true, 0.3).flat,
+        )
+
 
 class TestRunIrgnm:
     def test_start_at_truth_noiseless(self, ground_truth):
@@ -108,6 +141,38 @@ class TestRunIrgnm:
                 assert record.residual_norms[-1] <= 1.1 * delta
                 assert np.all(record.residual_norms[:-1] > 1.1 * delta)
                 assert record.rho_d is not None
+
+    def test_nonfinite_residual_ends_run_as_failure(self, ground_truth):
+        # a datum of 1e200 overflows the residual norm: the run stops there
+        # instead of stepping on from an infinite residual
+        x_true, y_true = ground_truth
+        x0 = perturb_initial(x_true, 0.05, [1, 0])
+        block = y_true.c_tis_block.copy()
+        block[1, 7] = 1e200
+        with np.errstate(over="ignore"):
+            record = run_irgnm(
+                x0, y_true.with_blocks(block, y_true.f2_block),
+                IrgnmSettings(max_iter=5), x_true=x_true,
+            )
+        assert (record.stop_reason, record.stop_iter) == ("failure", 0)
+        assert "iteration 0" in record.failure
+        assert record.residual_norms.tolist() == [math.inf]
+        assert record.diverged is True
+
+    def test_nonfinite_residual_is_not_a_max_iter_stop(self, ground_truth):
+        x_true, y_true = ground_truth
+        block = y_true.c_tis_block.copy()
+        block[0, 0] = np.nan
+        record = run_irgnm(
+            x_true, y_true.with_blocks(block, y_true.f2_block), IrgnmSettings(max_iter=0)
+        )
+        assert (record.stop_reason, record.stop_iter) == ("failure", 0)
+
+    def test_batch_needs_data_per_run(self, ground_truth):
+        # shared data would be sliced along its region axis as runs finish
+        x_true, y_true = ground_truth
+        with pytest.raises(ValueError, match="leading axis"):
+            run_irgnm(ParamVector(np.stack([x_true.flat] * 3), x_true.layout), y_true)
 
     def test_iterates_stay_in_domain(self, ground_truth):
         x_true, y_true = ground_truth
