@@ -26,7 +26,7 @@ for mode, summary in summaries.items():
         f"median run #{summary.median_run}, median rho_opt {np.median(rho):.1f}%"
     )
 
-files = emit_results(summaries["full"], "demos/out_campaign")
+files = emit_results([summaries["full"]], "demos/out_campaign")
 print("wrote:", ", ".join(str(f) for f in files))
 
 median = summaries["full"].records[summaries["full"].median_run]

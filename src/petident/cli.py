@@ -346,6 +346,7 @@ def cmd_reproduce(args) -> int:
         specs = [_campaign_from_file(args.campaign, args)]
 
     failures = 0
+    summaries = []
     for spec in specs:
         label = f"delta_y={spec.delta_y:g} delta_x={spec.delta_x:g} mode={spec.mode}"
         try:
@@ -354,11 +355,13 @@ def cmd_reproduce(args) -> int:
             failures += 1
             print(f"{label}: FAILED ({exc})", file=sys.stderr)
             continue
-        emit_results(summary, out)
+        summaries.append(summary)
         print(
             f"{label}: diverged {summary.diverged_count}/{spec.repetitions}, "
             f"median run {summary.median_run}"
         )
+    if summaries:
+        emit_results(summaries, out)
     if failures:
         print(f"{failures} cell(s) failed", file=sys.stderr)
         return EXIT_NUMERICAL

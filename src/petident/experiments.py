@@ -485,31 +485,34 @@ def _cell_key(entry: dict) -> tuple:
     return tuple(spec[k] for k in ("delta_y", "delta_x", "mode", "repetitions", "seed"))
 
 
-def emit_results(summary: CampaignSummary, out_dir) -> list[Path]:
-    """Write the campaign outputs: divergence-count table row, the median
-    run's per-iteration trace, and the full JSON summary.
+def emit_results(summaries: list[CampaignSummary], out_dir) -> list[Path]:
+    """Write the outputs of campaign cells: the divergence-count table, each
+    cell's median-run per-iteration trace, and the full JSON summary.
 
     ``results.json`` holds one entry per cell ``(delta_y, delta_x, mode,
-    repetitions, seed)``: emitting a cell again replaces its entry, so
-    re-running a cell leaves the files as one run leaves them.  The table
-    is rewritten from those entries, one row per cell in entry order.
+    repetitions, seed)``: emitting a cell again, in this call or a later
+    one, replaces its entry, so re-running a cell leaves the files as one
+    run leaves them.  The table is rewritten from those entries, one row
+    per cell in entry order.  Each file is read and written once per call.
+    Returns the table, the traces in cell order, and ``results.json``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = summary.spec
-    written: list[Path] = []
 
     results = out / "results.json"
     entries = []
     if results.exists():
         loaded = load_results(results)
         entries = loaded if isinstance(loaded, list) else [loaded]
-    entry = summary_to_dict(summary)
-    keys = [_cell_key(e) for e in entries]
-    if _cell_key(entry) in keys:
-        entries[keys.index(_cell_key(entry))] = entry
-    else:
-        entries.append(entry)
+    index = {_cell_key(e): i for i, e in enumerate(entries)}
+    for summary in summaries:
+        entry = summary_to_dict(summary)
+        key = _cell_key(entry)
+        if key in index:
+            entries[index[key]] = entry
+        else:
+            index[key] = len(entries)
+            entries.append(entry)
 
     table = out / "table1.csv"
     with open(table, "w", newline="") as fh:
@@ -528,9 +531,12 @@ def emit_results(summary: CampaignSummary, out_dir) -> list[Path]:
                     e["median_run"] if e["median_run"] is not None else "",
                 ]
             )
-    written.append(table)
+    written = [table]
 
-    if summary.median_run is not None:
+    for summary in summaries:
+        if summary.median_run is None:
+            continue
+        spec = summary.spec
         record = summary.records[summary.median_run]
         trace = out / f"trace_{spec.mode}_dy{spec.delta_y:g}_dx{spec.delta_x:g}_run{summary.median_run}.csv"
         with open(trace, "w", newline="") as fh:

@@ -33,6 +33,7 @@ configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -248,8 +249,7 @@ def jacobian(
     # tissue rows: region i owns rows i*T .. (i+1)*T and its three rate columns
     J[..., :nT, :p] = kernel.w.swapaxes(-1, -2).reshape(lead + (nT, p))
     J[..., :nT, p : 2 * p] = kernel.d_mu.swapaxes(-1, -2).reshape(lead + (nT, p))
-    rows = np.arange(nT)[:, None]
-    rate_cols = layout.kinetic_slice().start + 3 * (rows // T) + np.arange(3)
+    rows, rate_cols = _rate_plan(n, T, layout.kinetic_slice().start)
     J[..., rows, rate_cols] = kernel.d_rates.reshape(lead + (nT, 3))
 
     es = _arterial_exponentials(x, template)
@@ -264,6 +264,18 @@ def jacobian(
     if with_value:
         return J, _forward_value(x, template, kernel, es)
     return J
+
+
+@lru_cache(maxsize=16)
+def _rate_plan(n: int, T: int, start: int):
+    """Index arrays ``(rows, cols)`` of the tissue rows' rate entries:
+    row ``i*T + l`` holds the three rate columns of region ``i``, which
+    start at ``start + 3 i``.  Cached per shape, hence read-only."""
+    rows = np.arange(n * T)[:, None]
+    cols = start + 3 * (rows // T) + np.arange(3)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,

@@ -17,16 +17,20 @@ its exact parameter derivatives, vectorized over regions; the single-region
 curves here and the forward operator and Jacobian in :mod:`.forward` are
 views of its arrays.  Two independent numerical routes (adaptive quadrature
 of the variation-of-constants formula and a fixed-step RK4 integration) are
-provided as oracles.
+provided as oracles; the quadrature oracle loads SciPy's integrator on its
+first call, so importing this module does not.
 
-All closed-form expressions are evaluated through the functions
+All closed-form expressions are evaluated through the pair
 
-    psi0(z, t) = (e^(z t) - 1) / z        (-> t       as z -> 0)
-    phi2(z)    = (e^z - 1 - z) / z^2      (-> 1/2     as z -> 0)
+    psi0(z, t)      = (e^(z t) - 1) / z            (-> t       as z -> 0)
+    d/dz psi0(z, t) = t psi0(z, t) - t^2 phi2(z t) (-> t^2 / 2 as z -> 0)
+    phi2(u)         = (e^u - 1 - u) / u^2          (-> 1/2     as u -> 0)
 
-whose removable singularities are handled with ``expm1``-based forms, so the
-values and their parameter derivatives stay accurate arbitrarily close to
-the resonant configurations ``mu_j = -(k2 + k3)`` and ``mu_j = 0``.
+which :func:`_psi_pair` computes from one ``expm1(z t)``, once for all
+arterial exponents ``mu_j`` and all ``beta_i + mu_j`` together.  The
+removable singularities are handled with ``expm1``-based forms and a series,
+so the values and their parameter derivatives stay accurate arbitrarily
+close to the resonant configurations ``mu_j = -(k2 + k3)`` and ``mu_j = 0``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .polyexp import PolyExp
 
@@ -81,28 +84,27 @@ class TissueCurves:
 # -- stable elementary pieces -------------------------------------------------
 
 
-def _phi2(z):
-    """(e^z - 1 - z) / z^2 with a series fallback near 0."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    out = np.where(small, 0.5 + z / 6.0 + z * z / 24.0, (np.expm1(zs) - zs) / (zs * zs))
-    return out
+def _psi_pair(z, t):
+    """``psi0(z, t) = (e^(z t) - 1) / z`` and its derivative with respect to
+    ``z``, elementwise, from one ``z t`` product and one ``expm1`` of it.
 
-
-def _psi0(z, t):
-    """(e^(z t) - 1) / z, elementwise; equals t at z = 0."""
+    ``psi0`` equals ``t`` at ``z = 0``.  The derivative is
+    ``t psi0 - t^2 phi2(z t)`` with ``phi2(u) = (e^u - 1 - u) / u^2``, which
+    switches to its series ``1/2 + u/6 + u^2/24`` for ``|u| < 1e-4``; it
+    equals ``t^2 / 2`` at ``z = 0``.
+    """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
     zt = z * t
+    em = np.expm1(zt)
     zero = z == 0.0
-    zs = np.where(zero, 1.0, z)
-    return np.where(zero, t, np.expm1(zt) / zs)
-
-
-def _psi0_dz(z, t):
-    """Derivative of :func:`_psi0` with respect to ``z``; equals t^2/2 at 0."""
-    return t * _psi0(z, t) - t * t * _phi2(np.asarray(z) * np.asarray(t))
+    psi0 = np.where(zero, t, em / np.where(zero, 1.0, z))
+    small = np.abs(zt) < 1e-4
+    zt2 = zt * zt
+    phi2 = np.where(
+        small, 0.5 + zt / 6.0 + zt2 / 24.0, (em - zt) / np.where(small, 1.0, zt2)
+    )
+    return psi0, t * psi0 - t * t * phi2
 
 
 def _check_clearance(beta):
@@ -176,22 +178,38 @@ def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     g1 = K1 * k3 / beta
     g2 = K1 * k2 / beta
     eb = np.exp(-beta * t)
-    psi0 = _psi0(mu, t)
-    terms0 = psi0[..., None, :, :]
-    psi1 = eb * _psi0(beta + mu[..., None, :, :], t)
+    # psi0 at z = mu_j (first slot) and at z = beta_i + mu_j (one slot per
+    # region), from one array: (..., 1 + n, p, T)
+    mu = mu[..., None, :, :]
+    psi, dpsi = _psi_pair(np.concatenate([mu, beta + mu], axis=-3), t)
+    psi0 = psi[..., 0, :, :]
+    terms0 = psi[..., :1, :, :]
+    psi1 = eb * psi[..., 1:, :, :]
     w = g1 * terms0 + g2 * psi1
     if not derivatives:
         return RegionKernel(psi0, psi1, w)
 
-    dpsid = _psi0_dz(beta + mu[..., None, :, :], t)
-    d_mu = lam[..., None, :, None] * (g1 * _psi0_dz(mu, t)[..., None, :, :] + g2 * eb * dpsid)
-    lam_row = lam[..., None, None, :]
-    shared = g2[..., 0] * term_sum(lam_row, -t * psi1 + eb * dpsid)
+    dpsid = dpsi[..., 1:, :, :]
+    d_mu = lam[..., None, :, None] * (g1 * dpsi[..., :1, :, :] + g2 * eb * dpsid)
+    # the four weighted term sums behind the rate derivatives, one matmul
+    sums = term_sum(
+        lam[..., None, None, None, :],
+        np.stack(
+            [
+                (k3 / beta) * terms0 + (k2 / beta) * psi1,
+                psi1 - terms0,
+                terms0 - psi1,
+                -t * psi1 + eb * dpsid,
+            ],
+            axis=-3,
+        ),
+    )
+    shared = g2[..., 0] * sums[..., 3, :]
     d_rates = np.stack(
         [
-            term_sum(lam_row, (k3 / beta) * terms0 + (k2 / beta) * psi1),
-            (g1 / beta)[..., 0] * term_sum(lam_row, psi1 - terms0) + shared,
-            (g2 / beta)[..., 0] * term_sum(lam_row, terms0 - psi1) + shared,
+            sums[..., 0, :],
+            (g1 / beta)[..., 0] * sums[..., 1, :] + shared,
+            (g2 / beta)[..., 0] * sums[..., 2, :] + shared,
         ],
         axis=-1,
     )
@@ -252,6 +270,10 @@ def tissue_concentration_quadrature(
     RuntimeError
         If the quadrature does not reach the requested tolerance.
     """
+    # SciPy's integrator is loaded here, on first use, so that importing
+    # the package does not pay for it
+    from scipy.integrate import quad
+
     _check_clearance(k.beta)
     t = float(t)
     if t == 0.0:

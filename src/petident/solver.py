@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, LinAlgWarning, get_lapack_funcs
@@ -137,8 +138,7 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, alpha: float):
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-        raise StepFailure(alpha, float("inf"))
+    """Solve one system whose entries are all finite (callers check)."""
     factor, info = _POTRF(gram, lower=False, clean=False)
     if info == 0:
         return _POTRS(factor, rhs, lower=False)[0]
@@ -152,6 +152,45 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, alpha: float):
         raise StepFailure(alpha, float(np.linalg.cond(gram))) from exc
 
 
+def _solve_systems(gram: np.ndarray, rhs: np.ndarray, alpha: float):
+    """Solve a ``(B, dim, dim)`` stack of normal equations one system at a
+    time, after one finiteness check of the whole stack.  Returns the
+    ``(B, dim)`` solutions and per system the :class:`StepFailure` or
+    ``None``; the row of a failed system is zero."""
+    finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
+    steps = np.zeros(rhs.shape)
+    failures: list[StepFailure | None] = []
+    for b, ok in enumerate(finite.tolist()):
+        if not ok:
+            failures.append(StepFailure(alpha, float("inf")))
+            continue
+        try:
+            steps[b] = _solve_normal_equations(gram[b], rhs[b], alpha)
+            failures.append(None)
+        except StepFailure as exc:
+            failures.append(exc)
+    return steps, failures
+
+
+@lru_cache(maxsize=16)
+def _identity(dim: int) -> np.ndarray:
+    """The ``dim x dim`` identity of the Gram matrices; cached per size,
+    hence read-only."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
+def _residual_norm(r: np.ndarray) -> float:
+    """``|r|`` as ``np.linalg.norm`` computes it, ``sqrt(r . r)``; when
+    ``r . r`` overflows although every entry of ``r`` is finite, the
+    overflow-safe ``math.hypot`` instead."""
+    norm = math.sqrt(r.dot(r))
+    if not math.isfinite(norm) and np.isfinite(r).all():
+        return math.hypot(*r.tolist())
+    return norm
+
+
 def irgnm_step(
     x_k: ParamVector,
     x0: ParamVector,
@@ -159,11 +198,14 @@ def irgnm_step(
     alpha_k: float,
     epsilon: float = DEFAULT_EPSILON,
     linearization: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
+    data: np.ndarray | None = None,
 ):
     """One regularized Gauss-Newton step followed by the box projection.
 
     ``linearization`` is ``(J, F(x_k))`` as ``jacobian(x_k, y_delta,
-    with_value=True)`` returns it; without it the step computes it.
+    with_value=True)`` returns it, and ``data`` is ``y_delta.flat()``;
+    without them the step computes them.
 
     A single vector ``x_k`` returns the stepped vector and raises
     :class:`StepFailure` when the normal equations cannot be solved.  A
@@ -177,30 +219,28 @@ def irgnm_step(
         raise ValueError("alpha_k must be positive")
     if linearization is None:
         linearization = jacobian(x_k, y_delta, with_value=True)
+    if data is None:
+        data = y_delta.flat()
     J, value = linearization
     dim = x_k.layout.dim
-    residual = y_delta.flat() - value
+    residual = data - value
     with np.errstate(invalid="ignore", over="ignore"):
         # nonfinite products surface as StepFailure in the solve below; the
         # matmul forms give each run of a batch the products of a lone run
         # bit for bit
         Jt = J.swapaxes(-1, -2)
-        gram = Jt @ J + alpha_k * np.eye(dim)
+        gram = Jt @ J + alpha_k * _identity(dim)
         rhs = (Jt @ residual[..., None])[..., 0] + alpha_k * (x0.flat - x_k.flat)
-    steps = np.zeros(rhs.shape)
-    rows = steps.reshape(-1, dim)
-    failures: list[StepFailure | None] = []
-    for b, (gram_b, rhs_b) in enumerate(zip(gram.reshape(-1, dim, dim), rhs.reshape(-1, dim))):
-        try:
-            rows[b] = _solve_normal_equations(gram_b, rhs_b, alpha_k)
-            failures.append(None)
-        except StepFailure as exc:
-            failures.append(exc)
+    steps, failures = _solve_systems(
+        gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k
+    )
     single = x_k.flat.ndim == 1
     if single and failures[0] is not None:
         raise failures[0]
     stepped = project_to_domain(
-        ParamVector(x_k.flat + steps, x_k.layout), epsilon, y_delta.plasma_model
+        ParamVector(x_k.flat + steps.reshape(rhs.shape), x_k.layout),
+        epsilon,
+        y_delta.plasma_model,
     )
     return stepped if single else (stepped, failures)
 
@@ -264,17 +304,23 @@ def run_irgnm(
     stops: list[tuple] = [()] * B
 
     active = np.arange(B)  # the runs still going, in the row order of x
+    data = y_delta.flat()  # rows follow x; sliced whenever runs leave
     value = forward_vector(x, y_delta)
     J = None
     k = 0
     while True:
-        residual_rows = value - y_delta.flat()
+        residual_rows = value - data
         going = []
-        for i, b in enumerate(active):
-            norm = float(np.linalg.norm(residual_rows[i]))
+        # a non-finite residual stops its run as a failure, so the overflow
+        # and invalid warnings of its norm add nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = [_residual_norm(row) for row in residual_rows]
+        errors = x.flat - truth if rel_errors is not None else None
+        for i, (b, norm) in enumerate(zip(active.tolist(), norms)):
             residuals[b].append(norm)
-            if rel_errors is not None:
-                rel_errors[b].append(float(np.linalg.norm(x.flat[i] - truth)) / truth_norm)
+            if errors is not None:
+                # np.linalg.norm of a vector, sqrt(e . e), without its overhead
+                rel_errors[b].append(math.sqrt(errors[i].dot(errors[i])) / truth_norm)
             if iterates is not None:
                 iterates[b].append(ParamVector(x.flat[i], layout))
             if not math.isfinite(norm):
@@ -291,12 +337,12 @@ def run_irgnm(
             # finished runs leave the batch and cost nothing from here on
             active = active[going]
             x, anchor, y_delta = _take_rows(going, x, anchor, y_delta)
-            value = value[going]
+            data, value = data[going], value[going]
             J = J[going] if J is not None else None
 
         stepped, failures = irgnm_step(
             x, anchor, y_delta, settings.alpha(k), settings.epsilon,
-            linearization=(J, value) if J is not None else None,
+            linearization=(J, value) if J is not None else None, data=data,
         )
         going = []
         for i, exc in enumerate(failures):
@@ -311,6 +357,7 @@ def run_irgnm(
         if len(going) < active.size:
             active = active[going]
             stepped, anchor, y_delta = _take_rows(going, stepped, anchor, y_delta)
+            data = data[going]
         x = stepped
         k += 1
         J, value = jacobian(x, y_delta, with_value=True)
@@ -397,7 +444,7 @@ def solve_tikhonov(
         raise ValueError("alpha must be positive")
     x = project_to_domain(x_bar, settings.epsilon, y_delta.plasma_model)
     y = y_delta.flat()
-    eye = np.eye(x.layout.dim)
+    eye = _identity(x.layout.dim)
 
     def objective(xv: ParamVector, value=None) -> float:
         res = (value if value is not None else forward_vector(xv, y_delta)) - y
@@ -408,7 +455,10 @@ def solve_tikhonov(
         J, value = jacobian(x, y_delta, with_value=True)
         gram = J.T @ J + alpha * eye
         rhs = J.T @ (value - y) + alpha * (x.flat - x_bar.flat)
-        step = -_solve_normal_equations(gram, rhs, alpha)
+        steps, failures = _solve_systems(gram[None], rhs[None], alpha)
+        if failures[0] is not None:
+            raise failures[0]
+        step = -steps[0]
         current = objective(x, value)
         damping = 1.0
         accepted = None

@@ -276,7 +276,7 @@ class TestEmitResults:
     def test_files_schema_and_round_trip(self, scenario, tmp_path):
         spec = CampaignSpec(delta_y=1e-3, delta_x=0.05, repetitions=4, seed=13)
         summary = run_campaign(spec, scenario)
-        written = emit_results(summary, tmp_path)
+        written = emit_results([summary], tmp_path)
         names = {p.name for p in written}
         assert "table1.csv" in names and "results.json" in names
 
@@ -302,11 +302,29 @@ class TestEmitResults:
         ]
         summaries = [run_campaign(spec, scenario) for spec in specs]
         for summary in (summaries[0], summaries[1], summaries[0]):
-            emit_results(summary, tmp_path)
+            emit_results([summary], tmp_path)
         once = tmp_path / "once"
         for summary in summaries:
-            emit_results(summary, once)
+            emit_results([summary], once)
         for name in ("table1.csv", "results.json"):
             assert (tmp_path / name).read_bytes() == (once / name).read_bytes()
         assert len((tmp_path / "table1.csv").read_text().splitlines()) == 3
         assert [e["spec"]["seed"] for e in load_results(tmp_path / "results.json")] == [13, 14]
+
+    def test_one_call_with_all_cells_equals_one_call_per_cell(self, scenario, tmp_path):
+        specs = [
+            CampaignSpec(delta_y=dy, delta_x=0.05, repetitions=2, seed=13, mode=mode)
+            for dy in (0.0, 1e-3)
+            for mode in ("full", "known_cart")
+        ]
+        summaries = [run_campaign(spec, scenario) for spec in specs]
+        per_cell = tmp_path / "per_cell"
+        for summary in summaries:
+            emit_results([summary], per_cell)
+        # a repeated cell in one call replaces its entry, as a later call does
+        written = emit_results(summaries + summaries[:1], tmp_path / "batch")
+        assert [p.name for p in written[:1] + written[-1:]] == ["table1.csv", "results.json"]
+        names = sorted(p.name for p in per_cell.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "batch").iterdir())
+        for name in names:
+            assert (per_cell / name).read_bytes() == (tmp_path / "batch" / name).read_bytes()

@@ -9,6 +9,7 @@ from petident import (
     RunRecord,
     StepFailure,
     add_noise,
+    forward_vector,
     irgnm_step,
     jacobian,
     perturb_initial,
@@ -17,6 +18,7 @@ from petident import (
     run_irgnm,
     solve_tikhonov,
 )
+from petident.solver import _residual_norm
 
 
 class TestSettings:
@@ -143,12 +145,12 @@ class TestRunIrgnm:
                 assert record.rho_d is not None
 
     def test_nonfinite_residual_ends_run_as_failure(self, ground_truth):
-        # a datum of 1e200 overflows the residual norm: the run stops there
-        # instead of stepping on from an infinite residual
+        # an infinite datum makes the residual infinite: the run stops there
+        # instead of stepping on from it
         x_true, y_true = ground_truth
         x0 = perturb_initial(x_true, 0.05, [1, 0])
         block = y_true.c_tis_block.copy()
-        block[1, 7] = 1e200
+        block[1, 7] = np.inf
         with np.errstate(over="ignore"):
             record = run_irgnm(
                 x0, y_true.with_blocks(block, y_true.f2_block),
@@ -158,6 +160,19 @@ class TestRunIrgnm:
         assert "iteration 0" in record.failure
         assert record.residual_norms.tolist() == [math.inf]
         assert record.diverged is True
+
+    def test_finite_residual_past_1e154_has_a_finite_norm(self, ground_truth):
+        # r . r overflows once entries pass ~1e154; the residual itself is
+        # finite, so its norm is too and the run is not a failure
+        x_true, y_true = ground_truth
+        block = y_true.c_tis_block.copy()
+        block[1, 7] = 1e200
+        y_delta = y_true.with_blocks(block, y_true.f2_block)
+        record = run_irgnm(x_true, y_delta, IrgnmSettings(max_iter=0))
+        assert (record.stop_reason, record.stop_iter) == ("max_iter", 0)
+        residual = forward_vector(x_true, y_delta) - y_delta.flat()
+        assert record.residual_norms.tolist() == [math.hypot(*residual)]
+        assert 1e200 <= record.residual_norms[0] < 1.0000001e200
 
     def test_nonfinite_residual_is_not_a_max_iter_stop(self, ground_truth):
         x_true, y_true = ground_truth
@@ -284,3 +299,24 @@ class TestSolveTikhonov:
         x_true, y_true = ground_truth
         with pytest.raises(ValueError):
             solve_tikhonov(x_true, y_true, alpha=0.0)
+
+
+class TestResidualNorm:
+    def test_bitwise_numpy_norm_on_ordinary_residuals(self, rng):
+        for scale in (1e-300, 1e-12, 1.0, 1e100, 1e150):
+            for size in (1, 7, 100):
+                r = scale * rng.normal(size=size)
+                assert _residual_norm(r) == float(np.linalg.norm(r))
+
+    def test_nonfinite_entries_give_a_nonfinite_norm(self):
+        with np.errstate(invalid="ignore"):
+            assert _residual_norm(np.array([1.0, np.inf, 2.0])) == math.inf
+            assert math.isnan(_residual_norm(np.array([1.0, np.nan, np.inf])))
+
+    def test_overflowing_square_sum_is_rescaled(self):
+        r = np.array([3e200, -4e200, 0.0])
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(float(r @ r))
+            assert _residual_norm(r) == pytest.approx(5e200, rel=1e-15)
+            # beyond the largest double the norm itself overflows
+            assert _residual_norm(np.array([1.5e308, 1.5e308])) == math.inf
