@@ -347,21 +347,24 @@ def cmd_reproduce(args) -> int:
 
     failures = 0
     summaries = []
-    for spec in specs:
-        label = f"delta_y={spec.delta_y:g} delta_x={spec.delta_x:g} mode={spec.mode}"
-        try:
-            summary = run_campaign(spec, scenario)
-        except Exception as exc:  # keep remaining cells running
-            failures += 1
-            print(f"{label}: FAILED ({exc})", file=sys.stderr)
-            continue
-        summaries.append(summary)
-        print(
-            f"{label}: diverged {summary.diverged_count}/{spec.repetitions}, "
-            f"median run {summary.median_run}"
-        )
-    if summaries:
-        emit_results(summaries, out)
+    try:
+        for spec in specs:
+            label = f"delta_y={spec.delta_y:g} delta_x={spec.delta_x:g} mode={spec.mode}"
+            try:
+                summary = run_campaign(spec, scenario)
+            except Exception as exc:  # keep remaining cells running
+                failures += 1
+                print(f"{label}: FAILED ({exc})", file=sys.stderr)
+                continue
+            summaries.append(summary)
+            print(
+                f"{label}: diverged {summary.diverged_count}/{spec.repetitions}, "
+                f"median run {summary.median_run}"
+            )
+    finally:
+        # an interrupted run still writes the cells it finished
+        if summaries:
+            emit_results(summaries, out)
     if failures:
         print(f"{failures} cell(s) failed", file=sys.stderr)
         return EXIT_NUMERICAL

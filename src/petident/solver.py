@@ -198,14 +198,11 @@ def irgnm_step(
     alpha_k: float,
     epsilon: float = DEFAULT_EPSILON,
     linearization: tuple[np.ndarray, np.ndarray] | None = None,
-    *,
-    data: np.ndarray | None = None,
 ):
     """One regularized Gauss-Newton step followed by the box projection.
 
     ``linearization`` is ``(J, F(x_k))`` as ``jacobian(x_k, y_delta,
-    with_value=True)`` returns it, and ``data`` is ``y_delta.flat()``;
-    without them the step computes them.
+    with_value=True)`` returns it; without it the step computes it.
 
     A single vector ``x_k`` returns the stepped vector and raises
     :class:`StepFailure` when the normal equations cannot be solved.  A
@@ -219,11 +216,9 @@ def irgnm_step(
         raise ValueError("alpha_k must be positive")
     if linearization is None:
         linearization = jacobian(x_k, y_delta, with_value=True)
-    if data is None:
-        data = y_delta.flat()
     J, value = linearization
     dim = x_k.layout.dim
-    residual = data - value
+    residual = y_delta.flat() - value
     with np.errstate(invalid="ignore", over="ignore"):
         # nonfinite products surface as StepFailure in the solve below; the
         # matmul forms give each run of a batch the products of a lone run
@@ -342,7 +337,7 @@ def run_irgnm(
 
         stepped, failures = irgnm_step(
             x, anchor, y_delta, settings.alpha(k), settings.epsilon,
-            linearization=(J, value) if J is not None else None, data=data,
+            linearization=(J, value) if J is not None else None,
         )
         going = []
         for i, exc in enumerate(failures):
@@ -455,10 +450,9 @@ def solve_tikhonov(
         J, value = jacobian(x, y_delta, with_value=True)
         gram = J.T @ J + alpha * eye
         rhs = J.T @ (value - y) + alpha * (x.flat - x_bar.flat)
-        steps, failures = _solve_systems(gram[None], rhs[None], alpha)
-        if failures[0] is not None:
-            raise failures[0]
-        step = -steps[0]
+        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+            raise StepFailure(alpha, float("inf"))
+        step = -_solve_normal_equations(gram, rhs, alpha)
         current = objective(x, value)
         damping = 1.0
         accepted = None

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from petident import cli
 from petident.cli import _campaign_from_file, build_parser, main
 from petident.experiments import default_scenario, scenario_to_dict
 from petident.solver import IrgnmSettings
@@ -256,6 +257,23 @@ class TestReproduce:
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert run_cli("reproduce", "--out", tmp_path) == 1
+
+    def test_interrupt_keeps_the_finished_cells(self, tmp_path, monkeypatch):
+        finished = []
+
+        def run_two_cells(spec, scenario):
+            if len(finished) == 2:
+                raise KeyboardInterrupt
+            finished.append(real_run_campaign(spec, scenario))
+            return finished[-1]
+
+        real_run_campaign = cli.run_campaign
+        monkeypatch.setattr(cli, "run_campaign", run_two_cells)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("reproduce", "--all", "--repetitions", "1", "--out", tmp_path)
+        rows = (tmp_path / "table1.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert len(json.loads((tmp_path / "results.json").read_text())) == 2
 
     def test_rerun_is_byte_identical(self, scenario_files, tmp_path):
         campaign = tmp_path / "campaign.json"

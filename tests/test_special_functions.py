@@ -161,9 +161,9 @@ def dz_error_bound(u: float) -> float:
     ``t^2 phi2`` cancel by a factor of about ``|u|`` for large ``|u|``).
     The other two terms are a known defect of ``phi2(u) = (e^u - 1 - u)/u^2``
     around its 1e-4 series switch: the direct branch cancels and loses about
-    ``2 eps / |u|`` (worst just above the switch, ~4e-12 measured at
-    ``u = 1.25e-4``), and the three-term series below the switch drops
-    ``u^3 / 120``, ~2e-14 relative at the switch.  Mending it changes the
+    ``eps / |u|`` (worst just above the switch: 1.5e-12 measured at
+    ``u = 1.25e-4``, 1.8e-12 at most), and the three-term series below the
+    switch drops ``u^3 / 120``, ~2e-14 relative at the switch.  Mending it changes the
     Jacobian's bits, so it is pinned here instead.
     """
     u = abs(u)
