@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +37,13 @@ from .experiments import (
     perturb_initial,
     run_campaign,
     simulate_ground_truth,
+    write_trace,
 )
 from .forward import MeasurementSet, ParamVector, finite_difference_check, project_to_domain
 from .kinetics import DomainError, tissue_concentration
 from .plasma import plasma_fraction
 from .polyexp import eval_polyexp, has_distinct_rate_regions, region_diversity_report
-from .solver import IrgnmSettings, StepFailure, run_irgnm
+from .solver import IrgnmSettings, run_irgnm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -199,8 +201,6 @@ def _read_measurements(path: str, template: MeasurementSet, n: int) -> Measureme
 def cmd_identify(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     if args.mode is not None:
-        from dataclasses import replace
-
         scenario = replace(scenario, mode=args.mode)
     settings = _settings_from_args(args, args.delta_y)
     x_true, y_true = simulate_ground_truth(scenario)
@@ -239,14 +239,7 @@ def cmd_identify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace = out / "identify_trace.csv"
-    with open(trace, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "residual_norm", "rel_error"])
-        for k, res in enumerate(record.residual_norms):
-            rel = (
-                _fmt(record.rel_errors[k]) if record.rel_errors is not None else ""
-            )
-            writer.writerow([k, _fmt(res), rel])
+    write_trace(trace, record)
     print(f"trace written to {trace}")
     return EXIT_OK
 
@@ -293,8 +286,6 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"cannot parse campaign {path}: {exc}") from exc
     try:
@@ -309,7 +300,10 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
         return CampaignSpec(
             delta_y=data["delta_y"],
             delta_x=data["delta_x"],
-            repetitions=args.repetitions or data.get("repetitions", 100),
+            repetitions=(
+                args.repetitions if args.repetitions is not None
+                else data.get("repetitions", 100)
+            ),
             mode=args.mode or data.get("mode", "full"),
             seed=args.seed if args.seed is not None else data.get("seed", 0),
             settings=settings,
@@ -323,6 +317,8 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
 def cmd_reproduce(args) -> int:
     if (args.campaign is None) == (not args.all):
         raise UsageError("exactly one of --campaign PATH or --all is required")
+    if args.repetitions is not None and args.repetitions < 1:
+        raise UsageError("--repetitions must be >= 1")
     scenario = (
         _load_scenario_arg(args.scenario) if args.scenario else default_scenario()
     )
@@ -334,7 +330,7 @@ def cmd_reproduce(args) -> int:
             path.unlink()
 
     if args.all:
-        reps = args.repetitions or 100
+        reps = args.repetitions if args.repetitions is not None else 100
         seed = args.seed if args.seed is not None else 0
         specs = [
             CampaignSpec(delta_y=dy, delta_x=dx, repetitions=reps, mode=mode, seed=seed)
@@ -441,7 +437,7 @@ def build_parser() -> CliParser:
             help="scenario JSON file" + ("" if scenario_required else " (default: built-in)"),
         )
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed")
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
     p = sub.add_parser("simulate", help="evaluate ground-truth curves and measurements")
     common(p)
@@ -471,7 +467,8 @@ def build_parser() -> CliParser:
     p.add_argument("--all", action="store_true", help="run the full noise x perturbation x mode grid")
     p.add_argument("--repetitions", type=int, default=None)
     p.add_argument("--mode", choices=("full", "known_cart"), default=None)
-    p.set_defaults(func=cmd_reproduce)
+    # without --seed, a campaign file's own seed applies
+    p.set_defaults(func=cmd_reproduce, seed=None)
 
     p = sub.add_parser("jaccheck", help="finite-difference Jacobian verification")
     common(p, scenario_required=False)
@@ -488,8 +485,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is None:
-            args.seed = 0
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -497,7 +492,7 @@ def main(argv=None) -> int:
     except (ParseFailure, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, StepFailure, RuntimeError) as exc:
+    except (DomainError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

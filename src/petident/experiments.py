@@ -437,6 +437,17 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def write_trace(path, record: RunRecord) -> None:
+    """Write a run's per-iteration ``iter,residual_norm,rel_error`` table as
+    CSV; ``rel_error`` is empty for a run without the truth."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "residual_norm", "rel_error"])
+        for k, res in enumerate(record.residual_norms):
+            rel = _fmt(record.rel_errors[k]) if record.rel_errors is not None else ""
+            writer.writerow([k, _fmt(res), rel])
+
+
 def summary_to_dict(summary: CampaignSummary) -> dict:
     spec = summary.spec
     settings = spec.resolved_settings()
@@ -537,16 +548,8 @@ def emit_results(summaries: list[CampaignSummary], out_dir) -> list[Path]:
         if summary.median_run is None:
             continue
         spec = summary.spec
-        record = summary.records[summary.median_run]
         trace = out / f"trace_{spec.mode}_dy{spec.delta_y:g}_dx{spec.delta_x:g}_run{summary.median_run}.csv"
-        with open(trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "residual_norm", "rel_error"])
-            for k, res in enumerate(record.residual_norms):
-                rel = record.rel_errors[k] if record.rel_errors is not None else ""
-                writer.writerow(
-                    [k, _fmt(float(res)), _fmt(float(rel)) if rel != "" else ""]
-                )
+        write_trace(trace, summary.records[summary.median_run])
         written.append(trace)
 
     with open(results, "w") as fh:

@@ -43,12 +43,6 @@ import numpy as np
 
 from .polyexp import PolyExp
 
-#: Width of the exact-resonance window: inside it the limit expressions for
-#: ``mu_j = -(k2+k3)`` and ``mu_j = 0`` are guaranteed (they are also what
-#: the stable forms converge to).
-RESONANCE_TOL = 1e-9
-
-
 class DomainError(ValueError):
     """Raised when kinetic parameters leave the admissible domain."""
 

@@ -82,14 +82,6 @@ class PolyExp:
 
     __rmul__ = __mul__
 
-    def to_records(self) -> list[dict]:
-        """Serialize as a list of ``{"lambda": .., "mu": ..}`` records."""
-        return [{"lambda": lam, "mu": mu} for lam, mu in self.terms]
-
-    @classmethod
-    def from_records(cls, records: Sequence[dict]) -> "PolyExp":
-        return cls([(rec["lambda"], rec["mu"]) for rec in records])
-
 
 def eval_polyexp(g: PolyExp, t):
     """Evaluate ``g(t) = sum_j lambda_j * e^(mu_j t)``.

@@ -38,6 +38,7 @@ from .forward import (
     forward_vector,
     jacobian,
     project_to_domain,
+    tikhonov_objective,
 )
 
 
@@ -58,7 +59,6 @@ class IrgnmSettings:
     epsilon: float = DEFAULT_EPSILON
     max_iter: int = 300
     delta_estimate: float = 0.0
-    store_iterates: bool = False
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
@@ -115,7 +115,6 @@ class RunRecord:
     rho_opt: float | None = None
     rho_d: float | None = None
     diverged: bool | None = None
-    iterates: list[ParamVector] | None = None
     failure: str | None = None
 
 
@@ -201,21 +200,21 @@ def irgnm_step(
 ):
     """One regularized Gauss-Newton step followed by the box projection.
 
-    ``linearization`` is ``(J, F(x_k))`` as ``jacobian(x_k, y_delta,
-    with_value=True)`` returns it; without it the step computes it.
+    ``linearization`` is ``(J, F(x_k))`` as ``jacobian(x_k, y_delta)``
+    returns it; without it the step computes it.
 
-    A single vector ``x_k`` returns the stepped vector and raises
-    :class:`StepFailure` when the normal equations cannot be solved.  A
-    batch (``x_k.flat`` and ``x0.flat`` of shape ``(B, dim)``, data blocks
-    of ``y_delta`` with the same leading axis) solves each run's normal
-    equations on its own and returns ``(stepped, failures)``:
-    ``failures[b]`` is the :class:`StepFailure` of run ``b`` or ``None``, and
-    the row of a failed run in ``stepped`` is not a step.
+    ``x_k`` is a single vector or a batch (``x_k.flat`` and ``x0.flat`` of
+    shape ``(B, dim)``, data blocks of ``y_delta`` with the same leading
+    axis; a single vector is a batch of one).  Each run's normal equations
+    are solved on their own.  Returns ``(stepped, failures)``:
+    ``failures[b]`` is the :class:`StepFailure` of run ``b`` or ``None``
+    (one entry for a single vector), and the row of a failed run in
+    ``stepped`` is not a step.
     """
     if alpha_k <= 0:
         raise ValueError("alpha_k must be positive")
     if linearization is None:
-        linearization = jacobian(x_k, y_delta, with_value=True)
+        linearization = jacobian(x_k, y_delta)
     J, value = linearization
     dim = x_k.layout.dim
     residual = y_delta.flat() - value
@@ -229,15 +228,12 @@ def irgnm_step(
     steps, failures = _solve_systems(
         gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k
     )
-    single = x_k.flat.ndim == 1
-    if single and failures[0] is not None:
-        raise failures[0]
     stepped = project_to_domain(
         ParamVector(x_k.flat + steps.reshape(rhs.shape), x_k.layout),
         epsilon,
         y_delta.plasma_model,
     )
-    return stepped if single else (stepped, failures)
+    return stepped, failures
 
 
 def _take_rows(keep, x: ParamVector, anchor: ParamVector, y_delta: MeasurementSet):
@@ -294,7 +290,6 @@ def run_irgnm(
     rel_errors = (
         [[] for _ in range(B)] if truth is not None and truth_norm > 0 else None
     )
-    iterates = [[] for _ in range(B)] if settings.store_iterates else None
     # per run: (stop reason, stop iteration, final iterate, failure message)
     stops: list[tuple] = [()] * B
 
@@ -316,8 +311,6 @@ def run_irgnm(
             if errors is not None:
                 # np.linalg.norm of a vector, sqrt(e . e), without its overhead
                 rel_errors[b].append(math.sqrt(errors[i].dot(errors[i])) / truth_norm)
-            if iterates is not None:
-                iterates[b].append(ParamVector(x.flat[i], layout))
             if not math.isfinite(norm):
                 stops[b] = ("failure", k, x.flat[i], f"residual norm is {norm} at iteration {k}")
             elif settings.delta_estimate > 0 and norm <= threshold:
@@ -355,14 +348,13 @@ def run_irgnm(
             data = data[going]
         x = stepped
         k += 1
-        J, value = jacobian(x, y_delta, with_value=True)
+        J, value = jacobian(x, y_delta)
 
     records = [
         _run_record(
             np.array(residuals[b]), *stops[b],
             ParamVector(x0.flat[b], layout), x_true,
             rel_errors[b] if rel_errors is not None else None,
-            iterates[b] if iterates is not None else None,
         )
         for b in range(B)
     ]
@@ -370,7 +362,7 @@ def run_irgnm(
 
 
 def _run_record(
-    residuals, reason, k, final, failure, x0, x_true, rel_errors, iterates
+    residuals, reason, k, final, failure, x0, x_true, rel_errors
 ) -> RunRecord:
     """The record of one finished run, with its divergence verdict."""
     record = RunRecord(
@@ -379,7 +371,6 @@ def _run_record(
         stop_iter=k,
         final_x=ParamVector(final, x0.layout),
         rel_errors=np.array(rel_errors) if rel_errors is not None else None,
-        iterates=iterates,
         failure=failure,
     )
     if rel_errors is not None and rel_errors[0] > 0:
@@ -404,14 +395,9 @@ def rho_metrics(
     err0 = float(np.linalg.norm(x0.flat - x_true.flat))
     if err0 == 0.0:
         raise ValueError("x0 equals x_true; improvement metrics are undefined")
-    if record.rel_errors is not None:
-        errors = record.rel_errors * float(np.linalg.norm(x_true.flat))
-    elif record.iterates is not None:
-        errors = np.array(
-            [float(np.linalg.norm(it.flat - x_true.flat)) for it in record.iterates]
-        )
-    else:
-        raise ValueError("record carries neither rel_errors nor iterates")
+    if record.rel_errors is None:
+        raise ValueError("record carries no rel_errors")
+    errors = record.rel_errors * float(np.linalg.norm(x_true.flat))
     rho_opt = 100.0 * (1.0 - errors[1:].min() / errors[0]) if errors.size > 1 else 0.0
     rho_d = (
         100.0 * (1.0 - errors[-1] / errors[0])
@@ -440,20 +426,14 @@ def solve_tikhonov(
     x = project_to_domain(x_bar, settings.epsilon, y_delta.plasma_model)
     y = y_delta.flat()
     eye = _identity(x.layout.dim)
-
-    def objective(xv: ParamVector, value=None) -> float:
-        res = (value if value is not None else forward_vector(xv, y_delta)) - y
-        dev = xv.flat - x_bar.flat
-        return float(res @ res + alpha * (dev @ dev))
-
     for _ in range(settings.max_iter):
-        J, value = jacobian(x, y_delta, with_value=True)
+        J, value = jacobian(x, y_delta)
         gram = J.T @ J + alpha * eye
         rhs = J.T @ (value - y) + alpha * (x.flat - x_bar.flat)
         if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
             raise StepFailure(alpha, float("inf"))
         step = -_solve_normal_equations(gram, rhs, alpha)
-        current = objective(x, value)
+        current = tikhonov_objective(x, x_bar, y_delta, alpha)
         damping = 1.0
         accepted = None
         while damping >= 2.0 ** -30:
@@ -462,7 +442,7 @@ def solve_tikhonov(
                 settings.epsilon,
                 y_delta.plasma_model,
             )
-            if objective(candidate) < current:
+            if tikhonov_objective(candidate, x_bar, y_delta, alpha) < current:
                 accepted = candidate
                 break
             damping *= 0.5

@@ -255,8 +255,30 @@ class TestReproduce:
             delta_estimate=fields["delta_y"],
         )
 
+    @pytest.mark.parametrize("flag_seed, seed", [(None, 7), (3, 3)])
+    def test_campaign_file_seed_unless_flag(self, tmp_path, flag_seed, seed):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(
+            json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1, "seed": 7})
+        )
+        argv = ["reproduce", "--campaign", campaign, "--out", tmp_path / "rep"]
+        assert run_cli(*argv, *(["--seed", flag_seed] if flag_seed is not None else [])) == 0
+        [entry] = json.loads((tmp_path / "rep" / "results.json").read_text())
+        assert entry["spec"]["seed"] == seed
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert run_cli("reproduce", "--out", tmp_path) == 1
+
+    @pytest.mark.parametrize("source", ["--all", "--campaign"])
+    @pytest.mark.parametrize("repetitions", ["0", "-1"])
+    def test_repetitions_below_one_is_usage_error(self, tmp_path, capsys, source, repetitions):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 2}))
+        argv = ["--all"] if source == "--all" else ["--campaign", campaign]
+        code = run_cli("reproduce", *argv, "--repetitions", repetitions, "--out", tmp_path / "rep")
+        assert code == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "results.json").exists()
 
     def test_interrupt_keeps_the_finished_cells(self, tmp_path, monkeypatch):
         finished = []

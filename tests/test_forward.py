@@ -21,7 +21,7 @@ from petident import (
     unpack,
 )
 from petident.experiments import default_scenario
-from petident.forward import MODES
+from petident.forward import MODES, JacobianCheck, _forward_scale
 from petident.polyexp import eval_polyexp
 
 
@@ -38,6 +38,44 @@ def twelve_region_scenario(mode):
 def random_in_domain(x_true, rng, spread=0.3):
     flat = x_true.flat * (1.0 + spread * rng.standard_normal(x_true.flat.size))
     return project_to_domain(ParamVector(flat, x_true.layout))
+
+
+def column_loop_check(
+    x, template, step_scale=1e-6, rtol=1e-5, magnitude_floor=1e-8, corrupt_entry=None
+):
+    """Reference for ``finite_difference_check``: the same comparison made
+    one column at a time, with two forward evaluations per column."""
+    J, _ = jacobian(x, template)
+    if corrupt_entry is not None:
+        row, col, amount = corrupt_entry
+        J[row, col] += amount
+    scale = _forward_scale(x, template)
+    eps_machine = np.finfo(float).eps
+    max_rel, worst, n_checked, n_noise, passed = 0.0, (0, 0), 0, 0, True
+    for i in range(x.layout.dim):
+        h = step_scale * (1.0 + abs(x.flat[i]))
+        xp, xm = x.flat.copy(), x.flat.copy()
+        xp[i] += h
+        xm[i] -= h
+        fp = forward_vector(ParamVector(xp, x.layout), template)
+        fm = forward_vector(ParamVector(xm, x.layout), template)
+        quotient = (fp - fm) / (2.0 * h)
+        noise = 32.0 * eps_machine * scale / (2.0 * h)
+        deviation = np.abs(J[:, i] - quotient)
+        consider = np.abs(quotient) > magnitude_floor
+        resolvable = consider & (rtol * np.abs(quotient) > noise)
+        n_checked += int(np.count_nonzero(resolvable))
+        n_noise += int(np.count_nonzero(consider & ~resolvable))
+        if np.any(consider & ~resolvable & (deviation > noise + rtol * np.abs(quotient))):
+            passed = False
+        if np.any(resolvable):
+            denom = np.where(resolvable, np.abs(quotient), 1.0)
+            rel = np.where(resolvable, deviation / denom, 0.0)
+            row = int(np.argmax(rel))
+            if rel[row] > max_rel:
+                max_rel = float(rel[row])
+                worst = (row, i)
+    return JacobianCheck(max_rel, worst, n_checked, n_noise, passed and max_rel <= rtol)
 
 
 class TestCodec:
@@ -123,7 +161,7 @@ class TestForwardOperator:
 class TestJacobian:
     def test_influx_column_is_value_over_influx(self, ground_truth, template):
         x_true, _ = ground_truth
-        J, value = jacobian(x_true, template, with_value=True)
+        J, value = jacobian(x_true, template)
         T = template.n_times
         for i in range(3):
             col = 9 + 3 * i
@@ -133,12 +171,12 @@ class TestJacobian:
 
     def test_blood_rows_have_zero_kinetic_columns(self, ground_truth, template):
         x_true, _ = ground_truth
-        J = jacobian(x_true, template)
+        J, _ = jacobian(x_true, template)
         assert np.all(J[75:, 9:] == 0.0)
 
     def test_known_cart_blood_rows_have_zero_plasma_columns(self, known_cart_scenario):
         x = known_cart_scenario.true_vector()
-        J = jacobian(x, known_cart_scenario.template())
+        J, _ = jacobian(x, known_cart_scenario.template())
         assert np.all(J[75:, 6:9] == 0.0)
 
     def test_matches_finite_differences_at_random_points(self, ground_truth, template, rng):
@@ -159,13 +197,39 @@ class TestJacobian:
         template = scenario.template()
         for _ in range(5):
             x = random_in_domain(scenario.true_vector(), rng)
-            _, value = jacobian(x, template, with_value=True)
+            _, value = jacobian(x, template)
             assert np.array_equal(value, forward_vector(x, template))
 
     def test_corrupted_jacobian_detected(self, ground_truth, template):
         x_true, _ = ground_truth
         check = finite_difference_check(x_true, template, corrupt_entry=(74, 0, 1e-2))
         assert not check.passed
+
+    def test_nan_entry_fails_the_check(self, ground_truth, template):
+        x_true, _ = ground_truth
+        check = finite_difference_check(x_true, template, corrupt_entry=(74, 0, np.nan))
+        assert not check.passed
+        assert check.worst_entry == (74, 0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n_regions", [3, 12])
+    def test_batched_check_equals_column_loop(self, mode, n_regions, rng):
+        scenario = default_scenario(mode) if n_regions == 3 else twelve_region_scenario(mode)
+        x_true, template = scenario.true_vector(), scenario.template()
+        outcomes = set()
+        for _ in range(4):
+            x = random_in_domain(x_true, rng)
+            J, _ = jacobian(x, template)
+            # a 1e-3 relative error in a structurally nonzero entry
+            row, col = divmod(int(rng.choice(np.flatnonzero(J))), J.shape[1])
+            corrupt = (row, col, 1e-3 * J[row, col])
+            for rtol in (1e-5, 1e-9):
+                for corrupt_entry in (None, corrupt):
+                    kwargs = dict(rtol=rtol, corrupt_entry=corrupt_entry)
+                    check = finite_difference_check(x, template, **kwargs)
+                    assert check == column_loop_check(x, template, **kwargs)
+                    outcomes.add(check.passed)
+        assert outcomes == {True, False}
 
 
 def scenario_with_regions(n, mode):
@@ -208,11 +272,11 @@ class TestBatch:
             rows.append(flat)
         stack = project_to_domain(ParamVector(np.array(rows), layout))
         values = forward_vector(stack, template)
-        J, with_value = jacobian(stack, template, with_value=True)
+        J, with_value = jacobian(stack, template)
         assert J.shape == (batch, template.n_times * n + template.q, layout.dim)
         for b, flat in enumerate(rows):
             x = project_to_domain(ParamVector(flat, layout))
-            J_b, value_b = jacobian(x, template, with_value=True)
+            J_b, value_b = jacobian(x, template)
             assert np.array_equal(stack.flat[b], x.flat)
             assert np.array_equal(values[b], forward_vector(x, template))
             assert np.array_equal(J[b], J_b)

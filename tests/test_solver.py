@@ -45,14 +45,15 @@ class TestSettings:
 class TestStep:
     def test_fixed_point_at_consistent_anchor(self, ground_truth):
         x_true, y_true = ground_truth
-        stepped = irgnm_step(x_true, x_true, y_true, alpha_k=5.0)
+        stepped, failures = irgnm_step(x_true, x_true, y_true, alpha_k=5.0)
+        assert failures == [None]
         np.testing.assert_allclose(stepped.flat, x_true.flat, atol=1e-12)
 
     def test_dominant_regularization_pulls_to_anchor(self, ground_truth, rng):
         x_true, y_true = ground_truth
         x0 = perturb_initial(x_true, 0.05, [7, 0])
         x_k = perturb_initial(x_true, 0.1, [8, 0])
-        stepped = irgnm_step(x_k, x0, y_true, alpha_k=1e12)
+        stepped, _ = irgnm_step(x_k, x0, y_true, alpha_k=1e12)
         expected = x0.flat  # step ~ x0 - x_k
         np.testing.assert_allclose(stepped.flat, expected, rtol=1e-3)
 
@@ -63,12 +64,12 @@ class TestStep:
         x0 = perturb_initial(x_true, 0.05, [11, 0])
         x_k = perturb_initial(x_true, 0.1, [12, 0])
         alpha = 0.1
-        J, value = jacobian(x_k, y_true, with_value=True)
+        J, value = jacobian(x_k, y_true)
         r = y_true.flat() - value
         stacked = np.vstack([J, math.sqrt(alpha) * np.eye(18)])
         rhs = np.concatenate([r, math.sqrt(alpha) * (x0.flat - x_k.flat)])
         expected_step, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        stepped = irgnm_step(x_k, x0, y_true, alpha)
+        stepped, _ = irgnm_step(x_k, x0, y_true, alpha)
         projected = project_to_domain(
             ParamVector(x_k.flat + expected_step, x_k.layout)
         )
@@ -81,7 +82,7 @@ class TestStep:
 
     def test_batch_steps_each_run_alone(self, ground_truth):
         # rows of a batch step as lone runs do; a run whose normal equations
-        # fail is reported in its slot instead of raising
+        # fail is reported in its slot, alone or in the batch
         x_true, y_true = ground_truth
         starts = [perturb_initial(x_true, 0.1, [seed, 0]) for seed in range(3)]
         anchors = [perturb_initial(x_true, 0.05, [seed, 1]) for seed in range(3)]
@@ -97,18 +98,19 @@ class TestStep:
         assert failures[0] is None and failures[2] is None
         assert isinstance(failures[1], StepFailure)
         for b in (0, 2):
-            alone = irgnm_step(starts[b], anchors[b], data[b], 0.5)
+            alone, alone_failures = irgnm_step(starts[b], anchors[b], data[b], 0.5)
             assert np.array_equal(stepped.flat[b], alone.flat)
-        with pytest.raises(StepFailure):
-            irgnm_step(starts[1], anchors[1], data[1], 0.5)
+            assert alone_failures == [None]
+        _, [failure] = irgnm_step(starts[1], anchors[1], data[1], 0.5)
+        assert isinstance(failure, StepFailure)
 
     def test_given_linearization_is_used(self, ground_truth):
         x_true, y_true = ground_truth
         x_k = perturb_initial(x_true, 0.1, [4, 0])
-        linearization = jacobian(x_k, y_true, with_value=True)
+        linearization = jacobian(x_k, y_true)
         assert np.array_equal(
-            irgnm_step(x_k, x_true, y_true, 0.3, linearization=linearization).flat,
-            irgnm_step(x_k, x_true, y_true, 0.3).flat,
+            irgnm_step(x_k, x_true, y_true, 0.3, linearization=linearization)[0].flat,
+            irgnm_step(x_k, x_true, y_true, 0.3)[0].flat,
         )
 
 
@@ -190,11 +192,18 @@ class TestRunIrgnm:
             run_irgnm(ParamVector(np.stack([x_true.flat] * 3), x_true.layout), y_true)
 
     def test_iterates_stay_in_domain(self, ground_truth):
+        # the run cut at max_iter=k ends on iterate k of the longest run
         x_true, y_true = ground_truth
         x0 = perturb_initial(x_true, 0.15, [42, 0])
-        settings = IrgnmSettings(max_iter=40, store_iterates=True)
-        record = run_irgnm(x0, y_true, settings)
-        for it in record.iterates:
+        longest = run_irgnm(x0, y_true, IrgnmSettings(max_iter=40))
+        for k in range(41):
+            settings = IrgnmSettings(max_iter=k)
+            record = run_irgnm(x0, y_true, settings)
+            assert (record.stop_reason, record.stop_iter) == ("max_iter", k)
+            assert np.array_equal(record.residual_norms, longest.residual_norms[: k + 1])
+            it = record.final_x
+            residual = forward_vector(it, y_true) - y_true.flat()
+            assert _residual_norm(residual) == longest.residual_norms[k]
             assert np.all(it.kinetic_block >= settings.epsilon)
             assert it.m[0] >= 0.0 and it.m[1] <= 0.0 and it.m[2] <= 0.0
 
