@@ -3,12 +3,9 @@ compartment model from multi-region PET measurements."""
 
 from .polyexp import (
     EQ_TOL,
-    GenPolyExp,
     PolyExp,
-    eval_genpolyexp,
     eval_polyexp,
     has_distinct_rate_regions,
-    max_roots_bound,
     region_diversity_report,
 )
 from .kinetics import (
@@ -22,14 +19,7 @@ from .kinetics import (
     tissue_concentration_quadrature,
     tissue_curves,
 )
-from .plasma import (
-    PlasmaFamily,
-    PlasmaParams,
-    family_degree,
-    get_family,
-    plasma_fraction,
-    register_family,
-)
+from .plasma import PlasmaParams, plasma_fraction
 from .forward import (
     MeasurementSet,
     ParamLayout,

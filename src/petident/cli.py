@@ -210,9 +210,7 @@ def cmd_identify(args) -> int:
         y_delta = add_noise(y_true, args.delta_y, [args.seed, 1])
     else:
         raise UsageError("either --data PATH or --synthesize is required")
-    x0 = perturb_initial(
-        x_true, args.delta_x, [args.seed, 0], settings.epsilon, scenario.plasma.model_id
-    )
+    x0 = perturb_initial(x_true, args.delta_x, [args.seed, 0], settings.epsilon)
     # measured data have no known truth: the scenario is only the prior
     record = run_irgnm(
         x0, y_delta, settings, x_true=x_true if args.data is None else None
@@ -388,7 +386,7 @@ def run_jaccheck(
     worst = None
     for trial in range(trials):
         flat = x_true.flat * (1.0 + 0.3 * rng.standard_normal(x_true.flat.size))
-        x = project_to_domain(ParamVector(flat, x_true.layout), plasma_model=scenario.plasma.model_id)
+        x = project_to_domain(ParamVector(flat, x_true.layout))
         check = finite_difference_check(
             x,
             template,
@@ -426,6 +424,13 @@ def cmd_jaccheck(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: Philox takes nonnegative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> CliParser:
     parser = CliParser(prog="petident", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -437,7 +442,7 @@ def build_parser() -> CliParser:
             help="scenario JSON file" + ("" if scenario_required else " (default: built-in)"),
         )
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        p.add_argument("--seed", type=_seed, default=0, help="base RNG seed (>= 0)")
 
     p = sub.add_parser("simulate", help="evaluate ground-truth curves and measurements")
     common(p)

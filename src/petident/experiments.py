@@ -27,7 +27,7 @@ import numpy as np
 
 from .forward import MeasurementSet, ParamVector, apply_forward, pack, project_to_domain
 from .kinetics import KineticParams
-from .plasma import PlasmaParams, get_family, plasma_fraction
+from .plasma import N_PARAMS, PlasmaParams, plasma_fraction
 from .polyexp import PolyExp, eval_polyexp
 from .solver import IrgnmSettings, RunRecord, run_irgnm
 
@@ -45,10 +45,10 @@ GRID_SEGMENTS_MINUTES = (
 )
 
 
-def build_time_grid(segments=GRID_SEGMENTS_MINUTES) -> np.ndarray:
-    """Measurement time grid in seconds (default: 25 points, 0 .. 3750 s)."""
+def build_time_grid() -> np.ndarray:
+    """The graded measurement time grid in seconds: 25 points, 0 .. 3750 s."""
     points: list[float] = []
-    for start, end, count in segments:
+    for start, end, count in GRID_SEGMENTS_MINUTES:
         if points:
             seg = np.linspace(start, end, count + 1)[1:]
         else:
@@ -88,7 +88,7 @@ class Scenario:
 
     @property
     def q_hat(self) -> int:
-        return get_family(self.plasma.model_id).n_params
+        return N_PARAMS
 
     def true_vector(self) -> ParamVector:
         return pack(
@@ -115,7 +115,6 @@ class Scenario:
             s_grid=self.s_grid,
             c_bl_values=self.blood_values(),
             mode=self.mode,
-            plasma_model=self.plasma.model_id,
         )
 
 
@@ -138,26 +137,26 @@ def default_scenario(mode: str = "full") -> Scenario:
 
 
 def scenario_to_dict(scn: Scenario, units: str = "min") -> dict:
+    """The file form of a scenario, with rates in 1/``units`` and times in
+    ``units``; the blood sample times are written only when they differ
+    from the tissue times."""
     scale = 1.0 if units == "min" else SECONDS_PER_MINUTE
-    if scn.plasma.model_id == "biexp":
-        A, xi1, xi2 = scn.plasma.m
-        plasma = {"model": "biexp", "A": A, "xi1": xi1 / scale, "xi2": xi2 / scale}
-    else:
-        if scale != 1.0:
-            raise ValueError("non-biexp scenarios must be written in minutes")
-        plasma = {"model": scn.plasma.model_id, "m": list(scn.plasma.m)}
+    A, xi1, xi2 = scn.plasma.m
+    grid = {"times": (scn.t_grid * scale).tolist(), "units": units}
+    if not np.array_equal(scn.s_grid, scn.t_grid):
+        grid["blood_times"] = (scn.s_grid * scale).tolist()
     return {
         "mode": scn.mode,
         "p": scn.p,
         "n": scn.n,
         "lambda": scn.c_art.coefficients.tolist(),
         "mu": (scn.c_art.exponents / scale).tolist(),
-        "plasma": plasma,
+        "plasma": {"model": "biexp", "A": A, "xi1": xi1 / scale, "xi2": xi2 / scale},
         "regions": [
             {"K1": k.K1 / scale, "k2": k.k2 / scale, "k3": k.k3 / scale}
             for k in scn.kinetics
         ],
-        "grid": {"times": (scn.t_grid * scale).tolist(), "units": units},
+        "grid": grid,
     }
 
 
@@ -165,9 +164,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build a scenario from its file form, converting declared units
     (rates 1/unit, times in the unit) to the internal per-minute scale.
 
-    Raises ``ValueError`` unless every value is finite, ``lambda`` and
-    ``mu`` (and the plasma parameters and their family) have matching
-    lengths, and both time grids are nonnegative and strictly increasing.
+    Raises ``KeyError`` for a missing key or a plasma family other than
+    ``"biexp"``, and ``ValueError`` unless every value is finite, ``lambda``
+    and ``mu`` have matching lengths, and both time grids are nonnegative
+    and strictly increasing.
     """
     units = data.get("grid", {}).get("units", data.get("units", "min"))
     if units in ("min", "minute", "minutes"):
@@ -177,28 +177,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     else:
         raise ValueError(f"unknown time unit {units!r}")
 
-    if "arterial" in data:
-        # alternative arterial form: list of {lambda, mu} records
-        lam = np.asarray([rec["lambda"] for rec in data["arterial"]], dtype=float)
-        mu = np.asarray([rec["mu"] for rec in data["arterial"]], dtype=float) * scale
-    else:
-        lam = np.asarray(data["lambda"], dtype=float)
-        mu = np.asarray(data["mu"], dtype=float) * scale
+    lam = np.asarray(data["lambda"], dtype=float)
+    mu = np.asarray(data["mu"], dtype=float) * scale
     if "p" in data and int(data["p"]) != lam.size:
         raise ValueError("declared p does not match the lambda/mu length")
-    plasma_spec = data["plasma"]
-    model = plasma_spec.get("model", "biexp")
-    if "m" in plasma_spec:
-        m_raw = [float(v) for v in plasma_spec["m"]]
-    else:
-        m_raw = [float(plasma_spec["A"]), float(plasma_spec["xi1"]), float(plasma_spec["xi2"])]
-    if model == "biexp":
-        # the amplitude is unitless, the two exponents are rates
-        m = [m_raw[0], m_raw[1] * scale, m_raw[2] * scale]
-    elif scale == 1.0:
-        m = m_raw
-    else:
-        raise ValueError("non-biexp scenarios must be declared in minutes")
+    spec = data["plasma"]
+    # the amplitude is unitless, the two exponents are rates
+    m = (float(spec["A"]), float(spec["xi1"]) * scale, float(spec["xi2"]) * scale)
+    plasma = PlasmaParams(spec.get("model", "biexp"), m)
     regions = tuple(
         KineticParams(
             float(r["K1"]) * scale, float(r["k2"]) * scale, float(r["k3"]) * scale
@@ -208,14 +194,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "n" in data and int(data["n"]) != len(regions):
         raise ValueError("declared n does not match the number of regions")
     grid = data.get("grid", {})
+    unknown = sorted(set(grid) - {"times", "units", "blood_times"})
+    if unknown:
+        # a grid key this reader ignores would leave the default grid in place
+        raise ValueError(f"unknown grid keys {unknown}")
     if "times" in grid:
         t_grid = np.asarray(grid["times"], dtype=float) / scale
-    elif "segments" in grid:
-        t_grid = build_time_grid(
-            [tuple(seg) for seg in grid["segments"]]
-        ) / SECONDS_PER_MINUTE
-        if units != "min":
-            raise ValueError("grid segments are specified in minutes")
     else:
         t_grid = build_time_grid() / SECONDS_PER_MINUTE
     s_grid = (
@@ -223,12 +207,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         if "blood_times" in grid
         else t_grid.copy()
     )
-    _check_scenario_values(
-        lam, mu, m, get_family(model).n_params, regions, t_grid, s_grid
-    )
+    _check_scenario_values(lam, mu, plasma.m, regions, t_grid, s_grid)
     return Scenario(
         c_art=PolyExp(list(zip(lam, mu))),
-        plasma=PlasmaParams(model, m),
+        plasma=plasma,
         kinetics=regions,
         t_grid=t_grid,
         s_grid=s_grid,
@@ -236,11 +218,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
-def _check_scenario_values(lam, mu, m, n_params, regions, t_grid, s_grid):
+def _check_scenario_values(lam, mu, m, regions, t_grid, s_grid):
     if lam.shape != mu.shape:
         raise ValueError(f"lambda has {lam.size} entries, mu has {mu.size}")
-    if len(m) != n_params:
-        raise ValueError(f"plasma family takes {n_params} parameters, got {len(m)}")
     rates = [[k.K1, k.k2, k.k3] for k in regions]
     for name, values in (
         ("lambda", lam), ("mu", mu), ("plasma parameters", m),
@@ -298,7 +278,8 @@ def perturb_initial(
     """Componentwise relative perturbation of the true parameters,
     ``x0_i = x_i (1 + sigma_i gamma_i)`` with ``sigma_i`` a random sign and
     ``gamma_i ~ N(delta_x, delta_x / 4)`` (variance ``delta_x / 4``), then
-    projected onto the admissible box."""
+    projected onto the admissible box (``plasma_model`` as in
+    :func:`.forward.project_to_domain`)."""
     if delta_x < 0:
         raise ValueError("delta_x must be nonnegative")
     if delta_x == 0.0:
@@ -328,6 +309,8 @@ class CampaignSpec:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.delta_y < 0 or self.delta_x < 0:
             raise ValueError("noise and perturbation levels must be nonnegative")
 
@@ -383,10 +366,7 @@ def run_campaign(spec: CampaignSpec, scenario: Scenario) -> CampaignSummary:
     for r in range(spec.repetitions):
         rep_seed = spec.seed ^ r
         starts.append(
-            perturb_initial(
-                x_true, spec.delta_x, [rep_seed, 0], settings.epsilon,
-                scenario.plasma.model_id,
-            ).flat
+            perturb_initial(x_true, spec.delta_x, [rep_seed, 0], settings.epsilon).flat
         )
         data.append(add_noise(y_true, spec.delta_y, [rep_seed, 1]))
     records = run_irgnm(

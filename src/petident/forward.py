@@ -38,8 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import plasma
 from .kinetics import KineticParams, region_kernel, term_sum
-from .plasma import get_family
 
 MODES = ("full", "known_cart")
 
@@ -135,7 +135,7 @@ class MeasurementSet:
     """Measurement grids, blood data and (optionally) measured blocks.
 
     With ``c_tis_block``/``f2_block`` unset this acts as the template that
-    defines the forward operator (grids, blood values, mode, plasma family);
+    defines the forward operator (grids, blood values, mode);
     filled instances additionally carry data.  ``flat()`` concatenates the
     row-major tissue block and the blood block into the solver's data vector.
     The blocks may carry leading batch axes, ``(..., n, T)`` and
@@ -146,7 +146,6 @@ class MeasurementSet:
     s_grid: np.ndarray
     c_bl_values: np.ndarray
     mode: str = "full"
-    plasma_model: str = "biexp"
     c_tis_block: np.ndarray | None = None
     f2_block: np.ndarray | None = None
 
@@ -189,8 +188,7 @@ def _blood_block(x: ParamVector, template: MeasurementSet, es: np.ndarray):
     sample times."""
     c_art_s = term_sum(x.lam[..., None, :], es)
     if template.mode == "full":
-        fam = get_family(template.plasma_model)
-        return template.c_bl_values * fam.value(x.m, template.s_grid) - c_art_s
+        return template.c_bl_values * plasma.value(x.m, template.s_grid) - c_art_s
     return template.c_bl_values - c_art_s
 
 
@@ -253,8 +251,7 @@ def jacobian(x: ParamVector, template: MeasurementSet):
     J[..., nT:, :p] = -es.swapaxes(-1, -2)
     J[..., nT:, p : 2 * p] = -(lam[..., :, None] * s * es).swapaxes(-1, -2)
     if template.mode == "full":
-        fam = get_family(template.plasma_model)
-        J[..., nT:, layout.m_slice()] = template.c_bl_values[:, None] * fam.param_jacobian(
+        J[..., nT:, layout.m_slice()] = template.c_bl_values[:, None] * plasma.param_jacobian(
             x.m, s
         )
     return J, _forward_value(x, template, kernel, es)
@@ -275,14 +272,16 @@ def _rate_plan(n: int, T: int, start: int):
 def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,
                       plasma_model: str = "biexp") -> ParamVector:
     """Euclidean projection onto the admissible box: kinetic rates clamped to
-    ``[eps, inf)``, plasma parameters onto their family's set, arterial
+    ``[eps, inf)``, plasma parameters onto their admissible set, arterial
     weights and exponents left free.  Idempotent and nonexpansive; a batch
-    ``x`` is projected row by row."""
+    ``x`` is projected row by row.  ``plasma_model`` must name the
+    biexponential family."""
+    plasma.check_model(plasma_model)
     flat = x.flat.copy()
     ks = x.layout.kinetic_slice()
     flat[..., ks] = np.maximum(flat[..., ks], eps)
     if x.layout.q_hat:
-        flat[..., x.layout.m_slice()] = get_family(plasma_model).project(x.m)
+        flat[..., x.layout.m_slice()] = plasma.project(x.m)
     return ParamVector(flat, x.layout)
 
 
@@ -297,7 +296,7 @@ def _forward_scale(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     art = lam @ _arterial_exponentials(x, template)
     blood = np.abs(template.c_bl_values)
     if template.mode == "full":
-        blood = blood * get_family(template.plasma_model).magnitude(x.m, s)
+        blood = blood * plasma.magnitude(x.m, s)
     return np.concatenate([(lam @ np.abs(kernel.w)).ravel(), blood + art])
 
 

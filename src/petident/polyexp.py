@@ -1,10 +1,7 @@
-"""Polyexponential function algebra and region-diversity identifiability checks.
+"""Polyexponential functions and region-diversity identifiability checks.
 
 A polyexponential function is a finite sum ``sum_j lambda_j * exp(mu_j * t)``
-with pairwise-distinct exponents; the generalized version allows polynomial
-coefficients in front of each exponential.  These classes parametrize arterial
-input curves, and the solutions of linear compartment systems driven by them
-live in the generalized class.
+with pairwise-distinct exponents; it parametrizes the arterial input curve.
 
 The identifiability checks answer, for a given multi-region measurement
 setup, whether the region kinetics are diverse enough for the tissue curves
@@ -95,77 +92,6 @@ def eval_polyexp(g: PolyExp, t):
         return float(out) if out.ndim == 0 else out
     vals = g.coefficients @ np.exp(np.outer(g.exponents, np.atleast_1d(t)))
     return float(vals[0]) if t.ndim == 0 else vals
-
-
-@dataclass(frozen=True)
-class GenPolyExp:
-    """Generalized polyexponential ``t -> sum_l P_l(t) * e^(mu_l t)``.
-
-    Each group holds an exponent ``mu_l`` and the coefficients
-    ``c_0 .. c_{m_l - 1}`` of its polynomial ``P_l`` in increasing order of
-    power.  Canonicalization merges groups with exponents closer than
-    :data:`EQ_TOL`, trims trailing (leading-power) zero coefficients, drops
-    groups whose polynomial is identically zero, and sorts by exponent.
-    The degree is the total coefficient count ``sum_l m_l``.
-    """
-
-    groups: tuple[tuple[float, tuple[float, ...]], ...]
-
-    def __init__(self, groups: Sequence[tuple[float, Sequence[float]]]):
-        raw = sorted(
-            ((float(mu), [float(c) for c in coeffs]) for mu, coeffs in groups),
-            key=lambda grp: grp[0],
-        )
-        merged: list[tuple[float, list[float]]] = []
-        for mu, coeffs in raw:
-            if merged and abs(mu - merged[-1][0]) <= EQ_TOL:
-                prev = merged[-1][1]
-                if len(coeffs) > len(prev):
-                    prev.extend([0.0] * (len(coeffs) - len(prev)))
-                for i, c in enumerate(coeffs):
-                    prev[i] += c
-            else:
-                merged.append((mu, list(coeffs)))
-        cleaned = []
-        for mu, coeffs in merged:
-            while coeffs and coeffs[-1] == 0.0:
-                coeffs.pop()
-            if coeffs:
-                cleaned.append((mu, tuple(coeffs)))
-        object.__setattr__(self, "groups", tuple(cleaned))
-
-    @property
-    def degree(self) -> int:
-        return sum(len(coeffs) for _, coeffs in self.groups)
-
-    def __call__(self, t):
-        return eval_genpolyexp(self, t)
-
-
-def eval_genpolyexp(g: GenPolyExp, t):
-    """Evaluate ``sum_l P_l(t) * e^(mu_l t)``, polynomials by Horner's scheme."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(np.atleast_1d(t))
-    for mu, coeffs in g.groups:
-        poly = np.zeros_like(out)
-        for c in reversed(coeffs):
-            poly = poly * np.atleast_1d(t) + c
-        out = out + poly * np.exp(mu * np.atleast_1d(t))
-    return float(out[0]) if t.ndim == 0 else out
-
-
-def max_roots_bound(g: GenPolyExp | PolyExp) -> int:
-    """Upper bound on the number of real roots of a nonzero (generalized)
-    polyexponential: its degree minus one.
-
-    Raises
-    ------
-    ValueError
-        If ``g`` is the zero function (every point is a root; no bound).
-    """
-    if g.degree == 0:
-        raise ValueError("bound undefined for zero function")
-    return g.degree - 1
 
 
 @dataclass(frozen=True)

@@ -229,9 +229,7 @@ def irgnm_step(
         gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k
     )
     stepped = project_to_domain(
-        ParamVector(x_k.flat + steps.reshape(rhs.shape), x_k.layout),
-        epsilon,
-        y_delta.plasma_model,
+        ParamVector(x_k.flat + steps.reshape(rhs.shape), x_k.layout), epsilon
     )
     return stepped, failures
 
@@ -279,7 +277,7 @@ def run_irgnm(
             "leading axis B"
         )
     layout = x0.layout
-    x = project_to_domain(x0, settings.epsilon, y_delta.plasma_model)
+    x = project_to_domain(x0, settings.epsilon)
     anchor = x
     threshold = settings.tau * settings.delta_estimate
 
@@ -423,7 +421,7 @@ def solve_tikhonov(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x = project_to_domain(x_bar, settings.epsilon, y_delta.plasma_model)
+    x = project_to_domain(x_bar, settings.epsilon)
     y = y_delta.flat()
     eye = _identity(x.layout.dim)
     for _ in range(settings.max_iter):
@@ -438,9 +436,7 @@ def solve_tikhonov(
         accepted = None
         while damping >= 2.0 ** -30:
             candidate = project_to_domain(
-                ParamVector(x.flat + damping * step, x.layout),
-                settings.epsilon,
-                y_delta.plasma_model,
+                ParamVector(x.flat + damping * step, x.layout), settings.epsilon
             )
             if tikhonov_objective(candidate, x_bar, y_delta, alpha) < current:
                 accepted = candidate

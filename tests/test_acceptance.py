@@ -27,6 +27,8 @@ from petident import (
     project_to_domain,
     region_diversity_report,
     run_campaign,
+    simulate_ground_truth,
+    solve_tikhonov,
     tissue_concentration_quadrature,
     unpack,
 )
@@ -331,3 +333,41 @@ def test_a10_reproducibility_of_reproduce(tmp_path):
     )
     report("A10", identical, f"two runs produced byte-identical {names_a}")
     assert identical
+
+
+def test_a11_consistency(scenario):
+    # the paper's second claim: the reconstruction error vanishes with the
+    # noise level; the seed is fixed configuration, not a tuned quantity
+    x_true, y_true = simulate_ground_truth(scenario)
+    truth_norm = np.linalg.norm(x_true.flat)
+    levels = (1e-2, 1e-3, 1e-4, 1e-5)
+    irgnm, tikhonov, stops = [], [], set()
+    for delta_y in levels:
+        spec = CampaignSpec(delta_y=delta_y, delta_x=0.05, repetitions=20, seed=11)
+        records = run_campaign(spec, scenario).records
+        stops |= {record.stop_reason for record in records}
+        irgnm.append(float(np.median([record.rel_errors[-1] for record in records])))
+        errors = []
+        for r in range(5):
+            x = solve_tikhonov(
+                perturb_initial(x_true, 0.05, [11, r, 0]),
+                add_noise(y_true, delta_y, [11, r, 1]),
+                alpha=delta_y,
+            )
+            errors.append(np.linalg.norm(x.flat - x_true.flat) / truth_norm)
+        tikhonov.append(float(np.median(errors)))
+    ok = (
+        bool(np.all(np.diff(irgnm) < 0))
+        and bool(np.all(np.diff(tikhonov) < 0))
+        and stops == {"discrepancy"}
+    )
+    report(
+        "A11", ok,
+        "median relative error at noise " + " -> ".join(f"{d:.0e}" for d in levels)
+        + ": IRGNM " + " -> ".join(f"{e:.2e}" for e in irgnm)
+        + ", Tikhonov (alpha = noise) " + " -> ".join(f"{e:.2e}" for e in tikhonov)
+        + f"; IRGNM stops {sorted(stops)}",
+    )
+    assert np.all(np.diff(irgnm) < 0)
+    assert np.all(np.diff(tikhonov) < 0)
+    assert stops == {"discrepancy"}

@@ -155,12 +155,29 @@ def _spoil_grid_sign(data):
     data["grid"]["times"][0] = -1.0
 
 
+def _spoil_plasma_short(data):
+    data["plasma"] = {"model": "biexp", "m": [0.1, -0.005]}
+
+
+def _spoil_plasma_long(data):
+    data["plasma"] = {"model": "biexp", "m": [0.1, -0.005, -0.1, 0.3]}
+
+
+def _spoil_plasma_model(data):
+    data["plasma"]["model"] = "gamma"
+
+
 class TestScenarioValidation:
-    """A scenario file with a non-finite value or a bad time grid is an
-    input error for every subcommand that reads it."""
+    """A scenario file with a non-finite value, a bad time grid or a plasma
+    block other than the biexponential's is an input error for every
+    subcommand that reads it."""
 
     @pytest.mark.parametrize(
-        "spoil", [_spoil_rate, _spoil_lambda, _spoil_grid_order, _spoil_grid_sign]
+        "spoil",
+        [
+            _spoil_rate, _spoil_lambda, _spoil_grid_order, _spoil_grid_sign,
+            _spoil_plasma_short, _spoil_plasma_long, _spoil_plasma_model,
+        ],
     )
     @pytest.mark.parametrize(
         "command",
@@ -181,6 +198,33 @@ class TestScenarioValidation:
         code = run_cli(*command, "--scenario", path, "--out", tmp_path / "out")
         assert code == 2
         assert "cannot parse scenario" in capsys.readouterr().err
+
+
+class TestNegativeSeed:
+    """Philox takes nonnegative seeds only: a negative one, from the flag or
+    from a campaign file, is a usage error before any run starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identify", "--synthesize", "--scenario", "{scenario}", "--seed", "-1"],
+            ["jaccheck", "--trials", "1", "--seed", "-1"],
+            ["reproduce", "--campaign", "{campaign}", "--seed", "-1"],
+            ["reproduce", "--campaign", "{negative_campaign}"],
+        ],
+        ids=["identify", "jaccheck", "reproduce-flag", "reproduce-file"],
+    )
+    def test_exits_1(self, scenario_files, tmp_path, capsys, argv):
+        paths = {"scenario": scenario_files["min"]}
+        for name, seed in (("campaign", 0), ("negative_campaign", -1)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(
+                json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1, "seed": seed})
+            )
+        argv = [a.format(**paths) for a in argv]
+        assert run_cli(*argv, "--out", tmp_path / "out") == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.json").exists()
 
 
 class TestCheck:

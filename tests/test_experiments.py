@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,18 +68,28 @@ class TestScenario:
         assert report.satisfied
 
     def test_dict_round_trip_in_both_units(self, scenario):
+        sparse_blood = replace(scenario, s_grid=scenario.t_grid[::2])
         for units in ("min", "s"):
-            data = scenario_to_dict(scenario, units)
-            back = scenario_from_dict(data)
-            np.testing.assert_allclose(back.t_grid, scenario.t_grid, rtol=1e-12)
-            np.testing.assert_allclose(
-                back.c_art.exponents, scenario.c_art.exponents, rtol=1e-12
-            )
-            np.testing.assert_allclose(
-                [k.K1 for k in back.kinetics],
-                [k.K1 for k in scenario.kinetics],
-                rtol=1e-12,
-            )
+            for scn in (scenario, sparse_blood):
+                data = scenario_to_dict(scn, units)
+                assert ("blood_times" in data["grid"]) == (scn is sparse_blood)
+                back = scenario_from_dict(data)
+                np.testing.assert_allclose(back.t_grid, scenario.t_grid, rtol=1e-12)
+                np.testing.assert_allclose(back.s_grid, scn.s_grid, rtol=1e-12)
+                np.testing.assert_allclose(
+                    back.c_art.exponents, scenario.c_art.exponents, rtol=1e-12
+                )
+                np.testing.assert_allclose(
+                    [k.K1 for k in back.kinetics],
+                    [k.K1 for k in scenario.kinetics],
+                    rtol=1e-12,
+                )
+
+    def test_unknown_grid_key_rejected(self, scenario):
+        data = scenario_to_dict(scenario)
+        data["grid"] = {"segments": [[0.0, 62.5, 25]], "units": "min"}
+        with pytest.raises(ValueError, match="segments"):
+            scenario_from_dict(data)
 
     def test_dimension_declarations_validated(self, scenario):
         data = scenario_to_dict(scenario)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petident import PlasmaFamily, PlasmaParams, family_degree, plasma_fraction, register_family
-from petident.plasma import _FAMILIES
+from petident import PlasmaParams, plasma_fraction
 
 REFERENCE = PlasmaParams("biexp", (0.1, -0.005, -0.1))
 
@@ -31,46 +30,9 @@ def test_reference_value_at_100():
     assert plasma_fraction(REFERENCE, 100.0) == pytest.approx(expected, rel=1e-15)
 
 
-def test_biexp_degree():
-    assert family_degree("biexp") == 4
-
-
 def test_unknown_family_rejected():
-    with pytest.raises(KeyError, match="unknown"):
-        family_degree("nosuchmodel")
-    with pytest.raises(KeyError):
-        plasma_fraction(PlasmaParams("nosuchmodel", (1.0,)), 0.0)
-
-
-def test_registering_anchored_polynomial_family():
-    # polynomials of degree q-1 anchored at f(0) = 1 form a degree-q set
-    q = 3
-
-    def value(m, t):
-        out = np.ones_like(t)
-        for k, c in enumerate(m, start=1):
-            out = out + c * t**k
-        return out
-
-    def jac(m, t):
-        return np.column_stack([t**k for k in range(1, len(m) + 1)])
-
-    family = PlasmaFamily(
-        model_id="anchored-poly",
-        degree=q,
-        n_params=q - 1,
-        value=value,
-        param_jacobian=jac,
-        project=lambda m: np.asarray(m, dtype=float),
-    )
-    register_family(family)
-    try:
-        assert family_degree("anchored-poly") == q
-        params = PlasmaParams("anchored-poly", (0.5, -0.25))
-        assert plasma_fraction(params, 0.0) == 1.0
-        assert plasma_fraction(params, 2.0) == pytest.approx(1.0 + 1.0 - 1.0)
-    finally:
-        _FAMILIES.pop("anchored-poly", None)
+    with pytest.raises(KeyError, match="unknown plasma-fraction family"):
+        PlasmaParams("nosuchmodel", (1.0,))
 
 
 @settings(max_examples=80, deadline=None)

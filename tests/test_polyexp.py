@@ -1,5 +1,3 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
@@ -7,13 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petident import (
-    GenPolyExp,
     KineticParams,
     PolyExp,
-    eval_genpolyexp,
     eval_polyexp,
     has_distinct_rate_regions,
-    max_roots_bound,
     region_diversity_report,
 )
 
@@ -68,57 +63,12 @@ class TestEvalPolyExp:
             assert combined == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-class TestEvalGenPolyExp:
-    def test_constant_polynomial(self):
-        g = GenPolyExp([(0.0, [3.5])])
-        assert eval_genpolyexp(g, 0.0) == 3.5
-        assert eval_genpolyexp(g, 42.0) == 3.5
-
-    def test_t_times_exponential(self):
-        g = GenPolyExp([(-1.0, [0.0, 1.0])])
-        assert eval_genpolyexp(g, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-    def test_random_against_per_term_oracle(self, rng):
-        for _ in range(100):
-            n_groups = rng.integers(1, 4)
-            mus = rng.normal(size=n_groups) * 0.5
-            groups = [
-                (mu, rng.normal(size=rng.integers(1, 4)).tolist()) for mu in mus
-            ]
-            g = GenPolyExp(groups)
-            t = float(rng.uniform(-3, 3))
-            expected = 0.0
-            for mu, coeffs in g.groups:
-                poly = sum(c * t**k for k, c in enumerate(coeffs))
-                expected += poly * math.exp(mu * t)
-            value = eval_genpolyexp(g, t)
-            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
 def count_sign_changes(values):
     signs = np.sign(values[values != 0.0])
     return int(np.count_nonzero(np.diff(signs) != 0))
 
 
 class TestRootsBound:
-    def test_single_exponential(self):
-        assert max_roots_bound(GenPolyExp([(1.0, [1.0])])) == 0
-
-    def test_quadratic_group(self):
-        assert max_roots_bound(GenPolyExp([(0.5, [1.0, 2.0, 3.0])])) == 2
-
-    def test_zero_function_rejected(self):
-        with pytest.raises(ValueError, match="zero function"):
-            max_roots_bound(GenPolyExp([]))
-
-    def test_bound_confirmed_by_sign_scan(self):
-        # e^t - e^(2t): bound 1, and exactly one root at t = 0
-        g = GenPolyExp([(1.0, [1.0]), (2.0, [-1.0])])
-        assert max_roots_bound(g) == 1
-        t = np.linspace(-10, 10, 10_001)
-        assert count_sign_changes(eval_genpolyexp(g, t)) == 1
-        assert abs(eval_genpolyexp(g, 0.0)) < 1e-15
-
     def test_random_polyexp_sign_changes_within_bound(self, rng):
         for _ in range(40):
             d = int(rng.integers(1, 5))
