@@ -20,7 +20,7 @@ for mode in ("full", "known_cart"):
     spec = CampaignSpec(delta_y=1e-3, delta_x=0.1, repetitions=30, mode=mode, seed=300)
     summaries[mode] = run_campaign(spec, scenario)
 for mode, summary in summaries.items():
-    rho = [d.rho_opt for d in summary.digests if d.rho_opt is not None]
+    rho = [record.rho_opt for record in summary.records if record.rho_opt is not None]
     print(
         f"  {mode:11s}: diverged {summary.diverged_count}/30, "
         f"median run #{summary.median_run}, median rho_opt {np.median(rho):.1f}%"

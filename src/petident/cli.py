@@ -280,6 +280,12 @@ def cmd_check(args) -> int:
 # -- reproduce -------------------------------------------------------------------
 
 
+def _cell_overrides(args) -> dict:
+    """The campaign fields given on the command line."""
+    given = dict(repetitions=args.repetitions, mode=args.mode, seed=args.seed)
+    return {key: value for key, value in given.items() if value is not None}
+
+
 def _campaign_from_file(path: str, args) -> CampaignSpec:
     try:
         with open(path) as fh:
@@ -295,16 +301,12 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
                 if key in data
             },
         )
+        fields = {key: data[key] for key in ("repetitions", "mode", "seed") if key in data}
         return CampaignSpec(
             delta_y=data["delta_y"],
             delta_x=data["delta_x"],
-            repetitions=(
-                args.repetitions if args.repetitions is not None
-                else data.get("repetitions", 100)
-            ),
-            mode=args.mode or data.get("mode", "full"),
-            seed=args.seed if args.seed is not None else data.get("seed", 0),
             settings=settings,
+            **{**fields, **_cell_overrides(args)},
         )
     except (KeyError, TypeError) as exc:
         raise ParseFailure(f"campaign {path} is missing field {exc}") from exc
@@ -315,6 +317,8 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
 def cmd_reproduce(args) -> int:
     if (args.campaign is None) == (not args.all):
         raise UsageError("exactly one of --campaign PATH or --all is required")
+    if args.all and args.mode is not None:
+        raise UsageError("--mode cannot be combined with --all, which runs both modes")
     if args.repetitions is not None and args.repetitions < 1:
         raise UsageError("--repetitions must be >= 1")
     scenario = (
@@ -322,16 +326,12 @@ def cmd_reproduce(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for stale in ("table1.csv", "results.json"):
-        path = out / stale
-        if path.exists():
-            path.unlink()
+    for stale in [out / "table1.csv", out / "results.json", *out.glob("trace_*.csv")]:
+        stale.unlink(missing_ok=True)
 
     if args.all:
-        reps = args.repetitions if args.repetitions is not None else 100
-        seed = args.seed if args.seed is not None else 0
         specs = [
-            CampaignSpec(delta_y=dy, delta_x=dx, repetitions=reps, mode=mode, seed=seed)
+            CampaignSpec(delta_y=dy, delta_x=dx, mode=mode, **_cell_overrides(args))
             for dy in DELTA_Y_GRID
             for dx in DELTA_X_GRID
             for mode in ("full", "known_cart")

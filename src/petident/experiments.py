@@ -6,13 +6,13 @@ parameters, per-region kinetics and the measurement grids.  Campaigns draw a
 perturbed initial guess and a noise realization per repetition from
 independent counter-based random streams, run the solver, classify each run
 as diverged or not (no iterate improved on the initialization), and report
-per-run digests plus the representative run closest to the median
+every run's record plus the representative run closest to the median
 improvement.
 
 Internally all times are in minutes and all rates in 1/min: the solver's
 regularization schedule and the admissible-domain floor are calibrated to
 the per-minute magnitude of the rate constants.  Scenario files declare
-their unit (``"min"`` or ``"s"``) and are converted on load;
+their grid unit (``"min"`` or ``"s"``) and are converted on load;
 :func:`build_time_grid` returns seconds per its interface contract.
 """
 
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import MeasurementSet, ParamVector, apply_forward, pack, project_to_domain
+from .forward import MODES, MeasurementSet, ParamVector, apply_forward, pack, project_to_domain
 from .kinetics import KineticParams
 from .plasma import N_PARAMS, PlasmaParams, plasma_fraction
 from .polyexp import PolyExp, eval_polyexp
@@ -77,6 +77,8 @@ class Scenario:
         object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
         object.__setattr__(self, "s_grid", np.asarray(self.s_grid, dtype=float))
         object.__setattr__(self, "kinetics", tuple(self.kinetics))
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     @property
     def p(self) -> int:
@@ -161,30 +163,37 @@ def scenario_to_dict(scn: Scenario, units: str = "min") -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a scenario from its file form, converting declared units
-    (rates 1/unit, times in the unit) to the internal per-minute scale.
+    """Build a scenario from its file form, converting the declared grid
+    unit (rates 1/unit, times in the unit) to the internal per-minute scale.
 
     Raises ``KeyError`` for a missing key or a plasma family other than
-    ``"biexp"``, and ``ValueError`` unless every value is finite, ``lambda``
-    and ``mu`` have matching lengths, and both time grids are nonnegative
-    and strictly increasing.
+    ``"biexp"``, and ``ValueError`` for a key the file form does not have, a
+    unit other than ``"min"`` or ``"s"``, a mode outside
+    :data:`.forward.MODES`, or unless every value is finite, ``lambda`` and
+    ``mu`` have matching lengths, and both time grids are nonnegative and
+    strictly increasing.
     """
-    units = data.get("grid", {}).get("units", data.get("units", "min"))
-    if units in ("min", "minute", "minutes"):
-        scale = 1.0
-    elif units in ("s", "sec", "second", "seconds"):
-        scale = SECONDS_PER_MINUTE
-    else:
+    _reject_unknown_keys(
+        "scenario", data, ("mode", "p", "n", "lambda", "mu", "plasma", "regions", "grid")
+    )
+    grid = data.get("grid", {})
+    _reject_unknown_keys("grid", grid, ("times", "units", "blood_times"))
+    units = grid.get("units", "min")
+    if units not in ("min", "s"):
         raise ValueError(f"unknown time unit {units!r}")
+    scale = 1.0 if units == "min" else SECONDS_PER_MINUTE
 
     lam = np.asarray(data["lambda"], dtype=float)
     mu = np.asarray(data["mu"], dtype=float) * scale
     if "p" in data and int(data["p"]) != lam.size:
         raise ValueError("declared p does not match the lambda/mu length")
     spec = data["plasma"]
+    _reject_unknown_keys("plasma", spec, ("model", "A", "xi1", "xi2"))
     # the amplitude is unitless, the two exponents are rates
     m = (float(spec["A"]), float(spec["xi1"]) * scale, float(spec["xi2"]) * scale)
     plasma = PlasmaParams(spec.get("model", "biexp"), m)
+    for r in data["regions"]:
+        _reject_unknown_keys("region", r, ("K1", "k2", "k3"))
     regions = tuple(
         KineticParams(
             float(r["K1"]) * scale, float(r["k2"]) * scale, float(r["k3"]) * scale
@@ -193,11 +202,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
     if "n" in data and int(data["n"]) != len(regions):
         raise ValueError("declared n does not match the number of regions")
-    grid = data.get("grid", {})
-    unknown = sorted(set(grid) - {"times", "units", "blood_times"})
-    if unknown:
-        # a grid key this reader ignores would leave the default grid in place
-        raise ValueError(f"unknown grid keys {unknown}")
     if "times" in grid:
         t_grid = np.asarray(grid["times"], dtype=float) / scale
     else:
@@ -216,6 +220,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         s_grid=s_grid,
         mode=data.get("mode", "full"),
     )
+
+
+def _reject_unknown_keys(where: str, data: dict, known) -> None:
+    # a key this reader ignores would silently leave a default in its place
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}")
 
 
 def _check_scenario_values(lam, mu, m, regions, t_grid, s_grid):
@@ -321,31 +332,16 @@ class CampaignSpec:
 
 
 @dataclass
-class RunDigest:
-    """Summary of one repetition."""
-
-    repetition: int
-    diverged: bool
-    stop_reason: str
-    stop_iter: int
-    final_residual: float
-    rho_opt: float | None
-    rho_d: float | None
-    rel_error_best: float | None
-    failure: str | None = None
-
-
-@dataclass
 class CampaignSummary:
+    """One cell's runs: ``records[r]`` is repetition ``r``'s record."""
+
     spec: CampaignSpec
-    diverged_count: int
-    digests: list[RunDigest]
-    records: list[RunRecord | None]
+    records: list[RunRecord]
     median_run: int | None
 
     @property
-    def repetitions(self) -> int:
-        return len(self.digests)
+    def diverged_count(self) -> int:
+        return sum(bool(record.diverged) for record in self.records)
 
 
 def run_campaign(spec: CampaignSpec, scenario: Scenario) -> CampaignSummary:
@@ -377,39 +373,16 @@ def run_campaign(spec: CampaignSpec, scenario: Scenario) -> CampaignSummary:
         settings,
         x_true=x_true,
     )
-    digests = [
-        RunDigest(
-            repetition=r,
-            diverged=bool(record.diverged),
-            stop_reason=record.stop_reason,
-            stop_iter=record.stop_iter,
-            final_residual=float(record.residual_norms[-1]),
-            rho_opt=record.rho_opt,
-            rho_d=record.rho_d,
-            rel_error_best=(
-                float(np.min(record.rel_errors))
-                if record.rel_errors is not None
-                else None
-            ),
-            failure=record.failure,
-        )
-        for r, record in enumerate(records)
+    survivors = [
+        r for r, record in enumerate(records)
+        if not record.diverged and record.rho_opt is not None
     ]
-
-    diverged_count = sum(d.diverged for d in digests)
-    survivors = [d for d in digests if not d.diverged and d.rho_opt is not None]
     median_run = None
     if survivors:
-        rho = np.array([d.rho_opt for d in survivors])
+        rho = np.array([records[r].rho_opt for r in survivors])
         median = float(np.median(rho))
-        median_run = survivors[int(np.argmin(np.abs(rho - median)))].repetition
-    return CampaignSummary(
-        spec=spec,
-        diverged_count=diverged_count,
-        digests=digests,
-        records=records,
-        median_run=median_run,
-    )
+        median_run = survivors[int(np.argmin(np.abs(rho - median)))]
+    return CampaignSummary(spec=spec, records=records, median_run=median_run)
 
 
 def _fmt(value: float) -> str:
@@ -451,59 +424,34 @@ def summary_to_dict(summary: CampaignSummary) -> dict:
         "median_run": summary.median_run,
         "runs": [
             {
-                "repetition": d.repetition,
-                "diverged": d.diverged,
-                "stop_reason": d.stop_reason,
-                "stop_iter": d.stop_iter,
-                "final_residual": d.final_residual,
-                "rho_opt": d.rho_opt,
-                "rho_d": d.rho_d,
-                "rel_error_best": d.rel_error_best,
-                "failure": d.failure,
+                "repetition": r,
+                "diverged": bool(record.diverged),
+                "stop_reason": record.stop_reason,
+                "stop_iter": record.stop_iter,
+                "final_residual": float(record.residual_norms[-1]),
+                "rho_opt": record.rho_opt,
+                "rho_d": record.rho_d,
+                "rel_error_best": (
+                    float(np.min(record.rel_errors))
+                    if record.rel_errors is not None
+                    else None
+                ),
+                "failure": record.failure,
             }
-            for d in summary.digests
+            for r, record in enumerate(summary.records)
         ],
     }
 
 
-def load_results(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _cell_key(entry: dict) -> tuple:
-    spec = entry["spec"]
-    return tuple(spec[k] for k in ("delta_y", "delta_x", "mode", "repetitions", "seed"))
-
-
 def emit_results(summaries: list[CampaignSummary], out_dir) -> list[Path]:
-    """Write the outputs of campaign cells: the divergence-count table, each
-    cell's median-run per-iteration trace, and the full JSON summary.
-
-    ``results.json`` holds one entry per cell ``(delta_y, delta_x, mode,
-    repetitions, seed)``: emitting a cell again, in this call or a later
-    one, replaces its entry, so re-running a cell leaves the files as one
-    run leaves them.  The table is rewritten from those entries, one row
-    per cell in entry order.  Each file is read and written once per call.
-    Returns the table, the traces in cell order, and ``results.json``.
+    """Write the outputs of campaign cells, one per cell in the given order:
+    a row of the divergence-count table, the median run's per-iteration
+    trace, and an entry of the JSON summary.  ``table1.csv`` and
+    ``results.json`` are overwritten.  Returns the table, the traces in cell
+    order, and ``results.json``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    results = out / "results.json"
-    entries = []
-    if results.exists():
-        loaded = load_results(results)
-        entries = loaded if isinstance(loaded, list) else [loaded]
-    index = {_cell_key(e): i for i, e in enumerate(entries)}
-    for summary in summaries:
-        entry = summary_to_dict(summary)
-        key = _cell_key(entry)
-        if key in index:
-            entries[index[key]] = entry
-        else:
-            index[key] = len(entries)
-            entries.append(entry)
 
     table = out / "table1.csv"
     with open(table, "w", newline="") as fh:
@@ -511,15 +459,16 @@ def emit_results(summaries: list[CampaignSummary], out_dir) -> list[Path]:
         writer.writerow(
             ["delta_y", "delta_x", "mode", "repetitions", "diverged", "median_run"]
         )
-        for e in entries:
+        for summary in summaries:
+            spec = summary.spec
             writer.writerow(
                 [
-                    _fmt(e["spec"]["delta_y"]),
-                    _fmt(e["spec"]["delta_x"]),
-                    e["spec"]["mode"],
-                    e["spec"]["repetitions"],
-                    e["diverged_count"],
-                    e["median_run"] if e["median_run"] is not None else "",
+                    _fmt(spec.delta_y),
+                    _fmt(spec.delta_x),
+                    spec.mode,
+                    spec.repetitions,
+                    summary.diverged_count,
+                    summary.median_run if summary.median_run is not None else "",
                 ]
             )
     written = [table]
@@ -532,7 +481,8 @@ def emit_results(summaries: list[CampaignSummary], out_dir) -> list[Path]:
         write_trace(trace, summary.records[summary.median_run])
         written.append(trace)
 
+    results = out / "results.json"
     with open(results, "w") as fh:
-        json.dump(entries, fh, indent=1)
+        json.dump([summary_to_dict(summary) for summary in summaries], fh, indent=1)
     written.append(results)
     return written

@@ -190,6 +190,27 @@ def _residual_norm(r: np.ndarray) -> float:
     return norm
 
 
+def _regularized_steps(x_k, x0, y_delta, alpha_k, linearization):
+    """The unprojected steps of the regularized normal equations
+    ``(J^T J + alpha_k I) step = J^T (y - F(x_k)) + alpha_k (x0 - x_k)`` at
+    the linearization ``(J, F(x_k))``, shaped like ``x_k.flat``, and the
+    failures as :func:`_solve_systems` returns them."""
+    J, value = linearization
+    dim = x_k.layout.dim
+    residual = y_delta.flat() - value
+    with np.errstate(invalid="ignore", over="ignore"):
+        # nonfinite products surface as StepFailure in the solve below; the
+        # matmul forms give each run of a batch the products of a lone run
+        # bit for bit
+        Jt = J.swapaxes(-1, -2)
+        gram = Jt @ J + alpha_k * _identity(dim)
+        rhs = (Jt @ residual[..., None])[..., 0] + alpha_k * (x0.flat - x_k.flat)
+    steps, failures = _solve_systems(
+        gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k
+    )
+    return steps.reshape(rhs.shape), failures
+
+
 def irgnm_step(
     x_k: ParamVector,
     x0: ParamVector,
@@ -215,22 +236,8 @@ def irgnm_step(
         raise ValueError("alpha_k must be positive")
     if linearization is None:
         linearization = jacobian(x_k, y_delta)
-    J, value = linearization
-    dim = x_k.layout.dim
-    residual = y_delta.flat() - value
-    with np.errstate(invalid="ignore", over="ignore"):
-        # nonfinite products surface as StepFailure in the solve below; the
-        # matmul forms give each run of a batch the products of a lone run
-        # bit for bit
-        Jt = J.swapaxes(-1, -2)
-        gram = Jt @ J + alpha_k * _identity(dim)
-        rhs = (Jt @ residual[..., None])[..., 0] + alpha_k * (x0.flat - x_k.flat)
-    steps, failures = _solve_systems(
-        gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k
-    )
-    stepped = project_to_domain(
-        ParamVector(x_k.flat + steps.reshape(rhs.shape), x_k.layout), epsilon
-    )
+    steps, failures = _regularized_steps(x_k, x0, y_delta, alpha_k, linearization)
+    stepped = project_to_domain(ParamVector(x_k.flat + steps, x_k.layout), epsilon)
     return stepped, failures
 
 
@@ -422,15 +429,14 @@ def solve_tikhonov(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = project_to_domain(x_bar, settings.epsilon)
-    y = y_delta.flat()
-    eye = _identity(x.layout.dim)
     for _ in range(settings.max_iter):
-        J, value = jacobian(x, y_delta)
-        gram = J.T @ J + alpha * eye
-        rhs = J.T @ (value - y) + alpha * (x.flat - x_bar.flat)
-        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
-            raise StepFailure(alpha, float("inf"))
-        step = -_solve_normal_equations(gram, rhs, alpha)
+        # the Gauss-Newton step of the stacked residual is the IRGNM step
+        # anchored at x_bar
+        step, [failure] = _regularized_steps(
+            x, x_bar, y_delta, alpha, jacobian(x, y_delta)
+        )
+        if failure is not None:
+            raise failure
         current = tikhonov_objective(x, x_bar, y_delta, alpha)
         damping = 1.0
         accepted = None

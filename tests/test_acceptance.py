@@ -95,8 +95,8 @@ def test_a3_noiseless_recovery(scenario):
         summary = run_campaign(spec, scenario)
         hits = sum(
             1
-            for d in summary.digests
-            if d.rel_error_best is not None and d.rel_error_best <= 1e-4
+            for record in summary.records
+            if record.rel_errors is not None and np.min(record.rel_errors) <= 1e-4
         )
         results[delta_x] = (hits, summary.diverged_count)
     elapsed = time.perf_counter() - start

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from petident import experiments, forward
+from petident import experiments, forward, solver
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -45,3 +45,22 @@ def test_positional_plasma_model_calls(scenario, ground_truth):
     assert np.array_equal(projected.flat, x0.flat)
     with pytest.raises(KeyError, match="unknown plasma-fraction family"):
         forward.project_to_domain(x0, eps, "gamma")
+
+
+def test_campaign_call_forms(scenario, tmp_path):
+    spec = experiments.CampaignSpec(1e-3, 0.1, 2, "full", 7)
+    assert (spec.delta_y, spec.delta_x, spec.repetitions, spec.mode, spec.seed) == (
+        1e-3, 0.1, 2, "full", 7
+    )
+    settings = spec.resolved_settings()
+    assert isinstance(settings, solver.IrgnmSettings)
+    summary = experiments.run_campaign(spec, scenario)
+    assert len(summary.records) == 2
+    for record in summary.records:
+        assert isinstance(record, solver.RunRecord)
+        assert isinstance(record.final_x, forward.ParamVector)
+        assert record.residual_norms.shape == (record.stop_iter + 1,)
+        assert record.stop_reason in ("discrepancy", "max_iter", "failure")
+    written = experiments.emit_results([summary], tmp_path)
+    assert [p.name for p in written[:1] + written[-1:]] == ["table1.csv", "results.json"]
+    assert sorted(written) == sorted(tmp_path.iterdir())

@@ -167,16 +167,41 @@ def _spoil_plasma_model(data):
     data["plasma"]["model"] = "gamma"
 
 
+def _spoil_mode(data):
+    data["mode"] = "bogus"
+
+
+def _spoil_extra_key(data):
+    data["arterial"] = data["lambda"]
+
+
+def _spoil_extra_plasma_key(data):
+    data["plasma"]["m"] = [0.1, -0.005, -0.1]
+
+
+def _spoil_extra_region_key(data):
+    data["regions"][1]["k4"] = 0.01
+
+
+def _spoil_top_level_units(data):
+    # the time unit is declared under grid only
+    del data["grid"]["units"]
+    data["units"] = "s"
+
+
 class TestScenarioValidation:
-    """A scenario file with a non-finite value, a bad time grid or a plasma
-    block other than the biexponential's is an input error for every
-    subcommand that reads it."""
+    """A scenario file with a non-finite value, a bad time grid, a plasma
+    block other than the biexponential's, an unknown mode or a key the file
+    form does not have is an input error for every subcommand that reads
+    it."""
 
     @pytest.mark.parametrize(
         "spoil",
         [
             _spoil_rate, _spoil_lambda, _spoil_grid_order, _spoil_grid_sign,
             _spoil_plasma_short, _spoil_plasma_long, _spoil_plasma_model,
+            _spoil_mode, _spoil_extra_key, _spoil_extra_plasma_key,
+            _spoil_extra_region_key, _spoil_top_level_units,
         ],
     )
     @pytest.mark.parametrize(
@@ -323,6 +348,29 @@ class TestReproduce:
         assert code == 1
         assert "usage error:" in capsys.readouterr().err
         assert not (tmp_path / "rep" / "results.json").exists()
+
+    def test_mode_with_all_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "reproduce", "--all", "--mode", "known_cart", "--repetitions", "1",
+            "--out", tmp_path,
+        )
+        assert code == 1
+        assert "--mode cannot be combined with --all" in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()
+
+    def test_outputs_of_an_earlier_run_are_removed(self, tmp_path):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(
+            json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 2, "seed": 3})
+        )
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run_cli("reproduce", "--all", "--repetitions", "1", "--out", reused) == 0
+        for out in (reused, fresh):
+            assert run_cli("reproduce", "--campaign", campaign, "--out", out) == 0
+        names = sorted(p.name for p in reused.iterdir())
+        assert names == sorted(p.name for p in fresh.iterdir())
+        for name in names:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_interrupt_keeps_the_finished_cells(self, tmp_path, monkeypatch):
         finished = []

@@ -19,7 +19,7 @@ from petident import (
     scenario_to_dict,
     simulate_ground_truth,
 )
-from petident.experiments import SECONDS_PER_MINUTE, load_results
+from petident.experiments import SECONDS_PER_MINUTE, summary_to_dict
 
 
 class TestTimeGrid:
@@ -89,6 +89,13 @@ class TestScenario:
         data = scenario_to_dict(scenario)
         data["grid"] = {"segments": [[0.0, 62.5, 25]], "units": "min"}
         with pytest.raises(ValueError, match="segments"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("units", ["minutes", "seconds", "sec"])
+    def test_unit_spellings_other_than_min_and_s_rejected(self, scenario, units):
+        data = scenario_to_dict(scenario)
+        data["grid"]["units"] = units
+        with pytest.raises(ValueError, match="unknown time unit"):
             scenario_from_dict(data)
 
     def test_dimension_declarations_validated(self, scenario):
@@ -173,7 +180,7 @@ class TestCampaign:
         spec = CampaignSpec(delta_y=0.0, delta_x=0.05, repetitions=1, seed=11,
                             settings=IrgnmSettings(max_iter=60))
         summary = run_campaign(spec, scenario)
-        assert summary.repetitions == 1
+        assert len(summary.records) == 1
         assert summary.diverged_count in (0, 1)
 
     def test_noiseless_campaign_improves_in_every_run(self, scenario):
@@ -184,9 +191,9 @@ class TestCampaign:
                             settings=IrgnmSettings(max_iter=300))
         summary = run_campaign(spec, scenario)
         assert summary.median_run is not None
-        for digest in summary.digests:
-            if digest.diverged:
-                assert digest.failure is not None
+        for record in summary.records:
+            if record.diverged:
+                assert record.failure is not None
         assert summary.diverged_count <= 3
 
     def test_mild_noiseless_campaign_never_diverges(self, scenario):
@@ -201,18 +208,17 @@ class TestCampaign:
         b = run_campaign(spec, scenario)
         assert a.diverged_count == b.diverged_count
         assert a.median_run == b.median_run
-        for da, db in zip(a.digests, b.digests):
-            assert da == db
+        assert summary_to_dict(a)["runs"] == summary_to_dict(b)["runs"]
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.residual_norms, rb.residual_norms)
 
     def test_median_run_selection(self, scenario):
         spec = CampaignSpec(delta_y=1e-3, delta_x=0.05, repetitions=7, seed=2)
         summary = run_campaign(spec, scenario)
-        survivors = [d for d in summary.digests if not d.diverged]
-        rho = np.array([d.rho_opt for d in survivors])
+        survivors = [record for record in summary.records if not record.diverged]
+        rho = np.array([record.rho_opt for record in survivors])
         median = np.median(rho)
-        chosen = next(d for d in summary.digests if d.repetition == summary.median_run)
+        chosen = summary.records[summary.median_run]
         assert not chosen.diverged
         assert abs(chosen.rho_opt - median) == pytest.approx(
             np.min(np.abs(rho - median)), abs=1e-12
@@ -299,43 +305,9 @@ class TestEmitResults:
         lines = trace.read_text().splitlines()
         assert lines[0] == "iter,residual_norm,rel_error"
 
-        loaded = load_results(tmp_path / "results.json")
+        loaded = json.loads((tmp_path / "results.json").read_text())
         assert loaded[0]["diverged_count"] == summary.diverged_count
         assert loaded[0]["median_run"] == summary.median_run
         assert len(loaded[0]["runs"]) == 4
         round_tripped = json.dumps(loaded)
         assert json.loads(round_tripped) == loaded
-
-    def test_emitting_a_cell_again_replaces_it(self, scenario, tmp_path):
-        specs = [
-            CampaignSpec(delta_y=1e-3, delta_x=0.05, repetitions=2, seed=seed)
-            for seed in (13, 14)
-        ]
-        summaries = [run_campaign(spec, scenario) for spec in specs]
-        for summary in (summaries[0], summaries[1], summaries[0]):
-            emit_results([summary], tmp_path)
-        once = tmp_path / "once"
-        for summary in summaries:
-            emit_results([summary], once)
-        for name in ("table1.csv", "results.json"):
-            assert (tmp_path / name).read_bytes() == (once / name).read_bytes()
-        assert len((tmp_path / "table1.csv").read_text().splitlines()) == 3
-        assert [e["spec"]["seed"] for e in load_results(tmp_path / "results.json")] == [13, 14]
-
-    def test_one_call_with_all_cells_equals_one_call_per_cell(self, scenario, tmp_path):
-        specs = [
-            CampaignSpec(delta_y=dy, delta_x=0.05, repetitions=2, seed=13, mode=mode)
-            for dy in (0.0, 1e-3)
-            for mode in ("full", "known_cart")
-        ]
-        summaries = [run_campaign(spec, scenario) for spec in specs]
-        per_cell = tmp_path / "per_cell"
-        for summary in summaries:
-            emit_results([summary], per_cell)
-        # a repeated cell in one call replaces its entry, as a later call does
-        written = emit_results(summaries + summaries[:1], tmp_path / "batch")
-        assert [p.name for p in written[:1] + written[-1:]] == ["table1.csv", "results.json"]
-        names = sorted(p.name for p in per_cell.iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "batch").iterdir())
-        for name in names:
-            assert (per_cell / name).read_bytes() == (tmp_path / "batch" / name).read_bytes()
