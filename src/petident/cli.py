@@ -286,29 +286,39 @@ def _cell_overrides(args) -> dict:
     return {key: value for key, value in given.items() if value is not None}
 
 
+#: Campaign-file keys besides the two levels: cell fields, solver settings.
+CELL_KEYS = ("repetitions", "mode", "seed")
+SETTINGS_KEYS = ("a", "b", "tau", "epsilon", "max_iter")
+
+
 def _campaign_from_file(path: str, args) -> CampaignSpec:
+    """The cell of a campaign file with the command-line overrides.  Unknown
+    keys and non-finite levels are input errors, bad integers usage errors."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"cannot parse campaign {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseFailure(f"campaign {path} is not a JSON object")
+    # a key this reader ignored would silently leave a default in its place
+    unknown = sorted(set(data) - {"delta_y", "delta_x", *CELL_KEYS, *SETTINGS_KEYS})
+    if unknown:
+        raise ParseFailure(f"campaign {path} has unknown keys {unknown}")
+    for key in ("delta_y", "delta_x", "a", "b", "tau", "epsilon"):
+        value = data.get(key, 0.0)
+        if type(value) not in (int, float) or not -np.inf < value < np.inf:
+            raise ParseFailure(f"campaign {path}: {key} must be a finite number, got {value!r}")
     try:
         settings = IrgnmSettings.for_noise(
-            data.get("delta_y", 0.0),
-            **{
-                key: data[key]
-                for key in ("a", "b", "tau", "epsilon", "max_iter")
-                if key in data
-            },
+            data["delta_y"], **{key: data[key] for key in SETTINGS_KEYS if key in data}
         )
-        fields = {key: data[key] for key in ("repetitions", "mode", "seed") if key in data}
+        fields = {key: data[key] for key in CELL_KEYS if key in data}
         return CampaignSpec(
-            delta_y=data["delta_y"],
-            delta_x=data["delta_x"],
-            settings=settings,
+            data["delta_y"], data["delta_x"], settings=settings,
             **{**fields, **_cell_overrides(args)},
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseFailure(f"campaign {path} is missing field {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -29,7 +29,7 @@ from .forward import MODES, MeasurementSet, ParamVector, apply_forward, pack, pr
 from .kinetics import KineticParams
 from .plasma import N_PARAMS, PlasmaParams, plasma_fraction
 from .polyexp import PolyExp, eval_polyexp
-from .solver import IrgnmSettings, RunRecord, run_irgnm
+from .solver import IrgnmSettings, RunRecord, check_integer, run_irgnm
 
 SECONDS_PER_MINUTE = 60.0
 
@@ -318,6 +318,10 @@ class CampaignSpec:
     settings: IrgnmSettings | None = None
 
     def __post_init__(self):
+        check_integer("repetitions", self.repetitions)
+        check_integer("seed", self.seed)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.seed < 0:

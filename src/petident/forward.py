@@ -183,21 +183,15 @@ class MeasurementSet:
         )
 
 
-def _blood_block(x: ParamVector, template: MeasurementSet, es: np.ndarray):
-    """``F2`` from the arterial exponentials ``es = e^(mu s)`` at the blood
-    sample times."""
-    c_art_s = term_sum(x.lam[..., None, :], es)
-    if template.mode == "full":
-        return template.c_bl_values * plasma.value(x.m, template.s_grid) - c_art_s
-    return template.c_bl_values - c_art_s
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def forward_vector(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     """Flat forward value ``(F1(x), F2(x))`` of length ``n*T + q`` (with
     the leading axes of a batch ``x``)."""
     kernel = region_kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
-    return _forward_value(x, template, kernel, _arterial_exponentials(x, template))
+    measured = template.c_bl_values
+    if template.mode == "full":
+        measured = measured * plasma.value(x.m, template.s_grid)
+    return _forward_value(x, kernel, _arterial_exponentials(x, template), measured)
 
 
 def _arterial_exponentials(x: ParamVector, template: MeasurementSet):
@@ -205,12 +199,12 @@ def _arterial_exponentials(x: ParamVector, template: MeasurementSet):
     return np.exp(x.mu[..., :, None] * template.s_grid)
 
 
-def _forward_value(x, template, kernel, es):
+def _forward_value(x, kernel, es, measured):
+    """The flat forward value; ``measured`` is the arterial concentration the
+    blood data give at the sample times (``C_bl f_m`` or ``C_art_meas``)."""
     tissue = term_sum(x.lam[..., None, None, :], kernel.w)
-    return np.concatenate(
-        [tissue.reshape(tissue.shape[:-2] + (-1,)), _blood_block(x, template, es)],
-        axis=-1,
-    )
+    blood = measured - term_sum(x.lam[..., None, :], es)
+    return np.concatenate([tissue.reshape(tissue.shape[:-2] + (-1,)), blood], axis=-1)
 
 
 def apply_forward(x: ParamVector, template: MeasurementSet) -> MeasurementSet:
@@ -242,19 +236,21 @@ def jacobian(x: ParamVector, template: MeasurementSet):
 
     J = np.zeros(lead + (nT + template.q, layout.dim))
     # tissue rows: region i owns rows i*T .. (i+1)*T and its three rate columns
-    J[..., :nT, :p] = kernel.w.swapaxes(-1, -2).reshape(lead + (nT, p))
-    J[..., :nT, p : 2 * p] = kernel.d_mu.swapaxes(-1, -2).reshape(lead + (nT, p))
+    tissue = J[..., :nT, :].reshape(lead + (n, T, layout.dim))
+    tissue[..., :p] = kernel.w.swapaxes(-1, -2)
+    tissue[..., p : 2 * p] = kernel.d_mu.swapaxes(-1, -2)
     rows, rate_cols = _rate_plan(n, T, layout.kinetic_slice().start)
     J[..., rows, rate_cols] = kernel.d_rates.reshape(lead + (nT, 3))
 
     es = _arterial_exponentials(x, template)
     J[..., nT:, :p] = -es.swapaxes(-1, -2)
     J[..., nT:, p : 2 * p] = -(lam[..., :, None] * s * es).swapaxes(-1, -2)
+    measured = template.c_bl_values
     if template.mode == "full":
-        J[..., nT:, layout.m_slice()] = template.c_bl_values[:, None] * plasma.param_jacobian(
-            x.m, s
-        )
-    return J, _forward_value(x, template, kernel, es)
+        fraction, d_fraction = plasma.value_and_jacobian(x.m, s)
+        J[..., nT:, layout.m_slice()] = (measured * d_fraction).swapaxes(-1, -2)
+        measured = measured * fraction
+    return J, _forward_value(x, kernel, es, measured)
 
 
 @lru_cache(maxsize=16)
@@ -277,12 +273,12 @@ def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,
     ``x`` is projected row by row.  ``plasma_model`` must name the
     biexponential family."""
     plasma.check_model(plasma_model)
-    flat = x.flat.copy()
-    ks = x.layout.kinetic_slice()
-    flat[..., ks] = np.maximum(flat[..., ks], eps)
+    projected = ParamVector(x.flat, x.layout)  # its own copy, clamped in place
+    rates = projected.flat[..., x.layout.kinetic_slice()]
+    np.maximum(rates, eps, out=rates)
     if x.layout.q_hat:
-        flat[..., x.layout.m_slice()] = plasma.project(x.m)
-    return ParamVector(flat, x.layout)
+        projected.flat[..., x.layout.m_slice()] = plasma.project(x.m)
+    return projected
 
 
 @np.errstate(over="ignore", invalid="ignore")

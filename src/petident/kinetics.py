@@ -85,19 +85,21 @@ def _psi_pair(z, t):
     ``psi0`` equals ``t`` at ``z = 0``.  The derivative is
     ``t psi0 - t^2 phi2(z t)`` with ``phi2(u) = (e^u - 1 - u) / u^2``, which
     switches to its series ``1/2 + u/6 + u^2/24`` for ``|u| < 1e-4``; it
-    equals ``t^2 / 2`` at ``z = 0``.
+    equals ``t^2 / 2`` at ``z = 0``.  Both quotients run on every entry; their
+    silent 0/0 at ``z = 0`` and below the switch are then overwritten.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
     zt = z * t
     em = np.expm1(zt)
-    zero = z == 0.0
-    psi0 = np.where(zero, t, em / np.where(zero, 1.0, z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi0 = em / z
+        phi2 = np.asarray((em - zt) / (zt * zt))
+    if np.count_nonzero(z) < z.size:
+        psi0 = np.where(z == 0.0, t, psi0)
     small = np.abs(zt) < 1e-4
-    zt2 = zt * zt
-    phi2 = np.where(
-        small, 0.5 + zt / 6.0 + zt2 / 24.0, (em - zt) / np.where(small, 1.0, zt2)
-    )
+    u = zt[small]
+    phi2[small] = 0.5 + u / 6.0 + u * u / 24.0
     return psi0, t * psi0 - t * t * phi2
 
 
@@ -105,9 +107,9 @@ def _check_clearance(beta):
     """Reject regions whose ``k2 + k3`` is not positive (NaN passes: it
     propagates into the values and surfaces as a numerical failure).
     ``beta`` holds one entry per region in its last axis."""
-    beta = np.atleast_1d(beta)
-    bad = beta <= 0.0
-    if bad.any():
+    bad = np.less_equal(beta, 0.0)
+    if np.count_nonzero(bad):
+        beta, bad = np.atleast_1d(beta, bad)
         index = tuple(np.argwhere(bad)[0])
         raise DomainError(
             f"k2 + k3 must be positive in every region "
@@ -162,19 +164,20 @@ def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     :class:`DomainError` naming the first region with ``k2 + k3 <= 0``.
     """
     lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)[..., :, None]
+    mu = np.asarray(mu, dtype=float)[..., None, :, None]  # (..., 1, p, 1)
     t = np.asarray(t, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    # each (..., n, 1, 1): broadcasts against (..., 1, p, T) term arrays
-    K1, k2, k3 = (rates[..., i, None, None] for i in range(3))
-    beta = k2 + k3
+    # each (..., n, 1, 1): broadcasts against (..., 1, p, T) term arrays;
+    # the pairs (k3, k2) and (g1, g2) are (..., n, 2, 1)
+    K1 = rates[..., :1, None]
+    k32 = rates[..., 2:0:-1, None]
+    beta = k32[..., 1:, :] + k32[..., :1, :]
     _check_clearance(beta[..., 0, 0])
-    g1 = K1 * k3 / beta
-    g2 = K1 * k2 / beta
+    g = K1 * k32 / beta
+    g1, g2 = g[..., :1, :], g[..., 1:, :]
     eb = np.exp(-beta * t)
     # psi0 at z = mu_j (first slot) and at z = beta_i + mu_j (one slot per
     # region), from one array: (..., 1 + n, p, T)
-    mu = mu[..., None, :, :]
     psi, dpsi = _psi_pair(np.concatenate([mu, beta + mu], axis=-3), t)
     psi0 = psi[..., 0, :, :]
     terms0 = psi[..., :1, :, :]
@@ -186,27 +189,20 @@ def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     dpsid = dpsi[..., 1:, :, :]
     d_mu = lam[..., None, :, None] * (g1 * dpsi[..., :1, :, :] + g2 * eb * dpsid)
     # the four weighted term sums behind the rate derivatives, one matmul
-    sums = term_sum(
-        lam[..., None, None, None, :],
-        np.stack(
-            [
-                (k3 / beta) * terms0 + (k2 / beta) * psi1,
-                psi1 - terms0,
-                terms0 - psi1,
-                -t * psi1 + eb * dpsid,
-            ],
-            axis=-3,
-        ),
-    )
-    shared = g2[..., 0] * sums[..., 3, :]
-    d_rates = np.stack(
-        [
-            sums[..., 0, :],
-            (g1 / beta)[..., 0] * sums[..., 1, :] + shared,
-            (g2 / beta)[..., 0] * sums[..., 2, :] + shared,
-        ],
-        axis=-1,
-    )
+    # over a (..., n, 4, p, T) array filled slot by slot
+    kb = k32 / beta
+    terms = np.empty(psi1.shape[:-2] + (4,) + psi1.shape[-2:])
+    terms[..., 0, :, :] = kb[..., :1, :] * terms0 + kb[..., 1:, :] * psi1
+    terms[..., 1, :, :] = psi1 - terms0
+    terms[..., 2, :, :] = terms0 - psi1
+    terms[..., 3, :, :] = -t * psi1 + eb * dpsid
+    sums = term_sum(lam[..., None, None, None, :], terms)
+    # d_rates: the K1 sum, then (g1, g2) / beta times a sum plus a shared one
+    cols = (g / beta) * sums[..., 1:3, :]
+    cols += g2 * sums[..., 3:, :]
+    d_rates = np.empty(sums.shape[:-2] + (sums.shape[-1], 3))
+    d_rates[..., 0] = sums[..., 0, :]
+    d_rates[..., 1:] = cols.swapaxes(-1, -2)
     return RegionKernel(psi0, psi1, w, d_mu, d_rates)
 
 

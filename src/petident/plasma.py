@@ -58,17 +58,21 @@ def _params(m):
 
 def value(m, t):
     """``f_m`` on an array of times."""
-    A, xi1, xi2 = _params(m)
-    return A * np.exp(xi1 * t) + (1.0 - A) * np.exp(xi2 * t)
+    return value_and_jacobian(m, t)[0]
 
 
-def param_jacobian(m, t):
-    """The ``(len(t), 3)`` matrix of partial derivatives of ``f_m(t)``
-    with respect to ``m``."""
-    A, xi1, xi2 = _params(m)
-    e1 = np.exp(xi1 * t)
-    e2 = np.exp(xi2 * t)
-    return np.stack((e1 - e2, A * t * e1, (1.0 - A) * t * e2), axis=-1)
+def value_and_jacobian(m, t):
+    """``f_m`` on an array of times and its ``(3, len(t))`` partial
+    derivatives with respect to ``m``, one row per parameter."""
+    m = np.asarray(m, dtype=float)
+    A = m[..., :1, None]
+    weights = np.concatenate([A, 1.0 - A], axis=-2)  # (A, 1 - A)
+    e = np.exp(m[..., 1:, None] * t)  # (e^(xi1 t), e^(xi2 t))
+    terms = weights * e
+    jac = np.empty(e.shape[:-2] + (3, e.shape[-1]))
+    jac[..., 0, :] = e[..., 0, :] - e[..., 1, :]
+    jac[..., 1:, :] = weights * t * e
+    return terms[..., 0, :] + terms[..., 1, :], jac
 
 
 def project(m):

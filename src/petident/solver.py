@@ -23,6 +23,7 @@ forward map once per iteration: the Jacobian call that yields
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +41,12 @@ from .forward import (
     project_to_domain,
     tikhonov_objective,
 )
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,7 @@ class IrgnmSettings:
     delta_estimate: float = 0.0
 
     def __post_init__(self):
+        check_integer("max_iter", self.max_iter)
         if self.a <= 0 or self.b <= 0:
             raise ValueError("schedule parameters a and b must be positive")
         if self.tau <= 1:
@@ -304,18 +312,23 @@ def run_irgnm(
     J = None
     k = 0
     while True:
-        residual_rows = value - data
         going = []
-        # a non-finite residual stops its run as a failure, so the overflow
-        # and invalid warnings of its norm add nothing
+        # a non-finite residual stops its run as a failure, so the overflow and
+        # invalid warnings of its norm add nothing; np.vecdot is r.dot(r)'s BLAS
+        # dot per row, so only a non-finite square sum takes _residual_norm
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = [_residual_norm(row) for row in residual_rows]
-        errors = x.flat - truth if rel_errors is not None else None
+            residual_rows = value - data
+            norms = np.sqrt(np.vecdot(residual_rows, residual_rows)).tolist()
+            for i, norm in enumerate(norms):
+                if not math.isfinite(norm):
+                    norms[i] = _residual_norm(residual_rows[i])
+            if rel_errors is not None:
+                errors = x.flat - truth
+                errors = (np.sqrt(np.vecdot(errors, errors)) / truth_norm).tolist()
         for i, (b, norm) in enumerate(zip(active.tolist(), norms)):
             residuals[b].append(norm)
-            if errors is not None:
-                # np.linalg.norm of a vector, sqrt(e . e), without its overhead
-                rel_errors[b].append(math.sqrt(errors[i].dot(errors[i])) / truth_norm)
+            if rel_errors is not None:
+                rel_errors[b].append(errors[i])
             if not math.isfinite(norm):
                 stops[b] = ("failure", k, x.flat[i], f"residual norm is {norm} at iteration {k}")
             elif settings.delta_estimate > 0 and norm <= threshold:

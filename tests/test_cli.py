@@ -252,6 +252,53 @@ class TestNegativeSeed:
         assert not (tmp_path / "out" / "results.json").exists()
 
 
+class TestCampaignFile:
+    """A campaign file is read strictly, before any cell runs: an unknown
+    key or a level that is not a number is an input error (exit 2), an
+    integer field that is not an integer or an unknown mode a usage error
+    (exit 1); each message names the field."""
+
+    @pytest.mark.parametrize(
+        "fields, code, named",
+        [
+            ({"repetitons": 1, "max_iters": 5}, 2, "['max_iters', 'repetitons']"),
+            ({"mode": "bogus"}, 1, "'bogus'"),
+            ({"repetitions": 2.5}, 1, "repetitions"),
+            ({"repetitions": True}, 1, "repetitions"),
+            ({"seed": 1.5}, 1, "seed"),
+            ({"seed": True}, 1, "seed"),
+            ({"max_iter": 2.5}, 1, "max_iter"),
+            ({"max_iter": True}, 1, "max_iter"),
+            ({"delta_y": "x"}, 2, "delta_y"),
+            ({"delta_x": "x"}, 2, "delta_x"),
+            ({"tau": None}, 2, "tau"),
+            ({"delta_y": float("nan")}, 2, "delta_y"),
+            ({"delta_x": float("inf")}, 2, "delta_x"),
+        ],
+    )
+    def test_rejected_before_any_run(self, tmp_path, capsys, fields, code, named):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(
+            json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1, **fields})
+        )
+        out = tmp_path / "rep"
+        assert run_cli("reproduce", "--campaign", campaign, "--out", out) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:" if code == 1 else "input error:")
+        assert named in err
+        assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [('{"delta_y": 0.001}', "missing field 'delta_x'"), ("5", "not a JSON object")],
+    )
+    def test_malformed_file_is_an_input_error(self, tmp_path, capsys, text, named):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(text)
+        assert run_cli("reproduce", "--campaign", campaign, "--out", tmp_path) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestCheck:
     def test_reference_scenario_report(self, scenario_files, capsys):
         assert run_cli("check", "--scenario", scenario_files["min"]) == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petident import PlasmaParams, plasma_fraction
+from petident import PlasmaParams, plasma, plasma_fraction
 
 REFERENCE = PlasmaParams("biexp", (0.1, -0.005, -0.1))
 
@@ -57,3 +57,18 @@ def test_continuity_in_parameters(rng):
         shift = base + delta * np.array([1.0, -1.0, -1.0])
         f1 = plasma_fraction(PlasmaParams("biexp", shift), t)
         assert np.max(np.abs(f1 - f0)) < 70 * delta
+
+
+def test_value_and_jacobian():
+    m = np.array([[0.3, -0.02, -0.7], [1.2, -0.5, 0.0]])
+    t = np.linspace(0.0, 62.5, 25)
+    value, jac = plasma.value_and_jacobian(m, t)
+    A, xi1, xi2 = (m[:, i, None] for i in range(3))
+    assert value.tobytes() == (A * np.exp(xi1 * t) + (1.0 - A) * np.exp(xi2 * t)).tobytes()
+    assert jac.shape == (2, 3, 25)
+    h = 1e-7
+    for c in range(3):
+        step = np.zeros(3)
+        step[c] = h
+        quotient = (plasma.value(m + step, t) - plasma.value(m - step, t)) / (2 * h)
+        np.testing.assert_allclose(jac[:, c], quotient, rtol=1e-6, atol=1e-9)

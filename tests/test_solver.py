@@ -35,7 +35,8 @@ class TestSettings:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(a=0.0), dict(b=-1.0), dict(tau=1.0), dict(tau=0.9),
-         dict(epsilon=0.0), dict(max_iter=-1), dict(delta_estimate=-1e-3)],
+         dict(epsilon=0.0), dict(max_iter=-1), dict(max_iter=2.5), dict(max_iter=True),
+         dict(delta_estimate=-1e-3)],
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -175,6 +176,40 @@ class TestRunIrgnm:
         residual = forward_vector(x_true, y_delta) - y_delta.flat()
         assert record.residual_norms.tolist() == [math.hypot(*residual)]
         assert 1e200 <= record.residual_norms[0] < 1.0000001e200
+
+    def test_mixed_batch_norms_follow_the_lone_run_rule(self, ground_truth):
+        # one batch: an ordinary row, a finite row whose r . r overflows and
+        # a row with an infinite datum; the stacked square sums must give
+        # each row the norm _residual_norm gives its residual, and the stops
+        # of lone runs
+        x_true, y_true = ground_truth
+        x0 = perturb_initial(x_true, 0.05, [1, 0])
+        blocks = np.stack([y_true.c_tis_block] * 3)
+        blocks[1, 1, 7] = 1e200
+        blocks[2, 1, 7] = np.inf
+        y_delta = y_true.with_blocks(blocks, np.stack([y_true.f2_block] * 3))
+        settings = IrgnmSettings(max_iter=3)
+        records = run_irgnm(
+            ParamVector(np.stack([x0.flat] * 3), x0.layout), y_delta, settings,
+            x_true=x_true,
+        )
+        stops = [(r.stop_reason, r.stop_iter) for r in records]
+        assert stops == [("max_iter", 3), ("failure", 1), ("failure", 0)]
+        assert 1e200 <= records[1].residual_norms[0] < math.inf
+        assert records[2].residual_norms.tolist() == [math.inf]
+        for b, record in enumerate(records):
+            data = y_delta.flat()[b]
+            alone = run_irgnm(
+                x0, y_true.with_blocks(blocks[b], y_true.f2_block), settings,
+                x_true=x_true,
+            )
+            assert (alone.stop_reason, alone.stop_iter) == stops[b]
+            assert alone.residual_norms.tobytes() == record.residual_norms.tobytes()
+            with np.errstate(over="ignore", invalid="ignore"):
+                first = _residual_norm(forward_vector(x0, y_true) - data)
+                last = _residual_norm(forward_vector(record.final_x, y_true) - data)
+            assert first == record.residual_norms[0]
+            assert np.array_equal([last], record.residual_norms[-1:], equal_nan=True)
 
     def test_nonfinite_residual_is_not_a_max_iter_stop(self, ground_truth):
         x_true, y_true = ground_truth

@@ -5,6 +5,7 @@ it replaced, the read-only shape caches, and the import path."""
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -123,6 +124,18 @@ class TestFusedKernel:
             assert len(fields) == len(reference)
             for got, want in zip(fields, reference):
                 assert same_bits(got, want)
+
+    def test_direct_calls_raise_no_warning(self):
+        # the 0/0 quotients at z = 0 and below the series switch are
+        # overwritten, and neither function warns about them
+        z = np.array([0.0, -0.0, 3e-6, -2e-5, 0.4])[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _psi_pair(z, T_GRID)
+            region_kernel(
+                [1.0, -0.5], [0.0, -0.2], [[0.1, 0.1, 0.1], [0.2, 0.05, 0.15]], T_GRID,
+                derivatives=True,
+            )
 
     def test_pair_equals_separate_functions(self):
         z = np.array([-3.0, -1e-3, -1e-4, -5e-5, 0.0, 2e-5, 1e-4, 0.3])[:, None]
