@@ -43,7 +43,7 @@ from .forward import MeasurementSet, ParamVector, finite_difference_check, proje
 from .kinetics import DomainError, tissue_concentration
 from .plasma import plasma_fraction
 from .polyexp import eval_polyexp, has_distinct_rate_regions, region_diversity_report
-from .solver import IrgnmSettings, run_irgnm
+from .solver import IrgnmSettings, is_finite, run_irgnm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -199,6 +199,9 @@ def _read_measurements(path: str, template: MeasurementSet, n: int) -> Measureme
 
 
 def cmd_identify(args) -> int:
+    for flag, level in (("--delta-x", args.delta_x), ("--delta-y", args.delta_y)):
+        if not (is_finite(level) and level >= 0):
+            raise UsageError(f"{flag} must be finite and nonnegative, got {level}")
     scenario = _load_scenario_arg(args.scenario)
     if args.mode is not None:
         scenario = replace(scenario, mode=args.mode)
@@ -307,7 +310,7 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
         raise ParseFailure(f"campaign {path} has unknown keys {unknown}")
     for key in ("delta_y", "delta_x", "a", "b", "tau", "epsilon"):
         value = data.get(key, 0.0)
-        if type(value) not in (int, float) or not -np.inf < value < np.inf:
+        if type(value) not in (int, float) or not is_finite(value):
             raise ParseFailure(f"campaign {path}: {key} must be a finite number, got {value!r}")
     try:
         settings = IrgnmSettings.for_noise(

@@ -29,7 +29,7 @@ from .forward import MODES, MeasurementSet, ParamVector, apply_forward, pack, pr
 from .kinetics import KineticParams
 from .plasma import N_PARAMS, PlasmaParams, plasma_fraction
 from .polyexp import PolyExp, eval_polyexp
-from .solver import IrgnmSettings, RunRecord, check_integer, run_irgnm
+from .solver import IrgnmSettings, RunRecord, check_integer, is_finite, run_irgnm
 
 SECONDS_PER_MINUTE = 60.0
 
@@ -272,8 +272,8 @@ def add_noise(y_true: MeasurementSet, delta_y: float, seed) -> MeasurementSet:
     ``delta_y^2 / (n T)`` to every tissue entry, so the expected squared
     perturbation of the whole vector is ``delta_y^2``.  The blood-coupling
     block (zero for consistent data) is left untouched."""
-    if delta_y < 0:
-        raise ValueError("delta_y must be nonnegative")
+    if not (is_finite(delta_y) and delta_y >= 0):
+        raise ValueError(f"delta_y must be finite and nonnegative, got {delta_y}")
     if delta_y == 0.0:
         return y_true
     block = np.asarray(y_true.c_tis_block)
@@ -291,8 +291,8 @@ def perturb_initial(
     ``gamma_i ~ N(delta_x, delta_x / 4)`` (variance ``delta_x / 4``), then
     projected onto the admissible box (``plasma_model`` as in
     :func:`.forward.project_to_domain`)."""
-    if delta_x < 0:
-        raise ValueError("delta_x must be nonnegative")
+    if not (is_finite(delta_x) and delta_x >= 0):
+        raise ValueError(f"delta_x must be finite and nonnegative, got {delta_x}")
     if delta_x == 0.0:
         return project_to_domain(x_true, epsilon, plasma_model)
     rng = make_rng(seed)
@@ -326,8 +326,8 @@ class CampaignSpec:
             raise ValueError("repetitions must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.delta_y < 0 or self.delta_x < 0:
-            raise ValueError("noise and perturbation levels must be nonnegative")
+        if not all(is_finite(v) and v >= 0 for v in (self.delta_y, self.delta_x)):
+            raise ValueError("noise and perturbation levels must be finite and nonnegative")
 
     def resolved_settings(self) -> IrgnmSettings:
         if self.settings is not None:

@@ -33,13 +33,15 @@ configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import plasma
 from .kinetics import KineticParams, region_kernel, term_sum
+
+_kernel = region_kernel.__wrapped__  # unguarded: the callers below hold its guard
 
 MODES = ("full", "known_cart")
 
@@ -55,15 +57,21 @@ class ParamLayout:
     q_hat: int
     n: int
 
-    @property
+    # read about ten times per IRGNM trip, so each is worked out once
+    @cached_property
     def dim(self) -> int:
         return 2 * self.p + self.q_hat + 3 * self.n
 
+    @cached_property
+    def _slices(self) -> tuple[slice, slice]:
+        start = 2 * self.p + self.q_hat
+        return slice(2 * self.p, start), slice(start, self.dim)
+
     def kinetic_slice(self) -> slice:
-        return slice(2 * self.p + self.q_hat, self.dim)
+        return self._slices[1]
 
     def m_slice(self) -> slice:
-        return slice(2 * self.p, 2 * self.p + self.q_hat)
+        return self._slices[0]
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,13 @@ class ParamVector:
             )
         object.__setattr__(self, "flat", flat.copy())
         object.__setattr__(self, "layout", layout)
+
+    @classmethod
+    def _adopt(cls, flat: np.ndarray, layout: ParamLayout) -> "ParamVector":
+        """``flat`` itself as a vector, unchecked and uncopied: a fresh array."""
+        vector = object.__new__(cls)
+        vector.__dict__.update(flat=flat, layout=layout)
+        return vector
 
     @property
     def lam(self) -> np.ndarray:
@@ -183,11 +198,11 @@ class MeasurementSet:
         )
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def forward_vector(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     """Flat forward value ``(F1(x), F2(x))`` of length ``n*T + q`` (with
     the leading axes of a batch ``x``)."""
-    kernel = region_kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
+    kernel = _kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
     measured = template.c_bl_values
     if template.mode == "full":
         measured = measured * plasma.value(x.m, template.s_grid)
@@ -195,15 +210,17 @@ def forward_vector(x: ParamVector, template: MeasurementSet) -> np.ndarray:
 
 
 def _arterial_exponentials(x: ParamVector, template: MeasurementSet):
-    """``e^(mu_j s_l)`` at the blood sample times, shape ``(..., p, q)``."""
-    return np.exp(x.mu[..., :, None] * template.s_grid)
+    """``-e^(mu_j s_l)`` at the blood sample times, shape ``(..., p, q)``:
+    negated once, for the blood rows that subtract the arterial curve."""
+    return -np.exp(x.mu[..., :, None] * template.s_grid)
 
 
-def _forward_value(x, kernel, es, measured):
-    """The flat forward value; ``measured`` is the arterial concentration the
-    blood data give at the sample times (``C_bl f_m`` or ``C_art_meas``)."""
+def _forward_value(x, kernel, nes, measured):
+    """The flat forward value; ``nes`` are the negated arterial exponentials,
+    ``measured`` the blood data's arterial concentration (``C_bl f_m`` or
+    ``C_art_meas``)."""
     tissue = term_sum(x.lam[..., None, None, :], kernel.w)
-    blood = measured - term_sum(x.lam[..., None, :], es)
+    blood = measured + term_sum(x.lam[..., None, :], nes)
     return np.concatenate([tissue.reshape(tissue.shape[:-2] + (-1,)), blood], axis=-1)
 
 
@@ -216,7 +233,7 @@ def apply_forward(x: ParamVector, template: MeasurementSet) -> MeasurementSet:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def jacobian(x: ParamVector, template: MeasurementSet):
     """Analytic Jacobian of the flat forward map, shape ``(n*T + q, dim)``
     (with the leading axes of a batch ``x``), and the forward vector
@@ -232,37 +249,38 @@ def jacobian(x: ParamVector, template: MeasurementSet):
     s = template.s_grid
     T = template.n_times
     nT = n * T
-    kernel = region_kernel(lam, mu, x.kinetic_block, template.t_grid, derivatives=True)
+    kernel = _kernel(lam, mu, x.kinetic_block, template.t_grid, derivatives=True)
 
     J = np.zeros(lead + (nT + template.q, layout.dim))
     # tissue rows: region i owns rows i*T .. (i+1)*T and its three rate columns
     tissue = J[..., :nT, :].reshape(lead + (n, T, layout.dim))
     tissue[..., :p] = kernel.w.swapaxes(-1, -2)
     tissue[..., p : 2 * p] = kernel.d_mu.swapaxes(-1, -2)
-    rows, rate_cols = _rate_plan(n, T, layout.kinetic_slice().start)
-    J[..., rows, rate_cols] = kernel.d_rates.reshape(lead + (nT, 3))
+    rates = _rate_plan(n, T, layout.dim)
+    J.reshape(lead + (-1,))[..., rates] = kernel.d_rates.reshape(lead + (-1,))
 
-    es = _arterial_exponentials(x, template)
-    J[..., nT:, :p] = -es.swapaxes(-1, -2)
-    J[..., nT:, p : 2 * p] = -(lam[..., :, None] * s * es).swapaxes(-1, -2)
+    nes = _arterial_exponentials(x, template)
+    J[..., nT:, :p] = nes.swapaxes(-1, -2)
+    J[..., nT:, p : 2 * p] = (lam[..., :, None] * s * nes).swapaxes(-1, -2)
     measured = template.c_bl_values
     if template.mode == "full":
         fraction, d_fraction = plasma.value_and_jacobian(x.m, s)
         J[..., nT:, layout.m_slice()] = (measured * d_fraction).swapaxes(-1, -2)
         measured = measured * fraction
-    return J, _forward_value(x, kernel, es, measured)
+    return J, _forward_value(x, kernel, nes, measured)
 
 
 @lru_cache(maxsize=16)
-def _rate_plan(n: int, T: int, start: int):
-    """Index arrays ``(rows, cols)`` of the tissue rows' rate entries:
-    row ``i*T + l`` holds the three rate columns of region ``i``, which
-    start at ``start + 3 i``.  Cached per shape, hence read-only."""
+def _rate_plan(n: int, T: int, dim: int):
+    """Flat indices of the tissue rows' rate entries in a row-major
+    ``(n*T + q, dim)`` Jacobian: row ``i*T + l`` holds the three rate
+    columns of region ``i``, which start at ``dim - 3 (n - i)``.  Cached per
+    shape, hence read-only."""
     rows = np.arange(n * T)[:, None]
-    cols = start + 3 * (rows // T) + np.arange(3)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+    cols = dim - 3 * n + 3 * (rows // T) + np.arange(3)
+    plan = (rows * dim + cols).ravel()
+    plan.flags.writeable = False
+    return plan
 
 
 def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,
@@ -273,23 +291,23 @@ def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,
     ``x`` is projected row by row.  ``plasma_model`` must name the
     biexponential family."""
     plasma.check_model(plasma_model)
-    projected = ParamVector(x.flat, x.layout)  # its own copy, clamped in place
-    rates = projected.flat[..., x.layout.kinetic_slice()]
+    flat = x.flat.copy()  # the one copy, clamped in place
+    rates = flat[..., x.layout.kinetic_slice()]
     np.maximum(rates, eps, out=rates)
     if x.layout.q_hat:
-        projected.flat[..., x.layout.m_slice()] = plasma.project(x.m)
-    return projected
+        plasma.project_in_place(flat[..., x.layout.m_slice()])
+    return ParamVector._adopt(flat, x.layout)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _forward_scale(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     """Magnitude of the intermediate sums behind every forward entry
     (the forward map with all additive pieces replaced by absolute values).
     Rounding in the forward value is proportional to this, not to the
     possibly cancellation-small value itself."""
     lam, s = np.abs(x.lam), template.s_grid
-    kernel = region_kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
-    art = lam @ _arterial_exponentials(x, template)
+    kernel = _kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
+    art = -(lam @ _arterial_exponentials(x, template))
     blood = np.abs(template.c_bl_values)
     if template.mode == "full":
         blood = blood * plasma.magnitude(x.m, s)

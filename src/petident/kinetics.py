@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,6 +78,7 @@ class TissueCurves:
 # -- stable elementary pieces -------------------------------------------------
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _psi_pair(z, t):
     """``psi0(z, t) = (e^(z t) - 1) / z`` and its derivative with respect to
     ``z``, elementwise, from one ``z t`` product and one ``expm1`` of it.
@@ -92,9 +93,8 @@ def _psi_pair(z, t):
     t = np.asarray(t, dtype=float)
     zt = z * t
     em = np.expm1(zt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi0 = em / z
-        phi2 = np.asarray((em - zt) / (zt * zt))
+    psi0 = em / z
+    phi2 = np.asarray((em - zt) / (zt * zt))
     if np.count_nonzero(z) < z.size:
         psi0 = np.where(z == 0.0, t, psi0)
     small = np.abs(zt) < 1e-4
@@ -132,8 +132,7 @@ def term_sum(lam_row, terms):
 # -- the closed form ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionKernel:
+class RegionKernel(NamedTuple):
     """Closed-form pieces of the tissue curves of ``n`` regions driven by a
     ``p``-term arterial input, on ``T`` time points.
 
@@ -154,7 +153,7 @@ class RegionKernel:
     d_rates: np.ndarray | None = None
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     """Evaluate the closed form for all regions at once.
 
@@ -162,6 +161,8 @@ def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     array of rows ``(K1, k2, k3)`` and ``t`` a 1-d time grid; leading axes
     are a batch of independent parameter points.  Raises
     :class:`DomainError` naming the first region with ``k2 + k3 <= 0``.
+    Callers that hold this error-state guard already call its body,
+    ``region_kernel.__wrapped__``.
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)[..., None, :, None]  # (..., 1, p, 1)
@@ -177,8 +178,9 @@ def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     g1, g2 = g[..., :1, :], g[..., 1:, :]
     eb = np.exp(-beta * t)
     # psi0 at z = mu_j (first slot) and at z = beta_i + mu_j (one slot per
-    # region), from one array: (..., 1 + n, p, T)
-    psi, dpsi = _psi_pair(np.concatenate([mu, beta + mu], axis=-3), t)
+    # region), from one array: (..., 1 + n, p, T); _psi_pair's body runs
+    # under this function's guard
+    psi, dpsi = _psi_pair.__wrapped__(np.concatenate([mu, beta + mu], axis=-3), t)
     psi0 = psi[..., 0, :, :]
     terms0 = psi[..., :1, :, :]
     psi1 = eb * psi[..., 1:, :, :]
@@ -189,7 +191,8 @@ def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     dpsid = dpsi[..., 1:, :, :]
     d_mu = lam[..., None, :, None] * (g1 * dpsi[..., :1, :, :] + g2 * eb * dpsid)
     # the four weighted term sums behind the rate derivatives, one matmul
-    # over a (..., n, 4, p, T) array filled slot by slot
+    # over a (..., n, 4, p, T) array filled slot by slot; the third slot is
+    # not the second negated where both differences are zero (+0.0 each)
     kb = k32 / beta
     terms = np.empty(psi1.shape[:-2] + (4,) + psi1.shape[-2:])
     terms[..., 0, :, :] = kb[..., :1, :] * terms0 + kb[..., 1:, :] * psi1

@@ -75,13 +75,12 @@ def value_and_jacobian(m, t):
     return terms[..., 0, :] + terms[..., 1, :], jac
 
 
-def project(m):
-    """Euclidean projection onto the admissible parameter set."""
-    out = np.array(m, dtype=float)
-    A, xi = out[..., 0], out[..., 1:]
+def project_in_place(m: np.ndarray) -> None:
+    """Euclidean projection of the float array ``m`` onto the admissible
+    parameter set, written into ``m``."""
+    A, xi = m[..., 0], m[..., 1:]
     A[A < 0.0] = 0.0
     xi[xi > 0.0] = 0.0
-    return out
 
 
 def magnitude(m, t):

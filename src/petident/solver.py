@@ -49,6 +49,14 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def is_finite(value) -> bool:
+    """Whether ``value`` is finite; an integer too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class IrgnmSettings:
     """Solver configuration.
@@ -69,6 +77,9 @@ class IrgnmSettings:
 
     def __post_init__(self):
         check_integer("max_iter", self.max_iter)
+        for name in ("a", "b", "tau", "epsilon", "delta_estimate"):
+            if not is_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.a <= 0 or self.b <= 0:
             raise ValueError("schedule parameters a and b must be positive")
         if self.tau <= 1:
@@ -138,44 +149,37 @@ class StepFailure(RuntimeError):
         self.cond = cond
 
 
-#: The LAPACK Cholesky pair behind scipy's ``cho_factor``/``cho_solve``,
-#: called directly: same results, without their per-call argument handling,
-#: which costs more than the factorization of these small systems.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
-
-def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, alpha: float):
-    """Solve one system whose entries are all finite (callers check)."""
-    factor, info = _POTRF(gram, lower=False, clean=False)
-    if info == 0:
-        return _POTRS(factor, rhs, lower=False)[0]
-    try:
-        # pivoted symmetric-indefinite fallback; conditioning warnings are
-        # expected here, the caller accounts for breakdown separately
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            return linalg_solve(gram, rhs, assume_a="sym")
-    except LinAlgError as exc:
-        raise StepFailure(alpha, float(np.linalg.cond(gram))) from exc
+#: LAPACK's Cholesky solve: the ``potrf`` + ``potrs`` pair behind scipy's
+#: ``cho_factor``/``cho_solve`` in one call, without their per-call argument
+#: handling, which costs more than the factorization of these small systems.
+_POSV = get_lapack_funcs("posv", dtype=np.float64)
 
 
 def _solve_systems(gram: np.ndarray, rhs: np.ndarray, alpha: float):
     """Solve a ``(B, dim, dim)`` stack of normal equations one system at a
-    time, after one finiteness check of the whole stack.  Returns the
-    ``(B, dim)`` solutions and per system the :class:`StepFailure` or
-    ``None``; the row of a failed system is zero."""
-    finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
+    time, by Cholesky or else by the pivoted symmetric-indefinite solve,
+    testing each for finiteness only when the stack's sum is not finite.
+    Returns the ``(B, dim)`` solutions and per system the
+    :class:`StepFailure` or ``None``; the row of a failed system is zero."""
+    stack_finite = math.isfinite(gram.sum() + rhs.sum())
     steps = np.zeros(rhs.shape)
-    failures: list[StepFailure | None] = []
-    for b, ok in enumerate(finite.tolist()):
-        if not ok:
-            failures.append(StepFailure(alpha, float("inf")))
+    failures: list[StepFailure | None] = [None] * len(rhs)
+    for b, (A, y) in enumerate(zip(gram, rhs)):
+        if not (stack_finite or np.isfinite(A).all() and np.isfinite(y).all()):
+            failures[b] = StepFailure(alpha, math.inf)
+            continue
+        _, step, info = _POSV(A, y, lower=False)
+        if info == 0:
+            steps[b] = step
             continue
         try:
-            steps[b] = _solve_normal_equations(gram[b], rhs[b], alpha)
-            failures.append(None)
-        except StepFailure as exc:
-            failures.append(exc)
+            # the pivoted fallback's conditioning warnings are expected; its
+            # breakdown is accounted for as a failure
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)
+                steps[b] = linalg_solve(A, y, assume_a="sym")
+        except LinAlgError:
+            failures[b] = StepFailure(alpha, float(np.linalg.cond(A)))
     return steps, failures
 
 
@@ -198,21 +202,19 @@ def _residual_norm(r: np.ndarray) -> float:
     return norm
 
 
-def _regularized_steps(x_k, x0, y_delta, alpha_k, linearization):
+@np.errstate(invalid="ignore", over="ignore")
+def _regularized_steps(x_k, x0, alpha_k, J, misfit):
     """The unprojected steps of the regularized normal equations
-    ``(J^T J + alpha_k I) step = J^T (y - F(x_k)) + alpha_k (x0 - x_k)`` at
-    the linearization ``(J, F(x_k))``, shaped like ``x_k.flat``, and the
-    failures as :func:`_solve_systems` returns them."""
-    J, value = linearization
+    ``(J^T J + alpha_k I) step = alpha_k (x0 - x_k) - J^T (F(x_k) - y)`` at
+    the Jacobian ``J`` and the misfit ``F(x_k) - y``, shaped like
+    ``x_k.flat``, and the failures as :func:`_solve_systems` returns them.
+    Nonfinite products surface as :class:`StepFailure`, not as warnings."""
     dim = x_k.layout.dim
-    residual = y_delta.flat() - value
-    with np.errstate(invalid="ignore", over="ignore"):
-        # nonfinite products surface as StepFailure in the solve below; the
-        # matmul forms give each run of a batch the products of a lone run
-        # bit for bit
-        Jt = J.swapaxes(-1, -2)
-        gram = Jt @ J + alpha_k * _identity(dim)
-        rhs = (Jt @ residual[..., None])[..., 0] + alpha_k * (x0.flat - x_k.flat)
+    # the matmul forms give each run of a batch the products of a lone run
+    # bit for bit
+    Jt = J.swapaxes(-1, -2)
+    gram = Jt @ J + alpha_k * _identity(dim)
+    rhs = alpha_k * (x0.flat - x_k.flat) - (Jt @ misfit[..., None])[..., 0]
     steps, failures = _solve_systems(
         gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k
     )
@@ -229,8 +231,8 @@ def irgnm_step(
 ):
     """One regularized Gauss-Newton step followed by the box projection.
 
-    ``linearization`` is ``(J, F(x_k))`` as ``jacobian(x_k, y_delta)``
-    returns it; without it the step computes it.
+    ``linearization`` is ``(J, F(x_k) - y_delta.flat())``, the Jacobian and
+    the misfit at ``x_k``; without it the step computes both.
 
     ``x_k`` is a single vector or a batch (``x_k.flat`` and ``x0.flat`` of
     shape ``(B, dim)``, data blocks of ``y_delta`` with the same leading
@@ -243,21 +245,26 @@ def irgnm_step(
     if alpha_k <= 0:
         raise ValueError("alpha_k must be positive")
     if linearization is None:
-        linearization = jacobian(x_k, y_delta)
-    steps, failures = _regularized_steps(x_k, x0, y_delta, alpha_k, linearization)
-    stepped = project_to_domain(ParamVector(x_k.flat + steps, x_k.layout), epsilon)
+        J, value = jacobian(x_k, y_delta)
+        linearization = J, value - y_delta.flat()
+    steps, failures = _regularized_steps(x_k, x0, alpha_k, *linearization)
+    # a fresh sum: project_to_domain's copy is its only one
+    stepped = project_to_domain(ParamVector._adopt(x_k.flat + steps, x_k.layout), epsilon)
     return stepped, failures
 
 
 def _take_rows(keep, x: ParamVector, anchor: ParamVector, y_delta: MeasurementSet):
     """Rows ``keep`` of a batch of iterates, their anchors and their data."""
-    return (
-        ParamVector(x.flat[keep], x.layout),
-        ParamVector(anchor.flat[keep], anchor.layout),
+    return (  # indexing with a list copies the rows already
+        ParamVector._adopt(x.flat[keep], x.layout),
+        ParamVector._adopt(anchor.flat[keep], anchor.layout),
         y_delta.with_blocks(y_delta.c_tis_block[keep], y_delta.f2_block[keep]),
     )
 
 
+# a non-finite residual stops its run as a failure, so the overflow and
+# invalid warnings of its norm and of its step add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def run_irgnm(
     x0: ParamVector,
     y_delta: MeasurementSet,
@@ -278,8 +285,8 @@ def run_irgnm(
     and returns their ``B`` records; a single vector is a batch of one and
     returns its record.  Each trip of the loop takes one step of every run
     still going and evaluates their Jacobians and forward values in one
-    call; the next step reuses that linearization.  A run so costs one
-    forward evaluation at ``x0`` and one Jacobian per iteration.
+    call; the next step reuses that linearization.  A run of ``k > 0``
+    iterations so costs one forward evaluation and ``k + 1`` Jacobians.
     """
     single = x0.flat.ndim == 1
     if single:
@@ -300,7 +307,8 @@ def run_irgnm(
     truth = x_true.flat if x_true is not None else None
     truth_norm = float(np.linalg.norm(truth)) if truth is not None else 0.0
     residuals: list[list[float]] = [[] for _ in range(B)]
-    rel_errors = (
+    # per run e . e of each error e = x_k - x_true; the record takes sqrt / |x_true|
+    error_squares = (
         [[] for _ in range(B)] if truth is not None and truth_norm > 0 else None
     )
     # per run: (stop reason, stop iteration, final iterate, failure message)
@@ -313,22 +321,20 @@ def run_irgnm(
     k = 0
     while True:
         going = []
-        # a non-finite residual stops its run as a failure, so the overflow and
-        # invalid warnings of its norm add nothing; np.vecdot is r.dot(r)'s BLAS
-        # dot per row, so only a non-finite square sum takes _residual_norm
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual_rows = value - data
-            norms = np.sqrt(np.vecdot(residual_rows, residual_rows)).tolist()
-            for i, norm in enumerate(norms):
-                if not math.isfinite(norm):
-                    norms[i] = _residual_norm(residual_rows[i])
-            if rel_errors is not None:
-                errors = x.flat - truth
-                errors = (np.sqrt(np.vecdot(errors, errors)) / truth_norm).tolist()
+        # np.vecdot is r.dot(r)'s BLAS dot per row and math.sqrt rounds as
+        # np.sqrt does, so only a non-finite square sum takes _residual_norm
+        misfit = value - data
+        norms = [
+            math.sqrt(square) if square < math.inf else _residual_norm(misfit[i])
+            for i, square in enumerate(np.vecdot(misfit, misfit).tolist())
+        ]
+        if error_squares is not None:
+            errors = x.flat - truth
+            squares = np.vecdot(errors, errors).tolist()
         for i, (b, norm) in enumerate(zip(active.tolist(), norms)):
             residuals[b].append(norm)
-            if rel_errors is not None:
-                rel_errors[b].append(errors[i])
+            if error_squares is not None:
+                error_squares[b].append(squares[i])
             if not math.isfinite(norm):
                 stops[b] = ("failure", k, x.flat[i], f"residual norm is {norm} at iteration {k}")
             elif settings.delta_estimate > 0 and norm <= threshold:
@@ -343,12 +349,12 @@ def run_irgnm(
             # finished runs leave the batch and cost nothing from here on
             active = active[going]
             x, anchor, y_delta = _take_rows(going, x, anchor, y_delta)
-            data, value = data[going], value[going]
+            data, misfit = data[going], misfit[going]
             J = J[going] if J is not None else None
 
         stepped, failures = irgnm_step(
             x, anchor, y_delta, settings.alpha(k), settings.epsilon,
-            linearization=(J, value) if J is not None else None,
+            linearization=(J, misfit) if J is not None else None,
         )
         going = []
         for i, exc in enumerate(failures):
@@ -372,7 +378,7 @@ def run_irgnm(
         _run_record(
             np.array(residuals[b]), *stops[b],
             ParamVector(x0.flat[b], layout), x_true,
-            rel_errors[b] if rel_errors is not None else None,
+            np.sqrt(error_squares[b]) / truth_norm if error_squares is not None else None,
         )
         for b in range(B)
     ]
@@ -388,7 +394,7 @@ def _run_record(
         stop_reason=reason,
         stop_iter=k,
         final_x=ParamVector(final, x0.layout),
-        rel_errors=np.array(rel_errors) if rel_errors is not None else None,
+        rel_errors=rel_errors,
         failure=failure,
     )
     if rel_errors is not None and rel_errors[0] > 0:
@@ -445,9 +451,8 @@ def solve_tikhonov(
     for _ in range(settings.max_iter):
         # the Gauss-Newton step of the stacked residual is the IRGNM step
         # anchored at x_bar
-        step, [failure] = _regularized_steps(
-            x, x_bar, y_delta, alpha, jacobian(x, y_delta)
-        )
+        J, value = jacobian(x, y_delta)
+        step, [failure] = _regularized_steps(x, x_bar, alpha, J, value - y_delta.flat())
         if failure is not None:
             raise failure
         current = tikhonov_objective(x, x_bar, y_delta, alpha)

@@ -8,6 +8,7 @@ benchmark; these tests catch that in the tier-1 suite.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,28 @@ def trace_points():
 )
 def test_trace_point_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"petident.{module}"), attr))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_run_irgnm_calls_the_traced_solver_names(known_cart_scenario, monkeypatch, k):
+    # perfbench's spans sit on these four names of petident.solver; a run
+    # of k iterations must reach every one of them there: one Jacobian per
+    # step (the first inside irgnm_step) plus the one that gives the last
+    # iterate's residual, and one forward_vector at the start
+    calls = Counter()
+    for name in ("jacobian", "irgnm_step", "forward_vector", "project_to_domain"):
+
+        def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    x_true, y_true = experiments.simulate_ground_truth(known_cart_scenario)
+    x0 = experiments.perturb_initial(x_true, 0.05, [5, 0])
+    record = solver.run_irgnm(x0, y_true, solver.IrgnmSettings(max_iter=k))
+    assert (record.stop_reason, record.stop_iter) == ("max_iter", k)
+    assert (calls["jacobian"], calls["irgnm_step"], calls["forward_vector"]) == (k + 1, k, 1)
+    assert calls["project_to_domain"] >= 1
 
 
 def test_positional_plasma_model_calls(scenario, ground_truth):

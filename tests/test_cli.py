@@ -83,6 +83,23 @@ class TestIdentify:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tau", "nan"), ("--alpha-a", "nan"), ("--alpha-b", "inf"), ("--epsilon", "inf"),
+         ("--delta-y", "nan"), ("--delta-x", "nan"), ("--delta-x", "-1")],
+    )
+    def test_nonfinite_or_negative_setting_is_usage_error(
+        self, scenario_files, tmp_path, capsys, flag, value
+    ):
+        # such a value would run on, with NaN rates or without a stop rule
+        code = run_cli(
+            "identify", "--scenario", scenario_files["min"], "--synthesize",
+            flag, value, "--max-iter", "2", "--out", tmp_path,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "identify_trace.csv").exists()
+
     def test_data_dimension_mismatch_exits_2(self, scenario_files, tmp_path):
         data = tmp_path / "short.json"
         data.write_text(json.dumps({"y": [0.0] * 55}))
@@ -274,6 +291,9 @@ class TestCampaignFile:
             ({"tau": None}, 2, "tau"),
             ({"delta_y": float("nan")}, 2, "delta_y"),
             ({"delta_x": float("inf")}, 2, "delta_x"),
+            ({"delta_y": 10**400}, 2, "delta_y"),
+            ({"delta_x": 10**400}, 2, "delta_x"),
+            ({"a": 10**400}, 2, "a must be"),
         ],
     )
     def test_rejected_before_any_run(self, tmp_path, capsys, fields, code, named):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -175,7 +176,24 @@ class TestPerturbation:
         assert 0.15 / 4 + 0.15**2 == pytest.approx(0.06, rel=1e-12)
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf, -0.1])
+def test_draws_reject_levels_that_are_not_finite_and_nonnegative(ground_truth, level):
+    x_true, y_true = ground_truth
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        add_noise(y_true, level, seed=1)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        perturb_initial(x_true, level, [1, 0])
+
+
 class TestCampaign:
+    @pytest.mark.parametrize(
+        "levels",
+        [(math.nan, 0.1), (math.inf, 0.1), (1e-3, math.nan), (1e-3, math.inf), (-1e-3, 0.1)],
+    )
+    def test_levels_must_be_finite_and_nonnegative(self, levels):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            CampaignSpec(*levels)
+
     def test_single_repetition(self, scenario):
         spec = CampaignSpec(delta_y=0.0, delta_x=0.05, repetitions=1, seed=11,
                             settings=IrgnmSettings(max_iter=60))

@@ -1,24 +1,30 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
 from petident import (
+    CampaignSpec,
     IrgnmSettings,
     ParamVector,
     RunRecord,
     StepFailure,
     add_noise,
+    default_scenario,
     forward_vector,
     irgnm_step,
     jacobian,
     perturb_initial,
     project_to_domain,
     rho_metrics,
+    run_campaign,
     run_irgnm,
+    simulate_ground_truth,
     solve_tikhonov,
 )
-from petident.solver import _residual_norm
+from petident.solver import _residual_norm, _solve_systems
 
 
 class TestSettings:
@@ -36,7 +42,9 @@ class TestSettings:
         "kwargs",
         [dict(a=0.0), dict(b=-1.0), dict(tau=1.0), dict(tau=0.9),
          dict(epsilon=0.0), dict(max_iter=-1), dict(max_iter=2.5), dict(max_iter=True),
-         dict(delta_estimate=-1e-3)],
+         dict(delta_estimate=-1e-3), dict(a=math.nan), dict(a=10**400), dict(b=math.inf),
+         dict(tau=math.nan), dict(tau=math.inf), dict(epsilon=math.inf),
+         dict(delta_estimate=math.nan), dict(delta_estimate=math.inf)],
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -108,11 +116,48 @@ class TestStep:
     def test_given_linearization_is_used(self, ground_truth):
         x_true, y_true = ground_truth
         x_k = perturb_initial(x_true, 0.1, [4, 0])
-        linearization = jacobian(x_k, y_true)
+        J, value = jacobian(x_k, y_true)
+        linearization = (J, value - y_true.flat())
         assert np.array_equal(
             irgnm_step(x_k, x_true, y_true, 0.3, linearization=linearization)[0].flat,
             irgnm_step(x_k, x_true, y_true, 0.3)[0].flat,
         )
+
+
+class TestSolveSystems:
+    def test_mixed_batch_rows_equal_lone_solves(self, rng):
+        # one stack of an SPD system, a symmetric indefinite one (Cholesky
+        # fails, the pivoted symmetric solve does not), a singular one and a
+        # non-finite one: every row and failure is that of the system alone
+        dim, alpha = 18, 0.7
+        A = rng.standard_normal((30, dim))
+        spd = A.T @ A + alpha * np.eye(dim)
+        Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        eigenvalues = np.linspace(1.0, 2.0, dim) * np.where(np.arange(dim) % 3, 1.0, -1.0)
+        indefinite = (Q * eigenvalues) @ Q.T
+        indefinite = (indefinite + indefinite.T) / 2  # symmetric bit for bit
+        singular = spd.copy()
+        singular[-1] = singular[:, -1] = 0.0
+        nonfinite = spd.copy()
+        nonfinite[2, 5] = nonfinite[5, 2] = np.nan
+        gram = np.stack([spd, indefinite, singular, nonfinite])
+        rhs = rng.standard_normal((4, dim))
+        steps, failures = _solve_systems(gram, rhs, alpha)
+
+        potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+        assert potrf(indefinite, lower=False)[1] > 0
+        assert failures[:2] == [None, None]
+        np.testing.assert_allclose(indefinite @ steps[1], rhs[1], atol=1e-12)
+        assert isinstance(failures[2], StepFailure) and failures[2].cond > 1e12
+        assert isinstance(failures[3], StepFailure) and failures[3].cond == math.inf
+        assert not steps[2:].any()
+        for b in range(4):
+            alone, [failure] = _solve_systems(gram[b : b + 1], rhs[b : b + 1], alpha)
+            assert alone[0].tobytes() == steps[b].tobytes()
+            assert str(failure) == str(failures[b])
+        factor, info = potrf(spd, lower=False, clean=False)
+        assert info == 0
+        assert steps[0].tobytes() == potrs(factor, rhs[0], lower=False)[0].tobytes()
 
 
 class TestRunIrgnm:
@@ -364,3 +409,30 @@ class TestResidualNorm:
             assert _residual_norm(r) == pytest.approx(5e200, rel=1e-15)
             # beyond the largest double the norm itself overflows
             assert _residual_norm(np.array([1.5e308, 1.5e308])) == math.inf
+
+
+def _records_digest() -> str:
+    """sha256 over ``(stop_reason, stop_iter, residual_norms, rel_errors,
+    final_x)`` of a noise-free ``known_cart`` run of 300 iterations and of
+    the five runs of the reference cell (delta_y = 1e-3, delta_x = 0.1)."""
+    scenario = default_scenario("known_cart")
+    x_true, y_true = simulate_ground_truth(scenario)
+    x0 = perturb_initial(x_true, 0.05, [5, 0])
+    records = [run_irgnm(x0, y_true, IrgnmSettings(max_iter=300), x_true=x_true)]
+    spec = CampaignSpec(1e-3, 0.1, repetitions=5, seed=300)
+    records += run_campaign(spec, default_scenario()).records
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(f"{record.stop_reason} {record.stop_iter}".encode())
+        for array in (record.residual_norms, record.rel_errors, record.final_x.flat):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def test_results_are_bit_pinned():
+    # the solver's speed-ups must not move a single result bit; the digest
+    # was recorded with NumPy 2.4 on OpenBLAS, and another BLAS or libm may
+    # legitimately change the last bits, which calls for recording it anew
+    assert _records_digest() == (
+        "92a4bd87ea09771c319abf0c410d79efaa52c51e01556023bfa8efa38b29a067"
+    )

@@ -251,11 +251,12 @@ class TestPsiPairHighPrecision:
 
 class TestShapeCaches:
     def test_rate_plan_is_read_only(self):
-        rows, cols = forward._rate_plan(3, 25, 9)
-        assert cols.shape == (75, 3) and cols[26].tolist() == [12, 13, 14]
-        for array in (rows, cols):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
+        # flat indices into a (75 + q, 18) Jacobian; tissue row 26 (region 2)
+        # holds its rates in columns 12, 13 and 14
+        plan = forward._rate_plan(3, 25, 18)
+        assert plan.shape == (225,) and plan[78:81].tolist() == [26 * 18 + c for c in (12, 13, 14)]
+        with pytest.raises(ValueError, match="read-only"):
+            plan[0] = 1
 
     def test_gram_identity_is_read_only(self):
         eye = solver._identity(18)
@@ -264,7 +265,7 @@ class TestShapeCaches:
             eye[0, 0] = 2.0
 
     def test_caches_return_the_same_arrays(self):
-        assert forward._rate_plan(3, 25, 9)[1] is forward._rate_plan(3, 25, 9)[1]
+        assert forward._rate_plan(3, 25, 18) is forward._rate_plan(3, 25, 18)
         assert solver._identity(18) is solver._identity(18)
 
 
