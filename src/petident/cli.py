@@ -37,6 +37,7 @@ from .experiments import (
     perturb_initial,
     run_campaign,
     simulate_ground_truth,
+    write_table,
     write_trace,
 )
 from .forward import MeasurementSet, ParamVector, finite_difference_check, project_to_domain
@@ -108,60 +109,25 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "x_true.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "value"])
-        for name, value in zip(_param_names(x_true.layout), x_true.flat):
-            writer.writerow([name, _fmt(value)])
-
-    with open(out / "y_true.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "region", "t_sec", "value"])
-        T = scenario.t_grid.size
-        for i in range(scenario.n):
-            for l in range(T):
-                writer.writerow(
-                    [
-                        "c_tis",
-                        i + 1,
-                        _fmt(scenario.t_grid[l] * SECONDS_PER_MINUTE),
-                        _fmt(y_true.c_tis_block[i, l]),
-                    ]
-                )
-        for l in range(scenario.s_grid.size):
-            writer.writerow(
-                [
-                    "blood",
-                    "",
-                    _fmt(scenario.s_grid[l] * SECONDS_PER_MINUTE),
-                    _fmt(y_true.f2_block[l]),
-                ]
-            )
+    names = _param_names(x_true.layout)
+    write_table(out / "x_true.csv", ["component", "value"], zip(names, x_true.flat))
+    t_sec, s_sec = scenario.t_grid * SECONDS_PER_MINUTE, scenario.s_grid * SECONDS_PER_MINUTE
+    rows = [
+        ("c_tis", i + 1, t, value)
+        for i, block in enumerate(y_true.c_tis_block)
+        for t, value in zip(t_sec, block)
+    ]
+    rows += [("blood", "", s, value) for s, value in zip(s_sec, y_true.f2_block)]
+    write_table(out / "y_true.csv", ["block", "region", "t_sec", "value"], rows)
 
     dense = np.linspace(0.0, scenario.t_grid[-1], 501)
     art = eval_polyexp(scenario.c_art, dense)
     f = plasma_fraction(scenario.plasma, dense)
-    blood = np.where(f > 0, art / f, 0.0)
-    tissue = [
-        tissue_concentration(scenario.c_art, k, dense) for k in scenario.kinetics
-    ]
-    with open(out / "curves.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t_sec", "t_min", "c_art", "f", "c_bl"]
-            + [f"c_tis_{i + 1}" for i in range(scenario.n)]
-        )
-        for l, t in enumerate(dense):
-            writer.writerow(
-                [
-                    _fmt(t * SECONDS_PER_MINUTE),
-                    _fmt(t),
-                    _fmt(art[l]),
-                    _fmt(f[l]),
-                    _fmt(blood[l]),
-                ]
-                + [_fmt(tis[l]) for tis in tissue]
-            )
+    columns = [dense * SECONDS_PER_MINUTE, dense, art, f, np.where(f > 0, art / f, 0.0)]
+    columns += [tissue_concentration(scenario.c_art, k, dense) for k in scenario.kinetics]
+    header = ["t_sec", "t_min", "c_art", "f", "c_bl"]
+    header += [f"c_tis_{i + 1}" for i in range(scenario.n)]
+    write_table(out / "curves.csv", header, np.column_stack(columns))
 
     print(f"wrote x_true.csv, y_true.csv ({y_true.flat().size} entries), curves.csv to {out}")
     return EXIT_OK
@@ -413,15 +379,29 @@ def run_jaccheck(
     return worst
 
 
+def _corrupt_entry(fields, scenario: Scenario) -> tuple[int, int, float]:
+    """``--corrupt ROW COL AMOUNT``: an entry inside the scenario's Jacobian
+    and any float, NaN included (the NaN self-test)."""
+    try:
+        row, col, amount = int(fields[0]), int(fields[1]), float(fields[2])
+    except ValueError as exc:
+        raise UsageError(f"--corrupt takes integers ROW COL and a float AMOUNT: {exc}") from exc
+    rows = scenario.n * scenario.t_grid.size + scenario.s_grid.size
+    for name, index, size in (("ROW", row, rows), ("COL", col, scenario.true_vector().layout.dim)):
+        if not 0 <= index < size:
+            raise UsageError(f"--corrupt {name} must be in 0..{size - 1}, got {index}")
+    return row, col, amount
+
+
 def cmd_jaccheck(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if not (is_finite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
     scenario = (
         _load_scenario_arg(args.scenario) if args.scenario else default_scenario()
     )
-    corrupt = tuple(args.corrupt) if args.corrupt else None
-    if corrupt is not None:
-        corrupt = (int(corrupt[0]), int(corrupt[1]), float(corrupt[2]))
+    corrupt = _corrupt_entry(args.corrupt, scenario) if args.corrupt else None
     check = run_jaccheck(scenario, args.trials, args.tolerance, args.seed, corrupt)
     print(
         f"max relative deviation {check.max_rel_dev:.3e} over {args.trials} trials "

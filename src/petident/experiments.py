@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,8 +170,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     ``"biexp"``, and ``ValueError`` for a key the file form does not have, a
     unit other than ``"min"`` or ``"s"``, a mode outside
     :data:`.forward.MODES`, or unless every value is finite, ``lambda`` and
-    ``mu`` have matching lengths, and both time grids are nonnegative and
-    strictly increasing.
+    ``mu`` have matching lengths, both time grids are nonnegative and
+    strictly increasing, and the plasma fraction is positive at every blood
+    sample time.
     """
     _reject_unknown_keys(
         "scenario", data, ("mode", "p", "n", "lambda", "mu", "plasma", "regions", "grid")
@@ -212,6 +213,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         else t_grid.copy()
     )
     _check_scenario_values(lam, mu, plasma.m, regions, t_grid, s_grid)
+    # full-mode blood data are C_art / f, so f must be positive where sampled
+    f = plasma_fraction(plasma, s_grid)
+    if not np.all(f > 0):
+        first = int(np.argmin(f > 0))
+        raise ValueError(
+            f"plasma parameters (A, xi1, xi2) = {spec['A']}, {spec['xi1']}, {spec['xi2']} "
+            f"give plasma fraction {f[first]} at blood time {s_grid[first] * scale} {units}"
+        )
     return Scenario(
         c_art=PolyExp(list(zip(lam, mu))),
         plasma=plasma,
@@ -394,15 +403,26 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def write_table(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV; every float cell, Python or
+    NumPy, is written as :func:`_fmt` text and every other cell as ``csv``
+    writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [_fmt(cell) if isinstance(cell, (float, np.floating)) else cell for cell in row]
+            for row in rows
+        )
+
+
 def write_trace(path, record: RunRecord) -> None:
     """Write a run's per-iteration ``iter,residual_norm,rel_error`` table as
     CSV; ``rel_error`` is empty for a run without the truth."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "residual_norm", "rel_error"])
-        for k, res in enumerate(record.residual_norms):
-            rel = _fmt(record.rel_errors[k]) if record.rel_errors is not None else ""
-            writer.writerow([k, _fmt(res), rel])
+    residuals = record.residual_norms
+    rel = record.rel_errors if record.rel_errors is not None else [""] * len(residuals)
+    rows = zip(range(len(residuals)), residuals, rel)
+    write_table(path, ["iter", "residual_norm", "rel_error"], rows)
 
 
 def summary_to_dict(summary: CampaignSummary) -> dict:
@@ -415,14 +435,7 @@ def summary_to_dict(summary: CampaignSummary) -> dict:
             "repetitions": spec.repetitions,
             "mode": spec.mode,
             "seed": spec.seed,
-            "settings": {
-                "a": settings.a,
-                "b": settings.b,
-                "tau": settings.tau,
-                "epsilon": settings.epsilon,
-                "max_iter": settings.max_iter,
-                "delta_estimate": settings.delta_estimate,
-            },
+            "settings": asdict(settings),
         },
         "diverged_count": summary.diverged_count,
         "median_run": summary.median_run,
@@ -458,23 +471,12 @@ def emit_results(summaries: list[CampaignSummary], out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
 
     table = out / "table1.csv"
-    with open(table, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["delta_y", "delta_x", "mode", "repetitions", "diverged", "median_run"]
-        )
-        for summary in summaries:
-            spec = summary.spec
-            writer.writerow(
-                [
-                    _fmt(spec.delta_y),
-                    _fmt(spec.delta_x),
-                    spec.mode,
-                    spec.repetitions,
-                    summary.diverged_count,
-                    summary.median_run if summary.median_run is not None else "",
-                ]
-            )
+    header = ["delta_y", "delta_x", "mode", "repetitions", "diverged", "median_run"]
+    write_table(table, header, [
+        [float(s.spec.delta_y), float(s.spec.delta_x), s.spec.mode, s.spec.repetitions,
+         s.diverged_count, "" if s.median_run is None else s.median_run]
+        for s in summaries
+    ])
     written = [table]
 
     for summary in summaries:

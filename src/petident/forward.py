@@ -342,12 +342,13 @@ def finite_difference_check(
 ) -> JacobianCheck:
     """Compare the analytic Jacobian against central finite differences.
 
-    Entries with magnitude above ``magnitude_floor`` must agree to ``rtol``
-    relative, up to the per-entry roundoff floor of the central quotient
-    (``~32 eps (|F(x+h)| + |F(x-h)|) / 2h``); in double precision the
-    quotient carries that much noise regardless of the Jacobian's quality,
-    so smaller deviations on tiny entries are not evidence of error.  A NaN
-    in a resolvable entry makes ``max_rel_dev`` NaN and fails the check.
+    Entries whose quotient or analytic value exceeds ``magnitude_floor`` in
+    magnitude must agree to ``rtol`` relative, up to the per-entry roundoff
+    floor of the central quotient (``~32 eps (|F(x+h)| + |F(x-h)|) / 2h``);
+    in double precision the quotient carries that much noise regardless of
+    the Jacobian's quality, so smaller deviations on tiny entries are not
+    evidence of error.  A NaN in a resolvable entry makes ``max_rel_dev``
+    NaN and fails the check.
 
     ``corrupt_entry = (row, col, amount)`` perturbs the analytic Jacobian
     before comparison; used to verify that the check has teeth.
@@ -367,7 +368,8 @@ def finite_difference_check(
     quotient = (values[:dim] - values[dim:]).T / (2.0 * h)
     noise = (32.0 * np.finfo(float).eps * _forward_scale(x, template))[:, None] / (2.0 * h)
     deviation = np.abs(J - quotient)
-    consider = np.abs(quotient) > magnitude_floor
+    # an entry the quotient misses but the analytic Jacobian shows counts too
+    consider = (np.abs(quotient) > magnitude_floor) | (np.abs(J) > magnitude_floor)
     resolvable = consider & (rtol * np.abs(quotient) > noise)
     noise_limited = consider & ~resolvable
     rel = np.where(resolvable, deviation / np.where(resolvable, np.abs(quotient), 1.0), 0.0)

@@ -285,8 +285,11 @@ def run_irgnm(
     and returns their ``B`` records; a single vector is a batch of one and
     returns its record.  Each trip of the loop takes one step of every run
     still going and evaluates their Jacobians and forward values in one
-    call; the next step reuses that linearization.  A run of ``k > 0``
-    iterations so costs one forward evaluation and ``k + 1`` Jacobians.
+    call; the next step reuses that linearization, and after the trip that
+    reaches ``max_iter`` only the forward values are evaluated.  A run of
+    ``k > 0`` iterations so costs ``k + 1`` Jacobians and one forward
+    evaluation, or ``k`` Jacobians and two forward evaluations when ``k``
+    is ``max_iter``.
     """
     single = x0.flat.ndim == 1
     if single:
@@ -372,7 +375,11 @@ def run_irgnm(
             data = data[going]
         x = stepped
         k += 1
-        J, value = jacobian(x, y_delta)
+        if k < settings.max_iter:
+            J, value = jacobian(x, y_delta)
+        else:
+            # every run still going stops at the next check: only F(x_k) is read
+            value = forward_vector(x, y_delta)
 
     records = [
         _run_record(

@@ -184,6 +184,11 @@ def _spoil_plasma_model(data):
     data["plasma"]["model"] = "gamma"
 
 
+def _spoil_plasma_sign(data):
+    # f(t) = 2 e^(-t) - 1 turns negative after ln 2 minutes
+    data["plasma"].update(A=2.0, xi1=-1.0, xi2=0.0)
+
+
 def _spoil_mode(data):
     data["mode"] = "bogus"
 
@@ -208,16 +213,16 @@ def _spoil_top_level_units(data):
 
 class TestScenarioValidation:
     """A scenario file with a non-finite value, a bad time grid, a plasma
-    block other than the biexponential's, an unknown mode or a key the file
-    form does not have is an input error for every subcommand that reads
-    it."""
+    block other than the biexponential's, a plasma fraction that is not
+    positive at a blood sample time, an unknown mode or a key the file form
+    does not have is an input error for every subcommand that reads it."""
 
     @pytest.mark.parametrize(
         "spoil",
         [
             _spoil_rate, _spoil_lambda, _spoil_grid_order, _spoil_grid_sign,
             _spoil_plasma_short, _spoil_plasma_long, _spoil_plasma_model,
-            _spoil_mode, _spoil_extra_key, _spoil_extra_plasma_key,
+            _spoil_plasma_sign, _spoil_mode, _spoil_extra_key, _spoil_extra_plasma_key,
             _spoil_extra_region_key, _spoil_top_level_units,
         ],
     )
@@ -358,6 +363,33 @@ class TestJaccheck:
 
     def test_zero_trials_is_usage_error(self):
         assert run_cli("jaccheck", "--trials", "0") == 1
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--corrupt", "999", "0", "0.01"], "ROW must be in 0..99"),
+            (["--corrupt", "100", "0", "0.01"], "ROW must be in 0..99"),
+            (["--corrupt", "-1", "0", "0.5"], "ROW must be in 0..99"),
+            (["--corrupt", "0", "18", "0.5"], "COL must be in 0..17"),
+            (["--corrupt", "0", "-1", "0.5"], "COL must be in 0..17"),
+            (["--corrupt", "a", "0", "1"], "'a'"),
+            (["--corrupt", "0", "1.5", "1"], "'1.5'"),
+            (["--corrupt", "0", "0", "x"], "'x'"),
+            (["--tolerance", "nan"], "--tolerance"),
+            (["--tolerance", "inf"], "--tolerance"),
+            (["--tolerance", "-1"], "--tolerance"),
+            (["--tolerance", "0"], "--tolerance"),
+        ],
+    )
+    def test_bad_argument_is_usage_error(self, capsys, argv, named):
+        assert run_cli("jaccheck", "--trials", "1", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert named in err
+
+    def test_nan_amount_is_the_nan_self_test(self, capsys):
+        assert run_cli("jaccheck", "--trials", "1", "--corrupt", "74", "0", "nan") == 3
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestReproduce:

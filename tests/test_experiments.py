@@ -99,6 +99,15 @@ class TestScenario:
         with pytest.raises(ValueError, match="unknown time unit"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("units, scale", [("min", 1.0), ("s", 60.0)])
+    def test_nonpositive_plasma_fraction_rejected(self, scenario, units, scale):
+        # f(t) = 2 e^(-t) - 1 (t in minutes) is negative from the 0.8 min sample on
+        data = scenario_to_dict(scenario, units)
+        data["plasma"].update(A=2.0, xi1=-1.0 / scale, xi2=0.0)
+        named = rf"plasma parameters .* at blood time {0.8 * scale} {units}"
+        with pytest.raises(ValueError, match=named):
+            scenario_from_dict(data)
+
     def test_dimension_declarations_validated(self, scenario):
         data = scenario_to_dict(scenario)
         data["p"] = 7

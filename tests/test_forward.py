@@ -62,7 +62,7 @@ def column_loop_check(
         quotient = (fp - fm) / (2.0 * h)
         noise = 32.0 * eps_machine * scale / (2.0 * h)
         deviation = np.abs(J[:, i] - quotient)
-        consider = np.abs(quotient) > magnitude_floor
+        consider = (np.abs(quotient) > magnitude_floor) | (np.abs(J[:, i]) > magnitude_floor)
         resolvable = consider & (rtol * np.abs(quotient) > noise)
         n_checked += int(np.count_nonzero(resolvable))
         n_noise += int(np.count_nonzero(consider & ~resolvable))
@@ -203,6 +203,14 @@ class TestJacobian:
     def test_corrupted_jacobian_detected(self, ground_truth, template):
         x_true, _ = ground_truth
         check = finite_difference_check(x_true, template, corrupt_entry=(74, 0, 1e-2))
+        assert not check.passed
+
+    def test_wrong_entry_of_tiny_true_value_detected(self, ground_truth, template):
+        # the true J[99, 0] is about -3e-14, far below the magnitude floor
+        x_true, _ = ground_truth
+        J, _ = jacobian(x_true, template)
+        assert abs(J[99, 0]) < 1e-12
+        check = finite_difference_check(x_true, template, corrupt_entry=(99, 0, 0.5))
         assert not check.passed
 
     def test_nan_entry_fails_the_check(self, ground_truth, template):
