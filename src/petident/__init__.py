@@ -28,6 +28,7 @@ from .forward import (
     finite_difference_check,
     forward_vector,
     jacobian,
+    numerical_rank,
     pack,
     project_to_domain,
     tikhonov_objective,

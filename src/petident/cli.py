@@ -40,7 +40,14 @@ from .experiments import (
     write_table,
     write_trace,
 )
-from .forward import MeasurementSet, ParamVector, finite_difference_check, project_to_domain
+from .forward import (
+    MeasurementSet,
+    ParamVector,
+    finite_difference_check,
+    jacobian,
+    numerical_rank,
+    project_to_domain,
+)
 from .kinetics import DomainError, tissue_concentration
 from .plasma import plasma_fraction
 from .polyexp import eval_polyexp, has_distinct_rate_regions, region_diversity_report
@@ -243,6 +250,14 @@ def cmd_check(args) -> int:
         print(f"time samples: T={T} >= {needed} OK")
     else:
         print(f"time samples: warning T={T} < {needed}")
+    # the local picture: the rank of the Jacobian at the truth
+    x_true = scenario.true_vector()
+    J, _ = jacobian(x_true, scenario.template())
+    dim = x_true.layout.dim
+    print(f"jacobian at the truth ({scenario.mode} mode, {dim} parameters):")
+    for rows, block in (("tissue rows", J[: scenario.n * T]), ("all rows", J)):
+        rank, ratio = numerical_rank(block)
+        print(f"  {rows}: rank {rank}, nullity {dim - rank}, sigma_min/sigma_max {ratio:.3e}")
     return EXIT_OK
 
 

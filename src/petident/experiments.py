@@ -28,7 +28,7 @@ import numpy as np
 from .forward import MODES, MeasurementSet, ParamVector, apply_forward, pack, project_to_domain
 from .kinetics import KineticParams
 from .plasma import N_PARAMS, PlasmaParams, plasma_fraction
-from .polyexp import PolyExp, eval_polyexp
+from .polyexp import EQ_TOL, PolyExp, eval_polyexp
 from .solver import IrgnmSettings, RunRecord, check_integer, is_finite, run_irgnm
 
 SECONDS_PER_MINUTE = 60.0
@@ -170,7 +170,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     ``"biexp"``, and ``ValueError`` for a key the file form does not have, a
     unit other than ``"min"`` or ``"s"``, a mode outside
     :data:`.forward.MODES`, or unless every value is finite, ``lambda`` and
-    ``mu`` have matching lengths, both time grids are nonnegative and
+    ``mu`` have matching lengths, no zero weight and no two exponents within
+    :data:`.polyexp.EQ_TOL`, both time grids are nonnegative and
     strictly increasing, and the plasma fraction is positive at every blood
     sample time.
     """
@@ -248,6 +249,12 @@ def _check_scenario_values(lam, mu, m, regions, t_grid, s_grid):
     ):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite, got {np.asarray(values).tolist()}")
+    # PolyExp merges such exponents and drops such weights: the arterial
+    # model would have fewer terms than the file lists
+    if np.any(lam == 0):
+        raise ValueError(f"lambda must have no zero weight, got {lam.tolist()}")
+    if np.any(np.diff(np.sort(mu)) <= EQ_TOL):
+        raise ValueError(f"mu entries must differ by more than {EQ_TOL:g}, got {mu.tolist()}")
     for name, grid in (("grid times", t_grid), ("blood times", s_grid)):
         if np.any(grid < 0):
             raise ValueError(f"{name} must be nonnegative")

@@ -322,7 +322,8 @@ class JacobianCheck:
     difference quotient can resolve; ``n_noise_limited`` counts entries whose
     magnitude sits below the roundoff floor of the quotient (those cannot be
     certified by finite differences at the given step and are compared
-    against the floor instead).
+    against the floor instead).  ``worst_entry`` is the entry of
+    ``max_rel_dev``, or a failing entry when that one did not fail.
     """
 
     max_rel_dev: float
@@ -348,7 +349,7 @@ def finite_difference_check(
     in double precision the quotient carries that much noise regardless of
     the Jacobian's quality, so smaller deviations on tiny entries are not
     evidence of error.  A NaN in a resolvable entry makes ``max_rel_dev``
-    NaN and fails the check.
+    NaN, and any analytic entry that is not finite fails the check.
 
     ``corrupt_entry = (row, col, amount)`` perturbs the analytic Jacobian
     before comparison; used to verify that the check has teeth.
@@ -373,19 +374,35 @@ def finite_difference_check(
     resolvable = consider & (rtol * np.abs(quotient) > noise)
     noise_limited = consider & ~resolvable
     rel = np.where(resolvable, deviation / np.where(resolvable, np.abs(quotient), 1.0), 0.0)
-    # the first largest deviation, columns taken in order
+    # the negated comparisons fail a NaN deviation too
+    failing = (
+        ~np.isfinite(J)
+        | ~(rel <= rtol)
+        | noise_limited & ~(deviation <= noise + rtol * np.abs(quotient))
+    )
+    # the first largest deviation, columns taken in order; when that entry
+    # passed but another failed, the first failing entry
     col, row = divmod(int(np.argmax(rel.T)), rel.shape[0])
     max_rel = float(rel[row, col])
+    passed = not failing.any()
+    if not (passed or failing[row, col]):
+        col, row = divmod(int(np.argmax(failing.T)), rel.shape[0])
     return JacobianCheck(
         max_rel_dev=max_rel,
         worst_entry=(row, col),
         n_checked=int(np.count_nonzero(resolvable)),
         n_noise_limited=int(np.count_nonzero(noise_limited)),
-        passed=bool(
-            max_rel <= rtol
-            and not np.any(noise_limited & (deviation > noise + rtol * np.abs(quotient)))
-        ),
+        passed=passed,
     )
+
+
+def numerical_rank(J: np.ndarray) -> tuple[int, float]:
+    """The numerical rank of ``J``, its number of singular values above
+    ``max(rows, cols) * eps * sigma_max`` (``np.linalg.matrix_rank``'s
+    threshold), and ``sigma_min / sigma_max`` over those."""
+    sigma = np.linalg.svd(J, compute_uv=False)
+    rank = int(np.count_nonzero(sigma > max(J.shape) * np.finfo(float).eps * sigma[0]))
+    return rank, float(sigma[rank - 1] / sigma[0])
 
 
 def tikhonov_objective(

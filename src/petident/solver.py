@@ -224,42 +224,29 @@ def _regularized_steps(x_k, x0, alpha_k, J, misfit):
 def irgnm_step(
     x_k: ParamVector,
     x0: ParamVector,
-    y_delta: MeasurementSet,
+    J: np.ndarray,
+    misfit: np.ndarray,
     alpha_k: float,
     epsilon: float = DEFAULT_EPSILON,
-    linearization: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """One regularized Gauss-Newton step followed by the box projection.
-
-    ``linearization`` is ``(J, F(x_k) - y_delta.flat())``, the Jacobian and
-    the misfit at ``x_k``; without it the step computes both.
+    """One regularized Gauss-Newton step at the linearization of ``x_k``,
+    the Jacobian ``J`` and the misfit ``F(x_k) - y``, followed by the box
+    projection.
 
     ``x_k`` is a single vector or a batch (``x_k.flat`` and ``x0.flat`` of
-    shape ``(B, dim)``, data blocks of ``y_delta`` with the same leading
-    axis; a single vector is a batch of one).  Each run's normal equations
-    are solved on their own.  Returns ``(stepped, failures)``:
-    ``failures[b]`` is the :class:`StepFailure` of run ``b`` or ``None``
-    (one entry for a single vector), and the row of a failed run in
-    ``stepped`` is not a step.
+    shape ``(B, dim)``, ``J`` and ``misfit`` with the same leading axis; a
+    single vector is a batch of one).  Each run's normal equations are
+    solved on their own.  Returns ``(stepped, failures)``: ``failures[b]``
+    is the :class:`StepFailure` of run ``b`` or ``None`` (one entry for a
+    single vector), and the row of a failed run in ``stepped`` is not a
+    step.
     """
     if alpha_k <= 0:
         raise ValueError("alpha_k must be positive")
-    if linearization is None:
-        J, value = jacobian(x_k, y_delta)
-        linearization = J, value - y_delta.flat()
-    steps, failures = _regularized_steps(x_k, x0, alpha_k, *linearization)
+    steps, failures = _regularized_steps(x_k, x0, alpha_k, J, misfit)
     # a fresh sum: project_to_domain's copy is its only one
     stepped = project_to_domain(ParamVector._adopt(x_k.flat + steps, x_k.layout), epsilon)
     return stepped, failures
-
-
-def _take_rows(keep, x: ParamVector, anchor: ParamVector, y_delta: MeasurementSet):
-    """Rows ``keep`` of a batch of iterates, their anchors and their data."""
-    return (  # indexing with a list copies the rows already
-        ParamVector._adopt(x.flat[keep], x.layout),
-        ParamVector._adopt(anchor.flat[keep], anchor.layout),
-        y_delta.with_blocks(y_delta.c_tis_block[keep], y_delta.f2_block[keep]),
-    )
 
 
 # a non-finite residual stops its run as a failure, so the overflow and
@@ -292,11 +279,11 @@ def run_irgnm(
     is ``max_iter``.
     """
     single = x0.flat.ndim == 1
+    data = y_delta.flat()  # rows follow x; sliced whenever runs leave
     if single:
-        y_delta.flat()  # a template without data fails here
         x0 = ParamVector(x0.flat[None], x0.layout)
-        y_delta = y_delta.with_blocks(y_delta.c_tis_block[None], y_delta.f2_block[None])
-    if x0.flat.ndim != 2 or y_delta.flat().shape[:-1] != x0.flat.shape[:1]:
+        data = data[None]
+    if x0.flat.ndim != 2 or data.shape[:-1] != x0.flat.shape[:1]:
         raise ValueError(
             "a batch takes x0.flat of shape (B, dim) and data blocks with the same "
             "leading axis B"
@@ -318,7 +305,6 @@ def run_irgnm(
     stops: list[tuple] = [()] * B
 
     active = np.arange(B)  # the runs still going, in the row order of x
-    data = y_delta.flat()  # rows follow x; sliced whenever runs leave
     value = forward_vector(x, y_delta)
     J = None
     k = 0
@@ -335,6 +321,8 @@ def run_irgnm(
             errors = x.flat - truth
             squares = np.vecdot(errors, errors).tolist()
         for i, (b, norm) in enumerate(zip(active.tolist(), norms)):
+            if stops[b]:  # its step failed on the last trip
+                continue
             residuals[b].append(norm)
             if error_squares is not None:
                 error_squares[b].append(squares[i])
@@ -351,28 +339,20 @@ def run_irgnm(
         if len(going) < active.size:
             # finished runs leave the batch and cost nothing from here on
             active = active[going]
-            x, anchor, y_delta = _take_rows(going, x, anchor, y_delta)
+            x = ParamVector._adopt(x.flat[going], layout)  # a list index copies
+            anchor = ParamVector._adopt(anchor.flat[going], layout)
             data, misfit = data[going], misfit[going]
             J = J[going] if J is not None else None
+        if J is None:
+            J, _ = jacobian(x, y_delta)
 
-        stepped, failures = irgnm_step(
-            x, anchor, y_delta, settings.alpha(k), settings.epsilon,
-            linearization=(J, misfit) if J is not None else None,
-        )
-        going = []
+        stepped, failures = irgnm_step(x, anchor, J, misfit, settings.alpha(k), settings.epsilon)
         for i, exc in enumerate(failures):
-            if exc is None:
-                going.append(i)
-            else:
+            if exc is not None:
                 # numerical breakdown (e.g. an iterate wandered into
-                # overflow); close the record on the last iterate
+                # overflow); close the record on the last iterate, and the
+                # next check passes the run by
                 stops[active[i]] = ("failure", k, x.flat[i], str(exc))
-        if not going:
-            break
-        if len(going) < active.size:
-            active = active[going]
-            stepped, anchor, y_delta = _take_rows(going, stepped, anchor, y_delta)
-            data = data[going]
         x = stepped
         k += 1
         if k < settings.max_iter:

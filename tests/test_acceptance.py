@@ -21,6 +21,8 @@ from petident import (
     finite_difference_check,
     forward_vector,
     integrate_compartments_rk4_grid,
+    jacobian,
+    numerical_rank,
     pack,
     perturb_initial,
     plasma_fraction,
@@ -371,3 +373,41 @@ def test_a11_consistency(scenario):
     assert np.all(np.diff(irgnm) < 0)
     assert np.all(np.diff(tikhonov) < 0)
     assert stops == {"discrepancy"}
+
+
+def test_a12_local_identifiability_at_the_truth(capsys, tmp_path):
+    # the paper's first claim, locally: the tissue rows of J at the truth
+    # leave 4 directions free, the plasma columns and the common factor
+    # (lambda scaled up, every K1 down), and the blood rows of total
+    # activity close that gap; in known_cart the plasma columns are frozen
+    details, nullities, outside = [], {}, {}
+    for mode in ("full", "known_cart"):
+        scenario = default_scenario(mode)
+        x_true = scenario.true_vector()
+        J, _ = jacobian(x_true, scenario.template())
+        tissue = J[: scenario.n * scenario.t_grid.size]
+        dim = x_true.layout.dim
+        tissue_rank, _ = numerical_rank(tissue)
+        rank, ratio = numerical_rank(J)
+        nullities[mode] = (dim - tissue_rank, dim - rank)
+        common = np.zeros(dim)
+        common[: scenario.p] = x_true.lam
+        common[x_true.layout.kinetic_slice()][::3] = -x_true.kinetic_block[:, 0]
+        null_basis = np.linalg.svd(tissue)[2][tissue_rank:]
+        projected = null_basis.T @ (null_basis @ common)
+        outside[mode] = np.linalg.norm(common - projected) / np.linalg.norm(common)
+        details.append(
+            f"{mode}: tissue rank {tissue_rank}, all rows rank {rank} of {dim} "
+            f"(sigma ratio {ratio:.2e}), common factor {outside[mode]:.1e} off the null space"
+        )
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(scenario_to_dict(scenario)))
+        assert cli_main(["check", "--scenario", str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert f"tissue rows: rank {tissue_rank}, nullity {dim - tissue_rank}," in printed
+        assert f"all rows: rank {rank}, nullity {dim - rank}," in printed
+    expected = {"full": (4, 0), "known_cart": (4, 3)}
+    ok = nullities == expected and max(outside.values()) <= 1e-10
+    report("A12", ok, "; ".join(details))
+    assert nullities == expected
+    assert max(outside.values()) <= 1e-10

@@ -211,6 +211,16 @@ def _spoil_top_level_units(data):
     data["units"] = "s"
 
 
+def _spoil_merged_mu(data):
+    # PolyExp would merge the two equal exponents into one term
+    data["mu"] = [-0.5, -0.2, -0.2]
+
+
+def _spoil_zero_lambda(data):
+    # PolyExp would drop the zero-weight term
+    data["lambda"] = [-5.0, 0.0, 1.0]
+
+
 class TestScenarioValidation:
     """A scenario file with a non-finite value, a bad time grid, a plasma
     block other than the biexponential's, a plasma fraction that is not
@@ -245,6 +255,37 @@ class TestScenarioValidation:
         code = run_cli(*command, "--scenario", path, "--out", tmp_path / "out")
         assert code == 2
         assert "cannot parse scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spoil, named", [(_spoil_merged_mu, "mu entries"), (_spoil_zero_lambda, "lambda")]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check"],
+            ["simulate"],
+            ["identify", "--synthesize", "--max-iter", "1"],
+            ["reproduce", "--campaign", "{campaign}"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_fewer_arterial_terms_than_listed_exits_2(
+        self, tmp_path, capsys, spoil, named, command
+    ):
+        # a file with "p": 3 whose arterial sum has fewer than 3 terms
+        data = scenario_to_dict(default_scenario())
+        spoil(data)
+        assert data["p"] == 3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1}))
+        argv = [a.format(campaign=campaign) for a in command]
+        code = run_cli(*argv, "--scenario", path, "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot parse scenario" in err and named in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestNegativeSeed:
@@ -386,6 +427,16 @@ class TestJaccheck:
         err = capsys.readouterr().err
         assert err.startswith("usage error:")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "corrupt, entry",
+        [(["0", "0", "nan"], (0, 0)), (["99", "0", "nan"], (99, 0)), (["99", "0", "0.5"], (99, 0))],
+    )
+    def test_failure_below_the_noise_floor_names_its_entry(self, capsys, corrupt, entry):
+        # (0, 0) and (99, 0) sit below the quotient's noise floor: a NaN or
+        # an error there fails, and the report names that entry
+        assert run_cli("jaccheck", "--trials", "1", "--corrupt", *corrupt) == 3
+        assert f"FAIL (worst entry {entry})" in capsys.readouterr().out
 
     def test_nan_amount_is_the_nan_self_test(self, capsys):
         assert run_cli("jaccheck", "--trials", "1", "--corrupt", "74", "0", "nan") == 3

@@ -51,7 +51,8 @@ def column_loop_check(
         J[row, col] += amount
     scale = _forward_scale(x, template)
     eps_machine = np.finfo(float).eps
-    max_rel, worst, n_checked, n_noise, passed = 0.0, (0, 0), 0, 0, True
+    max_rel, worst, n_checked, n_noise = 0.0, (0, 0), 0, 0
+    failing = ~np.isfinite(J)
     for i in range(x.layout.dim):
         h = step_scale * (1.0 + abs(x.flat[i]))
         xp, xm = x.flat.copy(), x.flat.copy()
@@ -66,16 +67,20 @@ def column_loop_check(
         resolvable = consider & (rtol * np.abs(quotient) > noise)
         n_checked += int(np.count_nonzero(resolvable))
         n_noise += int(np.count_nonzero(consider & ~resolvable))
-        if np.any(consider & ~resolvable & (deviation > noise + rtol * np.abs(quotient))):
-            passed = False
+        failing[:, i] |= consider & ~resolvable & (deviation > noise + rtol * np.abs(quotient))
         if np.any(resolvable):
             denom = np.where(resolvable, np.abs(quotient), 1.0)
             rel = np.where(resolvable, deviation / denom, 0.0)
+            failing[:, i] |= rel > rtol
             row = int(np.argmax(rel))
             if rel[row] > max_rel:
                 max_rel = float(rel[row])
                 worst = (row, i)
-    return JacobianCheck(max_rel, worst, n_checked, n_noise, passed and max_rel <= rtol)
+    if failing.any() and not failing[worst]:
+        # the failing entry first in column order
+        col, row = divmod(int(np.argmax(failing.T)), failing.shape[0])
+        worst = (row, col)
+    return JacobianCheck(max_rel, worst, n_checked, n_noise, not failing.any())
 
 
 class TestCodec:

@@ -51,10 +51,18 @@ class TestSettings:
             IrgnmSettings(**kwargs)
 
 
+def _linearized(x_k, y_delta):
+    """``(J, F(x_k) - y)``, the linearization ``irgnm_step`` takes."""
+    J, value = jacobian(x_k, y_delta)
+    return J, value - y_delta.flat()
+
+
 class TestStep:
     def test_fixed_point_at_consistent_anchor(self, ground_truth):
         x_true, y_true = ground_truth
-        stepped, failures = irgnm_step(x_true, x_true, y_true, alpha_k=5.0)
+        stepped, failures = irgnm_step(
+            x_true, x_true, *_linearized(x_true, y_true), alpha_k=5.0
+        )
         assert failures == [None]
         np.testing.assert_allclose(stepped.flat, x_true.flat, atol=1e-12)
 
@@ -62,7 +70,7 @@ class TestStep:
         x_true, y_true = ground_truth
         x0 = perturb_initial(x_true, 0.05, [7, 0])
         x_k = perturb_initial(x_true, 0.1, [8, 0])
-        stepped, _ = irgnm_step(x_k, x0, y_true, alpha_k=1e12)
+        stepped, _ = irgnm_step(x_k, x0, *_linearized(x_k, y_true), alpha_k=1e12)
         expected = x0.flat  # step ~ x0 - x_k
         np.testing.assert_allclose(stepped.flat, expected, rtol=1e-3)
 
@@ -78,7 +86,7 @@ class TestStep:
         stacked = np.vstack([J, math.sqrt(alpha) * np.eye(18)])
         rhs = np.concatenate([r, math.sqrt(alpha) * (x0.flat - x_k.flat)])
         expected_step, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        stepped, _ = irgnm_step(x_k, x0, y_true, alpha)
+        stepped, _ = irgnm_step(x_k, x0, *_linearized(x_k, y_true), alpha)
         projected = project_to_domain(
             ParamVector(x_k.flat + expected_step, x_k.layout)
         )
@@ -87,7 +95,7 @@ class TestStep:
     def test_rejects_nonpositive_alpha(self, ground_truth):
         x_true, y_true = ground_truth
         with pytest.raises(ValueError):
-            irgnm_step(x_true, x_true, y_true, 0.0)
+            irgnm_step(x_true, x_true, *_linearized(x_true, y_true), 0.0)
 
     def test_batch_steps_each_run_alone(self, ground_truth):
         # rows of a batch step as lone runs do; a run whose normal equations
@@ -98,30 +106,28 @@ class TestStep:
         blocks = [y_true.c_tis_block.copy() for _ in range(3)]
         blocks[1][0, 3] = np.nan
         data = [y_true.with_blocks(b, y_true.f2_block) for b in blocks]
+        batch = ParamVector(np.stack([x.flat for x in starts]), x_true.layout)
         stepped, failures = irgnm_step(
-            ParamVector(np.stack([x.flat for x in starts]), x_true.layout),
+            batch,
             ParamVector(np.stack([x.flat for x in anchors]), x_true.layout),
-            y_true.with_blocks(np.stack(blocks), np.stack([y_true.f2_block] * 3)),
+            *_linearized(
+                batch,
+                y_true.with_blocks(np.stack(blocks), np.stack([y_true.f2_block] * 3)),
+            ),
             alpha_k=0.5,
         )
         assert failures[0] is None and failures[2] is None
         assert isinstance(failures[1], StepFailure)
         for b in (0, 2):
-            alone, alone_failures = irgnm_step(starts[b], anchors[b], data[b], 0.5)
+            alone, alone_failures = irgnm_step(
+                starts[b], anchors[b], *_linearized(starts[b], data[b]), 0.5
+            )
             assert np.array_equal(stepped.flat[b], alone.flat)
             assert alone_failures == [None]
-        _, [failure] = irgnm_step(starts[1], anchors[1], data[1], 0.5)
-        assert isinstance(failure, StepFailure)
-
-    def test_given_linearization_is_used(self, ground_truth):
-        x_true, y_true = ground_truth
-        x_k = perturb_initial(x_true, 0.1, [4, 0])
-        J, value = jacobian(x_k, y_true)
-        linearization = (J, value - y_true.flat())
-        assert np.array_equal(
-            irgnm_step(x_k, x_true, y_true, 0.3, linearization=linearization)[0].flat,
-            irgnm_step(x_k, x_true, y_true, 0.3)[0].flat,
+        _, [failure] = irgnm_step(
+            starts[1], anchors[1], *_linearized(starts[1], data[1]), 0.5
         )
+        assert isinstance(failure, StepFailure)
 
 
 class TestSolveSystems:
@@ -255,6 +261,32 @@ class TestRunIrgnm:
                 last = _residual_norm(forward_vector(record.final_x, y_true) - data)
             assert first == record.residual_norms[0]
             assert np.array_equal([last], record.residual_norms[-1:], equal_nan=True)
+
+    def test_failed_step_inside_a_batch(self, ground_truth):
+        # a datum of 1.7e308 leaves the residual finite but overflows
+        # J^T misfit: that row's step fails at once, the others go on, and
+        # every record is the lone run's
+        x_true, y_true = ground_truth
+        x0 = perturb_initial(x_true, 0.05, [1, 0])
+        blocks = np.stack([y_true.c_tis_block] * 3)
+        blocks[1, 1, 7] = 1.7e308
+        settings = IrgnmSettings(max_iter=5)
+        records = run_irgnm(
+            ParamVector(np.stack([x0.flat] * 3), x0.layout),
+            y_true.with_blocks(blocks, np.stack([y_true.f2_block] * 3)),
+            settings, x_true=x_true,
+        )
+        stops = [(r.stop_reason, r.stop_iter) for r in records]
+        assert stops == [("max_iter", 5), ("failure", 0), ("max_iter", 5)]
+        assert "normal-equation solve failed" in records[1].failure
+        for b, record in enumerate(records):
+            alone = run_irgnm(
+                x0, y_true.with_blocks(blocks[b], y_true.f2_block), settings,
+                x_true=x_true,
+            )
+            assert alone.residual_norms.tobytes() == record.residual_norms.tobytes()
+            assert alone.final_x.flat.tobytes() == record.final_x.flat.tobytes()
+            assert alone.failure == record.failure
 
     def test_nonfinite_residual_is_not_a_max_iter_stop(self, ground_truth):
         x_true, y_true = ground_truth
