@@ -25,7 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import MODES, MeasurementSet, ParamVector, apply_forward, pack, project_to_domain
+from .forward import (
+    DEFAULT_EPSILON, MODES, MeasurementSet, ParamVector, apply_forward, pack, project_to_domain,
+)
 from .kinetics import KineticParams
 from .plasma import N_PARAMS, PlasmaParams, plasma_fraction
 from .polyexp import EQ_TOL, PolyExp, eval_polyexp
@@ -171,9 +173,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     unit other than ``"min"`` or ``"s"``, a mode outside
     :data:`.forward.MODES`, or unless every value is finite, ``lambda`` and
     ``mu`` have matching lengths, no zero weight and no two exponents within
-    :data:`.polyexp.EQ_TOL`, both time grids are nonnegative and
-    strictly increasing, and the plasma fraction is positive at every blood
-    sample time.
+    :data:`.polyexp.EQ_TOL`, every region has a positive ``k2 + k3``, both
+    time grids are nonnegative and strictly increasing, and the plasma
+    fraction is positive at every blood sample time.
     """
     _reject_unknown_keys(
         "scenario", data, ("mode", "p", "n", "lambda", "mu", "plasma", "regions", "grid")
@@ -214,6 +216,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         else t_grid.copy()
     )
     _check_scenario_values(lam, mu, plasma.m, regions, t_grid, s_grid)
+    # the closed forms divide by the clearance k2 + k3
+    for number, (r, k) in enumerate(zip(data["regions"], regions), start=1):
+        if not k.beta > 0:
+            raise ValueError(
+                f"k2 + k3 must be positive in every region, region {number} of "
+                f"{len(regions)} has k2 + k3 = {float(r['k2']) + float(r['k3'])} 1/{units}"
+            )
     # full-mode blood data are C_art / f, so f must be positive where sampled
     f = plasma_fraction(plasma, s_grid)
     if not np.all(f > 0):
@@ -299,7 +308,7 @@ def add_noise(y_true: MeasurementSet, delta_y: float, seed) -> MeasurementSet:
 
 
 def perturb_initial(
-    x_true: ParamVector, delta_x: float, seed, epsilon: float = 1e-3,
+    x_true: ParamVector, delta_x: float, seed, epsilon: float = DEFAULT_EPSILON,
     plasma_model: str = "biexp",
 ) -> ParamVector:
     """Componentwise relative perturbation of the true parameters,

@@ -336,14 +336,13 @@ class JacobianCheck:
 def finite_difference_check(
     x: ParamVector,
     template: MeasurementSet,
-    step_scale: float = 1e-6,
     rtol: float = 1e-5,
-    magnitude_floor: float = 1e-8,
     corrupt_entry: tuple[int, int, float] | None = None,
 ) -> JacobianCheck:
-    """Compare the analytic Jacobian against central finite differences.
+    """Compare the analytic Jacobian against central finite differences with
+    the step ``1e-6 (1 + |x_i|)`` in component ``i``.
 
-    Entries whose quotient or analytic value exceeds ``magnitude_floor`` in
+    Entries whose quotient or analytic value exceeds ``1e-8`` in
     magnitude must agree to ``rtol`` relative, up to the per-entry roundoff
     floor of the central quotient (``~32 eps (|F(x+h)| + |F(x-h)|) / 2h``);
     in double precision the quotient carries that much noise regardless of
@@ -359,7 +358,7 @@ def finite_difference_check(
         row, col, amount = corrupt_entry
         J[row, col] += amount
     dim = x.layout.dim
-    h = step_scale * (1.0 + np.abs(x.flat))
+    h = 1e-6 * (1.0 + np.abs(x.flat))
     # one batch of the 2*dim shifted points: x + h_i e_i, then x - h_i e_i
     points = np.tile(x.flat, (2 * dim, 1))
     diag = np.arange(dim)
@@ -370,7 +369,7 @@ def finite_difference_check(
     noise = (32.0 * np.finfo(float).eps * _forward_scale(x, template))[:, None] / (2.0 * h)
     deviation = np.abs(J - quotient)
     # an entry the quotient misses but the analytic Jacobian shows counts too
-    consider = (np.abs(quotient) > magnitude_floor) | (np.abs(J) > magnitude_floor)
+    consider = (np.abs(quotient) > 1e-8) | (np.abs(J) > 1e-8)
     resolvable = consider & (rtol * np.abs(quotient) > noise)
     noise_limited = consider & ~resolvable
     rel = np.where(resolvable, deviation / np.where(resolvable, np.abs(quotient), 1.0), 0.0)

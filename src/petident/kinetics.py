@@ -245,7 +245,6 @@ def tissue_concentration_quadrature(
     c_art_values: Callable[[float], float],
     k: KineticParams,
     t: float,
-    rtol: float = 1e-11,
 ) -> float:
     """Tissue value via adaptive quadrature of the variation-of-constants
     representation
@@ -254,7 +253,8 @@ def tissue_concentration_quadrature(
                  + K1 k3/beta * int_0^t C_art(s) ds.
 
     Accepts any continuous arterial input, which makes it an oracle
-    independent of the closed forms.
+    independent of the closed forms.  Both integrals are asked for a
+    relative error of 1e-11.
 
     Raises
     ------
@@ -276,8 +276,8 @@ def tissue_concentration_quadrature(
     def weighted(s):
         return math.exp(beta * (s - t)) * c_art_values(s)
 
-    val1, err1 = quad(weighted, 0.0, t, epsabs=0.0, epsrel=rtol, limit=400)
-    val2, err2 = quad(c_art_values, 0.0, t, epsabs=0.0, epsrel=rtol, limit=400)
+    val1, err1 = quad(weighted, 0.0, t, epsabs=0.0, epsrel=1e-11, limit=400)
+    val2, err2 = quad(c_art_values, 0.0, t, epsabs=0.0, epsrel=1e-11, limit=400)
     scale = max(abs(val1), abs(val2), 1e-300)
     if max(err1, err2) > 1e-6 * scale:
         raise RuntimeError(
@@ -286,17 +286,11 @@ def tissue_concentration_quadrature(
     return k.K1 * (k.k2 * val1 + k.k3 * val2) / beta
 
 
-def default_rk4_step(t_end: float) -> float:
-    """Default RK4 step: 1e-3 of the integration span for sub-unit spans,
-    otherwise 1e-3 time units, never larger than 1e-2 time units."""
-    return min(1e-3 * t_end / max(1.0, t_end), 1e-2)
-
-
 def integrate_compartments_rk4_grid(
     c_art_values: Callable[[float], float],
     k: KineticParams,
     t_grid,
-    step: float | None = None,
+    step: float,
 ) -> TissueCurves:
     """RK4 integration reporting both compartments at every point of an
     increasing time grid (single pass).
@@ -309,8 +303,6 @@ def integrate_compartments_rk4_grid(
         return TissueCurves(c_fr=np.array([]), c_bd=np.array([]))
     if np.any(np.diff(t_grid) < 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be nonnegative and nondecreasing")
-    if step is None:
-        step = default_rk4_step(float(t_grid[-1]) if t_grid[-1] > 0 else 1.0)
     if step <= 0:
         raise ValueError("step must be positive")
 

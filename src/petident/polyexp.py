@@ -119,11 +119,11 @@ class DiversityReport:
     margin: float = float("inf")
 
 
-def _triple_margin(mu0, mu, lam, k2, k3, regions, tol):
+def _triple_margin(mu0, mu, lam, k2, k3, regions):
     """Return the margin of the diversity clauses for one region triple.
 
     The margin is the minimum over all quantities required to be nonzero;
-    a nonpositive-or-below-tolerance value means the corresponding clause
+    a value at or below :data:`EQ_TOL` means the corresponding clause
     fails, and the name of the first failing clause is returned alongside.
     """
     quantities: list[float] = []
@@ -131,25 +131,25 @@ def _triple_margin(mu0, mu, lam, k2, k3, regions, tol):
     betas = [k2[i] + k3[i] for i in regions]
     for a, b in combinations(range(3), 2):
         gap = abs(k3s[a] - k3s[b])
-        if gap <= tol:
+        if gap <= EQ_TOL:
             return None, "k3 not pairwise distinct"
         quantities.append(gap)
         gap = abs(betas[a] - betas[b])
-        if gap <= tol:
+        if gap <= EQ_TOL:
             return None, "k2+k3 not pairwise distinct"
         quantities.append(gap)
     for i, beta in zip(regions, betas):
         shift = abs(mu0 + k3[i])
-        if shift <= tol:
+        if shift <= EQ_TOL:
             return None, f"mu + k3 vanishes in region {i}"
         quantities.append(shift)
-        if abs(mu0 + beta) <= tol:
+        if abs(mu0 + beta) <= EQ_TOL:
             # Resonant region: the disjunction holds through its first branch.
             continue
         denom = beta + mu
-        keep = np.abs(denom) > tol
+        keep = np.abs(denom) > EQ_TOL
         total = float(np.sum(lam[keep] / denom[keep]))
-        if abs(total) <= tol:
+        if abs(total) <= EQ_TOL:
             return None, f"coefficient sum vanishes in region {i}"
         quantities.append(abs(total))
     return min(quantities), None
@@ -159,7 +159,6 @@ def region_diversity_report(
     mu: Sequence[float],
     lam: Sequence[float],
     kinetics: Sequence,
-    tol: float = EQ_TOL,
 ) -> DiversityReport:
     """Check the region-diversity condition behind unique identifiability.
 
@@ -169,6 +168,7 @@ def region_diversity_report(
     ``sum_j lambda_j / (k2 + k3 + mu_j)`` over non-resonant terms is nonzero.
     When this holds, the tissue curves of the three regions carry enough
     independent exponential structure to separate the kinetic rates.
+    Equality is decided to the absolute tolerance :data:`EQ_TOL`.
 
     Parameters
     ----------
@@ -176,8 +176,6 @@ def region_diversity_report(
         Arterial exponents and weights (equal length, exponents distinct).
     kinetics :
         Per-region rate parameters with ``K1``/``k2``/``k3`` attributes.
-    tol :
-        Absolute tolerance for the equality decisions.
 
     Returns
     -------
@@ -202,7 +200,7 @@ def region_diversity_report(
     for j0, mu0 in enumerate(mu):
         best = None
         for triple in combinations(range(n), 3):
-            margin, failure = _triple_margin(mu0, mu, lam, k2, k3, triple, tol)
+            margin, failure = _triple_margin(mu0, mu, lam, k2, k3, triple)
             if failure is not None:
                 violations.append(
                     f"exponent {j0}, regions {triple}: {failure}"
@@ -224,12 +222,10 @@ def region_diversity_report(
     )
 
 
-def has_distinct_rate_regions(
-    kinetics: Sequence, p: int, tol: float = EQ_TOL
-) -> bool:
+def has_distinct_rate_regions(kinetics: Sequence, p: int) -> bool:
     """Sufficient diversity test: is there a subset of ``p + 3`` regions whose
     ``k3`` values are pairwise distinct and whose ``k2 + k3`` values are
-    pairwise distinct?
+    pairwise distinct, by more than :data:`EQ_TOL`?
 
     This implies the condition checked by :func:`region_diversity_report`
     but is not necessary for it.
@@ -244,7 +240,7 @@ def has_distinct_rate_regions(
 
     def pairwise_distinct(values) -> bool:
         srt = np.sort(values)
-        return bool(np.all(np.diff(srt) > tol))
+        return bool(np.all(np.diff(srt) > EQ_TOL))
 
     for subset in combinations(range(len(kinetics)), need):
         idx = list(subset)

@@ -422,20 +422,19 @@ def solve_tikhonov(
     x_bar: ParamVector,
     y_delta: MeasurementSet,
     alpha: float,
-    settings: IrgnmSettings = IrgnmSettings(),
-    step_tol: float = 1e-10,
 ) -> ParamVector:
     """Minimize ``|F(x) - y|^2 + alpha |x - x_bar|^2`` over the admissible box
     by damped Gauss-Newton on the stacked residual, starting from the anchor.
 
     Returns a stationary point (local solution); iteration ends when the
-    accepted step is shorter than ``step_tol``, when no damping factor
-    yields descent, or at ``settings.max_iter``.
+    accepted step is shorter than ``1e-10``, when no damping factor yields
+    descent, or after 300 steps.  The box's rate floor is
+    :data:`.forward.DEFAULT_EPSILON`.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x = project_to_domain(x_bar, settings.epsilon)
-    for _ in range(settings.max_iter):
+    x = project_to_domain(x_bar)
+    for _ in range(300):
         # the Gauss-Newton step of the stacked residual is the IRGNM step
         # anchored at x_bar
         J, value = jacobian(x, y_delta)
@@ -446,9 +445,7 @@ def solve_tikhonov(
         damping = 1.0
         accepted = None
         while damping >= 2.0 ** -30:
-            candidate = project_to_domain(
-                ParamVector(x.flat + damping * step, x.layout), settings.epsilon
-            )
+            candidate = project_to_domain(ParamVector(x.flat + damping * step, x.layout))
             if tikhonov_objective(candidate, x_bar, y_delta, alpha) < current:
                 accepted = candidate
                 break
@@ -457,6 +454,6 @@ def solve_tikhonov(
             return x
         moved = float(np.linalg.norm(accepted.flat - x.flat))
         x = accepted
-        if moved < step_tol:
+        if moved < 1e-10:
             return x
     return x

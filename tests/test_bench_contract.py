@@ -41,8 +41,9 @@ def test_trace_point_resolves(module, attr):
 def test_run_irgnm_calls_the_traced_solver_names(known_cart_scenario, monkeypatch, k):
     # perfbench's spans sit on these four names of petident.solver; a run
     # of k iterations must reach every one of them there: one Jacobian per
-    # step (the first inside irgnm_step), one forward_vector at the start
-    # and one that gives the last iterate's residual at max_iter
+    # step (run_irgnm takes the first before its first step), one
+    # forward_vector at the start and one that gives the last iterate's
+    # residual at max_iter
     calls = Counter()
     for name in ("jacobian", "irgnm_step", "forward_vector", "project_to_domain"):
 

@@ -216,6 +216,11 @@ def _spoil_merged_mu(data):
     data["mu"] = [-0.5, -0.2, -0.2]
 
 
+def _spoil_clearance(data):
+    # the closed forms divide by k2 + k3
+    data["regions"][1].update(k2=0.0, k3=0.0)
+
+
 def _spoil_zero_lambda(data):
     # PolyExp would drop the zero-weight term
     data["lambda"] = [-5.0, 0.0, 1.0]
@@ -224,8 +229,9 @@ def _spoil_zero_lambda(data):
 class TestScenarioValidation:
     """A scenario file with a non-finite value, a bad time grid, a plasma
     block other than the biexponential's, a plasma fraction that is not
-    positive at a blood sample time, an unknown mode or a key the file form
-    does not have is an input error for every subcommand that reads it."""
+    positive at a blood sample time, a region whose k2 + k3 is not positive,
+    an unknown mode or a key the file form does not have is an input error
+    for every subcommand that reads it."""
 
     @pytest.mark.parametrize(
         "spoil",
@@ -233,7 +239,7 @@ class TestScenarioValidation:
             _spoil_rate, _spoil_lambda, _spoil_grid_order, _spoil_grid_sign,
             _spoil_plasma_short, _spoil_plasma_long, _spoil_plasma_model,
             _spoil_plasma_sign, _spoil_mode, _spoil_extra_key, _spoil_extra_plasma_key,
-            _spoil_extra_region_key, _spoil_top_level_units,
+            _spoil_extra_region_key, _spoil_top_level_units, _spoil_clearance,
         ],
     )
     @pytest.mark.parametrize(

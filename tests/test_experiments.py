@@ -108,6 +108,14 @@ class TestScenario:
         with pytest.raises(ValueError, match=named):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("units, scale", [("min", 1.0), ("s", 60.0)])
+    def test_nonpositive_clearance_rejected(self, scenario, units, scale):
+        data = scenario_to_dict(scenario, units)
+        data["regions"][0].update(k2=-0.2 / scale, k3=0.0)
+        named = rf"region 1 of 3 has k2 \+ k3 = {-0.2 / scale} 1/{units}"
+        with pytest.raises(ValueError, match=named):
+            scenario_from_dict(data)
+
     def test_dimension_declarations_validated(self, scenario):
         data = scenario_to_dict(scenario)
         data["p"] = 7

@@ -8,6 +8,8 @@ a NumPy or BLAS build that rounds differently changes them as well.
 import hashlib
 import json
 
+import pytest
+
 from petident.cli import main
 from petident.experiments import default_scenario, scenario_to_dict
 
@@ -24,6 +26,16 @@ REPRODUCE = {
     "results.json": "852dbdaca6f3ba45842d52d679f1e0e54806aa1f3208c8ecb25a100703a1ca26",
     "traces": "7d3af2e45525c7d5f853e6f2cf100b5b8ee48268d4573256a5af058c700ec252",
 }
+
+
+#: the stdout of each command, run from the output directory's parent; the
+#: identify line also digests ``identify_trace.csv``
+STDOUT = {
+    "check": "86941969ed2aa4b31f8a0e95de9053cab6558db473420bc798ea859ad48b2e80",
+    "jaccheck": "0149bdc8d84601c5bb9cd9aec3477a96a083430c26145a5b7fd1279dca8f71e3",
+    "identify": "b4da05fc42668f6d4b87d02396cd29a05fd2cdd6072351a075bb8980a3d06cc5",
+}
+IDENTIFY_TRACE = "9f33441cad7d349a09830a8f2ecee02f3a9fe49c13320a04fcb375aa5bee8ec9"
 
 
 def sha256(data: bytes) -> str:
@@ -48,3 +60,22 @@ def test_reproduce_all_bytes(tmp_path):
     }
     digests["traces"] = sha256(b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in traces))
     assert digests == REPRODUCE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--scenario", "reference.json"],
+        ["jaccheck", "--trials", "20"],
+        ["identify", "--scenario", "reference.json", "--synthesize", "--delta-y", "1e-3",
+         "--seed", "3", "--out", "out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_bytes(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reference.json").write_text(json.dumps(scenario_to_dict(default_scenario())))
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == STDOUT[argv[0]]
+    if argv[0] == "identify":
+        assert sha256((tmp_path / "out" / "identify_trace.csv").read_bytes()) == IDENTIFY_TRACE

@@ -408,7 +408,7 @@ class TestSolveTikhonov:
         # alpha-bias of the truth (bias direction varies with the draw)
         x_true, y_true = ground_truth
         x_bar = perturb_initial(x_true, 0.01, [2, 0])
-        solution = solve_tikhonov(x_bar, y_true, alpha=1e-6, settings=IrgnmSettings(max_iter=300))
+        solution = solve_tikhonov(x_bar, y_true, alpha=1e-6)
         rel = np.linalg.norm(solution.flat - x_true.flat) / np.linalg.norm(x_true.flat)
         assert rel <= 1e-3
         # cross-check against the iteratively regularized route on the same data
