@@ -173,9 +173,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     unit other than ``"min"`` or ``"s"``, a mode outside
     :data:`.forward.MODES`, or unless every value is finite, ``lambda`` and
     ``mu`` have matching lengths, no zero weight and no two exponents within
-    :data:`.polyexp.EQ_TOL`, every region has a positive ``k2 + k3``, both
-    time grids are nonnegative and strictly increasing, and the plasma
-    fraction is positive at every blood sample time.
+    :data:`.polyexp.EQ_TOL`, ``lambda``, ``mu``, ``regions`` and both time
+    grids are not empty, every region has a positive ``k2 + k3`` and no
+    negative rate, the plasma parameters lie in their admissible set
+    (``A >= 0``, ``xi1, xi2 <= 0``), both time grids are nonnegative and
+    strictly increasing, and the plasma fraction is positive at every blood
+    sample time.
     """
     _reject_unknown_keys(
         "scenario", data, ("mode", "p", "n", "lambda", "mu", "plasma", "regions", "grid")
@@ -216,13 +219,26 @@ def scenario_from_dict(data: dict) -> Scenario:
         else t_grid.copy()
     )
     _check_scenario_values(lam, mu, plasma.m, regions, t_grid, s_grid)
-    # the closed forms divide by the clearance k2 + k3
+    # the closed forms divide by the clearance k2 + k3, and the solver's box
+    # holds no negative rate
     for number, (r, k) in enumerate(zip(data["regions"], regions), start=1):
         if not k.beta > 0:
             raise ValueError(
                 f"k2 + k3 must be positive in every region, region {number} of "
                 f"{len(regions)} has k2 + k3 = {float(r['k2']) + float(r['k3'])} 1/{units}"
             )
+        for name in ("K1", "k2", "k3"):
+            if getattr(k, name) < 0:
+                raise ValueError(
+                    f"rates must be nonnegative, region {number} of {len(regions)} "
+                    f"has {name} = {float(r[name])} 1/{units}"
+                )
+    # the admissible plasma set: A >= 0, xi1 <= 0, xi2 <= 0
+    if m[0] < 0:
+        raise ValueError(f"plasma A must be nonnegative, got {spec['A']}")
+    for name, xi in zip(("xi1", "xi2"), m[1:]):
+        if xi > 0:
+            raise ValueError(f"plasma {name} must not be positive, got {spec[name]} 1/{units}")
     # full-mode blood data are C_art / f, so f must be positive where sampled
     f = plasma_fraction(plasma, s_grid)
     if not np.all(f > 0):
@@ -249,6 +265,12 @@ def _reject_unknown_keys(where: str, data: dict, known) -> None:
 
 
 def _check_scenario_values(lam, mu, m, regions, t_grid, s_grid):
+    for key, values in (
+        ("lambda", lam), ("mu", mu), ("regions", regions),
+        ("times", t_grid), ("blood_times", s_grid),
+    ):
+        if len(values) == 0:
+            raise ValueError(f"{key} must not be empty")
     if lam.shape != mu.shape:
         raise ValueError(f"lambda has {lam.size} entries, mu has {mu.size}")
     rates = [[k.K1, k.k2, k.k3] for k in regions]

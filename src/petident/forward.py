@@ -33,7 +33,7 @@ configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -256,8 +256,9 @@ def jacobian(x: ParamVector, template: MeasurementSet):
     tissue = J[..., :nT, :].reshape(lead + (n, T, layout.dim))
     tissue[..., :p] = kernel.w.swapaxes(-1, -2)
     tissue[..., p : 2 * p] = kernel.d_mu.swapaxes(-1, -2)
-    rates = _rate_plan(n, T, layout.dim)
-    J.reshape(lead + (-1,))[..., rates] = kernel.d_rates.reshape(lead + (-1,))
+    # the diagonal blocks of the rate columns, a writeable view of J
+    blocks = tissue[..., layout.kinetic_slice()].reshape(lead + (n, T, n, 3))
+    np.einsum("...itic->...itc", blocks)[...] = kernel.d_rates
 
     nes = _arterial_exponentials(x, template)
     J[..., nT:, :p] = nes.swapaxes(-1, -2)
@@ -268,19 +269,6 @@ def jacobian(x: ParamVector, template: MeasurementSet):
         J[..., nT:, layout.m_slice()] = (measured * d_fraction).swapaxes(-1, -2)
         measured = measured * fraction
     return J, _forward_value(x, kernel, nes, measured)
-
-
-@lru_cache(maxsize=16)
-def _rate_plan(n: int, T: int, dim: int):
-    """Flat indices of the tissue rows' rate entries in a row-major
-    ``(n*T + q, dim)`` Jacobian: row ``i*T + l`` holds the three rate
-    columns of region ``i``, which start at ``dim - 3 (n - i)``.  Cached per
-    shape, hence read-only."""
-    rows = np.arange(n * T)[:, None]
-    cols = dim - 3 * n + 3 * (rows // T) + np.arange(3)
-    plan = (rows * dim + cols).ravel()
-    plan.flags.writeable = False
-    return plan
 
 
 def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,
@@ -398,10 +386,10 @@ def finite_difference_check(
 def numerical_rank(J: np.ndarray) -> tuple[int, float]:
     """The numerical rank of ``J``, its number of singular values above
     ``max(rows, cols) * eps * sigma_max`` (``np.linalg.matrix_rank``'s
-    threshold), and ``sigma_min / sigma_max`` over those."""
+    threshold), and ``sigma_min / sigma_max`` over those (0.0 at rank 0)."""
     sigma = np.linalg.svd(J, compute_uv=False)
     rank = int(np.count_nonzero(sigma > max(J.shape) * np.finfo(float).eps * sigma[0]))
-    return rank, float(sigma[rank - 1] / sigma[0])
+    return rank, float(sigma[rank - 1] / sigma[0]) if rank else 0.0
 
 
 def tikhonov_objective(

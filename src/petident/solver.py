@@ -26,11 +26,8 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, LinAlgWarning, get_lapack_funcs
-from scipy.linalg import solve as linalg_solve
 
 from .forward import (
     DEFAULT_EPSILON,
@@ -152,7 +149,9 @@ class StepFailure(RuntimeError):
 #: LAPACK's Cholesky solve: the ``potrf`` + ``potrs`` pair behind scipy's
 #: ``cho_factor``/``cho_solve`` in one call, without their per-call argument
 #: handling, which costs more than the factorization of these small systems.
-_POSV = get_lapack_funcs("posv", dtype=np.float64)
+#: Loaded at the first solve, so importing this module does not load
+#: ``scipy.linalg``.
+_POSV = None
 
 
 def _solve_systems(gram: np.ndarray, rhs: np.ndarray, alpha: float):
@@ -161,6 +160,10 @@ def _solve_systems(gram: np.ndarray, rhs: np.ndarray, alpha: float):
     testing each for finiteness only when the stack's sum is not finite.
     Returns the ``(B, dim)`` solutions and per system the
     :class:`StepFailure` or ``None``; the row of a failed system is zero."""
+    global _POSV
+    if _POSV is None:  # an import statement per call costs about 2 % of a trip
+        from scipy.linalg.lapack import dposv as _POSV
+
     stack_finite = math.isfinite(gram.sum() + rhs.sum())
     steps = np.zeros(rhs.shape)
     failures: list[StepFailure | None] = [None] * len(rhs)
@@ -172,24 +175,17 @@ def _solve_systems(gram: np.ndarray, rhs: np.ndarray, alpha: float):
         if info == 0:
             steps[b] = step
             continue
+        from scipy.linalg import LinAlgError, LinAlgWarning, solve
+
         try:
             # the pivoted fallback's conditioning warnings are expected; its
             # breakdown is accounted for as a failure
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinAlgWarning)
-                steps[b] = linalg_solve(A, y, assume_a="sym")
+                steps[b] = solve(A, y, assume_a="sym")
         except LinAlgError:
             failures[b] = StepFailure(alpha, float(np.linalg.cond(A)))
     return steps, failures
-
-
-@lru_cache(maxsize=16)
-def _identity(dim: int) -> np.ndarray:
-    """The ``dim x dim`` identity of the Gram matrices; cached per size,
-    hence read-only."""
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-    return eye
 
 
 def _residual_norm(r: np.ndarray) -> float:
@@ -213,7 +209,8 @@ def _regularized_steps(x_k, x0, alpha_k, J, misfit):
     # the matmul forms give each run of a batch the products of a lone run
     # bit for bit
     Jt = J.swapaxes(-1, -2)
-    gram = Jt @ J + alpha_k * _identity(dim)
+    gram = Jt @ J
+    np.einsum("...ii->...i", gram)[...] += alpha_k
     rhs = alpha_k * (x0.flat - x_k.flat) - (Jt @ misfit[..., None])[..., 0]
     steps, failures = _solve_systems(
         gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k

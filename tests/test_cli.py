@@ -226,12 +226,60 @@ def _spoil_zero_lambda(data):
     data["lambda"] = [-5.0, 0.0, 1.0]
 
 
+def _spoil_empty_lambda(data):
+    data.pop("p")
+    data["lambda"] = []
+
+
+def _spoil_empty_mu(data):
+    data.pop("p")
+    data["mu"] = []
+
+
+def _spoil_no_regions(data):
+    data.update(n=0, regions=[])
+
+
+def _spoil_empty_times(data):
+    data["grid"]["times"] = []
+
+
+def _spoil_empty_blood_times(data):
+    data["grid"]["blood_times"] = []
+
+
+# each negative rate leaves k2 + k3 positive
+def _spoil_negative_K1(data):
+    data["regions"][1]["K1"] = -0.05
+
+
+def _spoil_negative_k2(data):
+    data["regions"][1]["k2"] = -0.05
+
+
+def _spoil_negative_k3(data):
+    data["regions"][1]["k3"] = -0.05
+
+
+def _spoil_negative_A(data):
+    data["plasma"]["A"] = -0.1
+
+
+def _spoil_positive_xi1(data):
+    data["plasma"]["xi1"] = 0.01
+
+
+def _spoil_positive_xi2(data):
+    data["plasma"]["xi2"] = 0.01
+
+
 class TestScenarioValidation:
     """A scenario file with a non-finite value, a bad time grid, a plasma
     block other than the biexponential's, a plasma fraction that is not
     positive at a blood sample time, a region whose k2 + k3 is not positive,
-    an unknown mode or a key the file form does not have is an input error
-    for every subcommand that reads it."""
+    an empty piece, a truth outside the solver's admissible set, an unknown
+    mode or a key the file form does not have is an input error for every
+    subcommand that reads it."""
 
     @pytest.mark.parametrize(
         "spoil",
@@ -288,6 +336,46 @@ class TestScenarioValidation:
         campaign.write_text(json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1}))
         argv = [a.format(campaign=campaign) for a in command]
         code = run_cli(*argv, "--scenario", path, "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot parse scenario" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "spoil, named",
+        [
+            (_spoil_empty_lambda, "lambda must not be empty"),
+            (_spoil_empty_mu, "mu must not be empty"),
+            (_spoil_no_regions, "regions must not be empty"),
+            (_spoil_empty_times, "times must not be empty"),
+            (_spoil_empty_blood_times, "blood_times must not be empty"),
+            (_spoil_negative_K1, "region 2 of 3 has K1 = -0.05 1/min"),
+            (_spoil_negative_k2, "region 2 of 3 has k2 = -0.05 1/min"),
+            (_spoil_negative_k3, "region 2 of 3 has k3 = -0.05 1/min"),
+            (_spoil_negative_A, "plasma A must be nonnegative, got -0.1"),
+            (_spoil_positive_xi1, "plasma xi1 must not be positive, got 0.01 1/min"),
+            (_spoil_positive_xi2, "plasma xi2 must not be positive, got 0.01 1/min"),
+        ],
+        ids=lambda value: value.__name__.removeprefix("_spoil_") if callable(value) else None,
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check"],
+            ["simulate"],
+            ["identify", "--synthesize", "--max-iter", "1"],
+            ["jaccheck", "--trials", "1"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_empty_piece_or_truth_outside_the_box_exits_2(
+        self, tmp_path, capsys, spoil, named, command
+    ):
+        data = scenario_to_dict(default_scenario())
+        spoil(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = run_cli(*command, "--scenario", path, "--out", tmp_path / "out")
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot parse scenario" in err and named in err
@@ -396,6 +484,16 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "VIOLATED" in out
         assert "k3 not pairwise distinct" in out
+
+    def test_single_time_at_zero_has_rank_0(self, tmp_path, capsys):
+        # every tissue curve is zero at t = 0, so the tissue rows are zero
+        data = scenario_to_dict(default_scenario())
+        data["grid"] = {"times": [0.0]}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("check", "--scenario", path) == 0
+        out = capsys.readouterr().out
+        assert "tissue rows: rank 0, nullity 18, sigma_min/sigma_max 0.000e+00" in out
 
 
 class TestJaccheck:

@@ -116,6 +116,19 @@ class TestScenario:
         with pytest.raises(ValueError, match=named):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("units, scale", [("min", 1.0), ("s", 60.0)])
+    def test_truth_outside_the_box_rejected(self, scenario, units, scale):
+        data = scenario_to_dict(scenario, units)
+        data["regions"][2]["K1"] = -0.1 / scale
+        named = rf"rates must be nonnegative, region 3 of 3 has K1 = {-0.1 / scale} 1/{units}"
+        with pytest.raises(ValueError, match=named):
+            scenario_from_dict(data)
+        data = scenario_to_dict(scenario, units)
+        data["plasma"]["xi2"] = 0.01 / scale
+        named = rf"plasma xi2 must not be positive, got {0.01 / scale} 1/{units}"
+        with pytest.raises(ValueError, match=named):
+            scenario_from_dict(data)
+
     def test_dimension_declarations_validated(self, scenario):
         data = scenario_to_dict(scenario)
         data["p"] = 7

@@ -1,7 +1,7 @@
 """The fused special functions behind the closed-form kernel: accuracy of
 ``_psi_pair`` against 50-digit references, bitwise equality of
 ``region_kernel`` with the composition of the separate elementary functions
-it replaced, the read-only shape caches, and the import path."""
+it replaced, the placement of the rate blocks in J, and the import path."""
 
 import subprocess
 import sys
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import petident
-from petident import forward, solver
+from petident import forward
 from petident.kinetics import _check_clearance, _psi_pair, region_kernel, term_sum
 
 EPS = np.finfo(float).eps
@@ -246,27 +246,28 @@ class TestPsiPairHighPrecision:
         assert 4.0 * (1.0 + 1e-4) * EPS < error <= dz_error_bound(z * t)
 
 
-# -- read-only shape caches --------------------------------------------------------
+# -- rate blocks of the Jacobian ---------------------------------------------------
 
 
-class TestShapeCaches:
-    def test_rate_plan_is_read_only(self):
-        # flat indices into a (75 + q, 18) Jacobian; tissue row 26 (region 2)
-        # holds its rates in columns 12, 13 and 14
-        plan = forward._rate_plan(3, 25, 18)
-        assert plan.shape == (225,) and plan[78:81].tolist() == [26 * 18 + c for c in (12, 13, 14)]
-        with pytest.raises(ValueError, match="read-only"):
-            plan[0] = 1
+class TestRateBlocks:
+    """Each region's rates enter only that region's tissue rows, so the rate
+    columns of J's tissue rows are block diagonal."""
 
-    def test_gram_identity_is_read_only(self):
-        eye = solver._identity(18)
-        assert np.array_equal(eye, np.eye(18))
-        with pytest.raises(ValueError, match="read-only"):
-            eye[0, 0] = 2.0
-
-    def test_caches_return_the_same_arrays(self):
-        assert forward._rate_plan(3, 25, 18) is forward._rate_plan(3, 25, 18)
-        assert solver._identity(18) is solver._identity(18)
+    @pytest.mark.parametrize("batch", [False, True], ids=["lone", "batch"])
+    def test_region_rates_fill_their_own_rows(self, ground_truth, batch):
+        x_true, y_true = ground_truth
+        flat = np.stack([x_true.flat, 1.1 * x_true.flat]) if batch else x_true.flat
+        x = forward.ParamVector(flat, x_true.layout)
+        J, _ = forward.jacobian(x, y_true)
+        d_rates = region_kernel(
+            x.lam, x.mu, x.kinetic_block, y_true.t_grid, derivatives=True
+        ).d_rates
+        # tissue row 26 (region 2) holds its rates in columns 12, 13 and 14
+        assert np.array_equal(J[..., 26, 12:15], d_rates[..., 1, 1, :])
+        expected = np.zeros(J.shape[:-2] + (75, 9))
+        for i in range(3):
+            expected[..., 25 * i : 25 * (i + 1), 3 * i : 3 * i + 3] = d_rates[..., i, :, :]
+        assert np.array_equal(J[..., :75, 9:], expected)
 
 
 # -- import path ---------------------------------------------------------------------
@@ -294,3 +295,24 @@ def test_import_does_not_load_the_integrator():
     k = petident.KineticParams(0.157, 0.174, 0.118)
     exact = petident.tissue_concentration(petident.PolyExp([(1.0, 0.0)]), k, 2.0)
     assert float(value) == pytest.approx(exact, rel=1e-10)
+
+
+def test_import_does_not_load_lapack():
+    src = str(Path(petident.__file__).resolve().parent.parent)
+    code = "\n".join(
+        [
+            "import sys",
+            f"sys.path.insert(0, {src!r})",
+            "import petident, petident.cli",
+            "print('scipy.linalg' in sys.modules)",
+            "scn = petident.default_scenario()",
+            "x_true, y_true = petident.simulate_ground_truth(scn)",
+            "settings = petident.IrgnmSettings(max_iter=1)",
+            "print(petident.run_irgnm(x_true, y_true, settings).stop_reason)",
+            "print('scipy.linalg' in sys.modules)",
+        ]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["False", "max_iter", "True"]
