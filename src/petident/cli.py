@@ -33,6 +33,7 @@ from .experiments import (
     add_noise,
     default_scenario,
     emit_results,
+    is_finite_number,
     load_scenario,
     perturb_initial,
     run_campaign,
@@ -291,7 +292,7 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
         raise ParseFailure(f"campaign {path} has unknown keys {unknown}")
     for key in ("delta_y", "delta_x", "a", "b", "tau", "epsilon"):
         value = data.get(key, 0.0)
-        if type(value) not in (int, float) or not is_finite(value):
+        if not is_finite_number(value):
             raise ParseFailure(f"campaign {path}: {key} must be a finite number, got {value!r}")
     try:
         settings = IrgnmSettings.for_noise(

@@ -171,8 +171,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     Raises ``KeyError`` for a missing key or a plasma family other than
     ``"biexp"``, and ``ValueError`` for a key the file form does not have, a
     unit other than ``"min"`` or ``"s"``, a mode outside
-    :data:`.forward.MODES`, or unless every value is finite, ``lambda`` and
-    ``mu`` have matching lengths, no zero weight and no two exponents within
+    :data:`.forward.MODES`, or unless the top level, ``grid``, ``plasma``
+    and each region are objects, every number is a finite JSON int or float
+    (``lambda``, ``mu`` and both time grids flat lists of them, ``p`` and
+    ``n`` integers) and stays finite in 1/min, ``lambda`` and ``mu`` have
+    matching lengths, no zero weight and no two exponents within
     :data:`.polyexp.EQ_TOL`, ``lambda``, ``mu``, ``regions`` and both time
     grids are not empty, every region has a positive ``k2 + k3`` and no
     negative rate, the plasma parameters lie in their admissible set
@@ -180,41 +183,44 @@ def scenario_from_dict(data: dict) -> Scenario:
     strictly increasing, and the plasma fraction is positive at every blood
     sample time.
     """
-    _reject_unknown_keys(
+    _check_object(
         "scenario", data, ("mode", "p", "n", "lambda", "mu", "plasma", "regions", "grid")
     )
-    grid = data.get("grid", {})
-    _reject_unknown_keys("grid", grid, ("times", "units", "blood_times"))
+    grid = _check_object("grid", data.get("grid", {}), ("times", "units", "blood_times"))
     units = grid.get("units", "min")
     if units not in ("min", "s"):
         raise ValueError(f"unknown time unit {units!r}")
     scale = 1.0 if units == "min" else SECONDS_PER_MINUTE
+    for key in ("p", "n"):
+        if key in data:
+            check_integer(key, data[key])
 
-    lam = np.asarray(data["lambda"], dtype=float)
-    mu = np.asarray(data["mu"], dtype=float) * scale
-    if "p" in data and int(data["p"]) != lam.size:
+    lam = _numbers("lambda", data["lambda"])
+    mu = _numbers("mu", data["mu"]) * scale
+    if "p" in data and data["p"] != lam.size:
         raise ValueError("declared p does not match the lambda/mu length")
-    spec = data["plasma"]
-    _reject_unknown_keys("plasma", spec, ("model", "A", "xi1", "xi2"))
+    spec = _check_object("plasma", data["plasma"], ("model", "A", "xi1", "xi2"))
     # the amplitude is unitless, the two exponents are rates
-    m = (float(spec["A"]), float(spec["xi1"]) * scale, float(spec["xi2"]) * scale)
+    A, xi1, xi2 = (_number(f"plasma {name}", spec[name]) for name in ("A", "xi1", "xi2"))
+    m = (A, xi1 * scale, xi2 * scale)
     plasma = PlasmaParams(spec.get("model", "biexp"), m)
-    for r in data["regions"]:
-        _reject_unknown_keys("region", r, ("K1", "k2", "k3"))
-    regions = tuple(
-        KineticParams(
-            float(r["K1"]) * scale, float(r["k2"]) * scale, float(r["k3"]) * scale
-        )
-        for r in data["regions"]
-    )
-    if "n" in data and int(data["n"]) != len(regions):
+    if type(data["regions"]) is not list:
+        raise ValueError(f"regions must be a list of objects, got {data['regions']!r}")
+    regions = []
+    for number, r in enumerate(data["regions"], start=1):
+        _check_object(f"region {number}", r, ("K1", "k2", "k3"))
+        regions.append(KineticParams(
+            *(_number(f"region {number} {name}", r[name]) * scale for name in ("K1", "k2", "k3"))
+        ))
+    regions = tuple(regions)
+    if "n" in data and data["n"] != len(regions):
         raise ValueError("declared n does not match the number of regions")
     if "times" in grid:
-        t_grid = np.asarray(grid["times"], dtype=float) / scale
+        t_grid = _numbers("times", grid["times"]) / scale
     else:
         t_grid = build_time_grid() / SECONDS_PER_MINUTE
     s_grid = (
-        np.asarray(grid["blood_times"], dtype=float) / scale
+        _numbers("blood_times", grid["blood_times"]) / scale
         if "blood_times" in grid
         else t_grid.copy()
     )
@@ -257,11 +263,33 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
-def _reject_unknown_keys(where: str, data: dict, known) -> None:
+def is_finite_number(value) -> bool:
+    """Whether a value read from JSON is a finite number: an int or a float,
+    not a bool, a string or an int too large for a float."""
+    return type(value) in (int, float) and is_finite(value)
+
+
+def _number(key: str, value) -> float:
+    if not is_finite_number(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(key: str, values) -> np.ndarray:
+    if type(values) is not list or not all(map(is_finite_number, values)):
+        raise ValueError(f"{key} must be a flat list of finite numbers, got {values!r}")
+    return np.array(values, dtype=float)
+
+
+def _check_object(where: str, data, known) -> dict:
+    """``data``, unless it is not a JSON object or has a key not in ``known``."""
+    if type(data) is not dict:
+        raise ValueError(f"{where} must be an object, got {type(data).__name__}")
     # a key this reader ignores would silently leave a default in its place
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} keys {unknown}")
+    return data
 
 
 def _check_scenario_values(lam, mu, m, regions, t_grid, s_grid):
@@ -273,11 +301,9 @@ def _check_scenario_values(lam, mu, m, regions, t_grid, s_grid):
             raise ValueError(f"{key} must not be empty")
     if lam.shape != mu.shape:
         raise ValueError(f"lambda has {lam.size} entries, mu has {mu.size}")
+    # every number read is finite; the rates can overflow when scaled to 1/min
     rates = [[k.K1, k.k2, k.k3] for k in regions]
-    for name, values in (
-        ("lambda", lam), ("mu", mu), ("plasma parameters", m),
-        ("region rates", rates), ("grid times", t_grid), ("blood times", s_grid),
-    ):
+    for name, values in (("mu", mu), ("plasma parameters", m), ("region rates", rates)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite, got {np.asarray(values).tolist()}")
     # PolyExp merges such exponents and drops such weights: the arterial

@@ -68,17 +68,6 @@ class PolyExp:
     def exponents(self) -> np.ndarray:
         return np.array([mu for _, mu in self.terms], dtype=float)
 
-    def __call__(self, t):
-        return eval_polyexp(self, t)
-
-    def __add__(self, other: "PolyExp") -> "PolyExp":
-        return PolyExp(self.terms + other.terms)
-
-    def __mul__(self, scalar: float) -> "PolyExp":
-        return PolyExp(tuple((scalar * lam, mu) for lam, mu in self.terms))
-
-    __rmul__ = __mul__
-
 
 def eval_polyexp(g: PolyExp, t):
     """Evaluate ``g(t) = sum_j lambda_j * e^(mu_j t)``.

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +114,10 @@ class RunRecord:
     ``|x_k - x_true| / |x_true|`` when the truth was supplied.  A run is
     ``diverged`` when no iterate after the initialization improved on it or
     when the run broke down numerically (``stop_reason = "failure"``: a
-    residual that is not finite, or a step that cannot be computed, e.g.
-    after an iterate wandered into overflow; ``failure`` says what broke
-    down, and no usable terminal iterate exists then).
+    residual that is not finite, or a step that cannot be computed because
+    its normal equations are not finite or numerically singular; ``failure``
+    says what broke down and at which iteration, and no usable terminal
+    iterate exists then).
     ``rho_opt``/``rho_d`` are the percent improvements over the
     initialization at the best iterate and at the discrepancy stop, over the
     recorded part of the run.
@@ -156,10 +156,10 @@ _POSV = None
 
 def _solve_systems(gram: np.ndarray, rhs: np.ndarray, alpha: float):
     """Solve a ``(B, dim, dim)`` stack of normal equations one system at a
-    time, by Cholesky or else by the pivoted symmetric-indefinite solve,
-    testing each for finiteness only when the stack's sum is not finite.
-    Returns the ``(B, dim)`` solutions and per system the
-    :class:`StepFailure` or ``None``; the row of a failed system is zero."""
+    time by Cholesky, testing each for finiteness only when the stack's sum
+    is not finite.  Returns the ``(B, dim)`` solutions and per system the
+    :class:`StepFailure` or ``None``: a system that is not finite or whose
+    factorization fails has failed, and its row is zero."""
     global _POSV
     if _POSV is None:  # an import statement per call costs about 2 % of a trip
         from scipy.linalg.lapack import dposv as _POSV
@@ -174,16 +174,7 @@ def _solve_systems(gram: np.ndarray, rhs: np.ndarray, alpha: float):
         _, step, info = _POSV(A, y, lower=False)
         if info == 0:
             steps[b] = step
-            continue
-        from scipy.linalg import LinAlgError, LinAlgWarning, solve
-
-        try:
-            # the pivoted fallback's conditioning warnings are expected; its
-            # breakdown is accounted for as a failure
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                steps[b] = solve(A, y, assume_a="sym")
-        except LinAlgError:
+        else:  # J^T J + alpha I is SPD in exact arithmetic: A is numerically singular
             failures[b] = StepFailure(alpha, float(np.linalg.cond(A)))
     return steps, failures
 
@@ -346,10 +337,10 @@ def run_irgnm(
         stepped, failures = irgnm_step(x, anchor, J, misfit, settings.alpha(k), settings.epsilon)
         for i, exc in enumerate(failures):
             if exc is not None:
-                # numerical breakdown (e.g. an iterate wandered into
-                # overflow); close the record on the last iterate, and the
-                # next check passes the run by
-                stops[active[i]] = ("failure", k, x.flat[i], str(exc))
+                # numerical breakdown (a system that is not finite or is
+                # numerically singular); close the record on the last
+                # iterate, and the next check passes the run by
+                stops[active[i]] = ("failure", k, x.flat[i], f"{exc} at iteration {k}")
         x = stepped
         k += 1
         if k < settings.max_iter:
@@ -360,8 +351,7 @@ def run_irgnm(
 
     records = [
         _run_record(
-            np.array(residuals[b]), *stops[b],
-            ParamVector(x0.flat[b], layout), x_true,
+            np.array(residuals[b]), *stops[b], layout, x_true,
             np.sqrt(error_squares[b]) / truth_norm if error_squares is not None else None,
         )
         for b in range(B)
@@ -370,14 +360,14 @@ def run_irgnm(
 
 
 def _run_record(
-    residuals, reason, k, final, failure, x0, x_true, rel_errors
+    residuals, reason, k, final, failure, layout, x_true, rel_errors
 ) -> RunRecord:
     """The record of one finished run, with its divergence verdict."""
     record = RunRecord(
         residual_norms=residuals,
         stop_reason=reason,
         stop_iter=k,
-        final_x=ParamVector(final, x0.layout),
+        final_x=ParamVector(final, layout),
         rel_errors=rel_errors,
         failure=failure,
     )
@@ -385,26 +375,23 @@ def _run_record(
         improved = k >= 1 and min(rel_errors[1:]) < rel_errors[0]
         record.diverged = reason == "failure" or (k >= 1 and not improved)
         if k >= 1:
-            record.rho_opt, record.rho_d = rho_metrics(record, x0, x_true)
+            record.rho_opt, record.rho_d = rho_metrics(record, x_true)
     elif rel_errors is not None:
         record.diverged = reason == "failure"
     return record
 
 
-def rho_metrics(
-    record: RunRecord, x0: ParamVector, x_true: ParamVector
-) -> tuple[float, float | None]:
-    """Percent improvement over the initialization.
+def rho_metrics(record: RunRecord, x_true: ParamVector) -> tuple[float, float | None]:
+    """Percent improvement over the initialization, the projected start.
 
     ``rho_opt`` uses the best iterate after the initialization, ``rho_d`` the
     iterate at which the discrepancy principle stopped the run (absent when
     the run was not stopped by it, e.g. in noise-free runs).
     """
-    err0 = float(np.linalg.norm(x0.flat - x_true.flat))
-    if err0 == 0.0:
-        raise ValueError("x0 equals x_true; improvement metrics are undefined")
     if record.rel_errors is None:
         raise ValueError("record carries no rel_errors")
+    if record.rel_errors[0] == 0.0:
+        raise ValueError("the run starts at x_true; improvement metrics are undefined")
     errors = record.rel_errors * float(np.linalg.norm(x_true.flat))
     rho_opt = 100.0 * (1.0 - errors[1:].min() / errors[0]) if errors.size > 1 else 0.0
     rho_d = (

@@ -291,7 +291,7 @@ def test_a9_invariant_suite(scenario, ground_truth, rng):
     g = PolyExp([(1.5, -0.4)])
     h = PolyExp([(-0.5, -0.15)])
     t = rng.uniform(0, 60, size=8)
-    combined = eval_polyexp(g + h, t)
+    combined = eval_polyexp(PolyExp(g.terms + h.terms), t)
     checks.append(
         bool(
             np.allclose(
@@ -300,7 +300,11 @@ def test_a9_invariant_suite(scenario, ground_truth, rng):
         )
     )
     checks.append(
-        bool(np.allclose(eval_polyexp(2.0 * g, t), 2.0 * eval_polyexp(g, t), rtol=1e-15))
+        bool(np.allclose(
+            eval_polyexp(PolyExp([(2.0 * lam, mu) for lam, mu in g.terms]), t),
+            2.0 * eval_polyexp(g, t),
+            rtol=1e-15,
+        ))
     )
 
     ok = all(checks)

@@ -211,6 +211,44 @@ def _spoil_top_level_units(data):
     data["units"] = "s"
 
 
+# a value of the wrong JSON type, and a file that is not an object
+def _spoil_grid_not_object(data):
+    data["grid"] = []
+
+
+def _spoil_nested_times(data):
+    data["grid"]["times"] = [[0, 1], [2, 3]]
+
+
+def _spoil_string_rate(data):
+    data["regions"][0]["K1"] = "0.1"
+
+
+def _spoil_bool_rate(data):
+    data["regions"][0]["K1"] = True
+
+
+def _spoil_fractional_p(data):
+    data["p"] = 3.7
+
+
+def _spoil_scalar_lambda(data):
+    data.pop("p")
+    data.update({"lambda": 5.0, "mu": -0.1})
+
+
+def _spoil_plasma_not_object(data):
+    data["plasma"] = [0.1, -0.005, -0.1]
+
+
+def _spoil_region_not_object(data):
+    data["regions"][1] = [0.1, 0.2, 0.05]
+
+
+def _spoil_top_level_list(data):
+    return [data]
+
+
 def _spoil_merged_mu(data):
     # PolyExp would merge the two equal exponents into one term
     data["mu"] = [-0.5, -0.2, -0.2]
@@ -288,6 +326,9 @@ class TestScenarioValidation:
             _spoil_plasma_short, _spoil_plasma_long, _spoil_plasma_model,
             _spoil_plasma_sign, _spoil_mode, _spoil_extra_key, _spoil_extra_plasma_key,
             _spoil_extra_region_key, _spoil_top_level_units, _spoil_clearance,
+            _spoil_grid_not_object, _spoil_nested_times, _spoil_string_rate,
+            _spoil_bool_rate, _spoil_fractional_p, _spoil_scalar_lambda,
+            _spoil_plasma_not_object, _spoil_region_not_object, _spoil_top_level_list,
         ],
     )
     @pytest.mark.parametrize(
@@ -303,12 +344,36 @@ class TestScenarioValidation:
     )
     def test_bad_scenario_exits_2(self, tmp_path, capsys, spoil, command):
         data = scenario_to_dict(default_scenario())
-        spoil(data)
+        data = spoil(data) or data  # a spoil may replace the whole file
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code = run_cli(*command, "--scenario", path, "--out", tmp_path / "out")
         assert code == 2
         assert "cannot parse scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spoil, named",
+        [
+            (_spoil_grid_not_object, "grid must be an object"),
+            (_spoil_nested_times, "times must be a flat list of finite numbers"),
+            (_spoil_string_rate, "region 1 K1 must be a finite number, got '0.1'"),
+            (_spoil_bool_rate, "region 1 K1 must be a finite number, got True"),
+            (_spoil_fractional_p, "p must be an integer, got 3.7"),
+            (_spoil_scalar_lambda, "lambda must be a flat list of finite numbers, got 5.0"),
+            (_spoil_plasma_not_object, "plasma must be an object"),
+            (_spoil_region_not_object, "region 2 must be an object"),
+            (_spoil_top_level_list, "scenario must be an object"),
+        ],
+        ids=lambda value: value.__name__.removeprefix("_spoil_") if callable(value) else None,
+    )
+    def test_bad_type_names_its_key(self, tmp_path, capsys, spoil, named):
+        data = scenario_to_dict(default_scenario())
+        data = spoil(data) or data
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("check", "--scenario", path) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse scenario" in err and named in err
 
     @pytest.mark.parametrize(
         "spoil, named", [(_spoil_merged_mu, "mu entries"), (_spoil_zero_lambda, "lambda")]

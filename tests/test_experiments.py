@@ -289,22 +289,23 @@ class TestBatchedCampaign:
     out as it does alone.  Both cells have ragged run lengths."""
 
     # (stop reason, stop iteration, final residual at 12 digits) per run of
-    # the full-mode cells with 5 repetitions and seed 5, as the loop that ran
-    # one repetition after another gave them
+    # the full-mode cells with 5 repetitions and seed 5, as lone runs give
+    # them; three runs end on a failed Cholesky factorization
     GOLDEN = {
         (0.0, 0.15): [
             ("max_iter", 300, "2.2681292296e-15"),
             ("max_iter", 300, "3.88371877846e-15"),
             ("max_iter", 300, "2.62057420225e-15"),
-            ("failure", 93, "nan"),
-            ("failure", 79, "nan"),
+            ("failure", 92, "9.04402996611e+27"),
+            ("failure", 77, "3897755401.04"),
         ],
-        # run 3 overflows its residual norm on the way to the failure
+        # run 3's Cholesky fails at a condition number near 6e36: the run
+        # stops on its last iterate, whose residual norm is finite
         (1e-4, 0.15): [
             ("discrepancy", 115, "0.000109732566113"),
             ("discrepancy", 104, "0.000108576022381"),
             ("discrepancy", 103, "0.000103473388105"),
-            ("failure", 89, "nan"),
+            ("failure", 88, "2.22430760843e+17"),
             ("discrepancy", 110, "0.000101845776356"),
         ],
     }

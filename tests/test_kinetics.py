@@ -89,7 +89,7 @@ class TestClosedForm:
         g = PolyExp([(2.0, -0.3), (-1.0, -0.7)])
         h = PolyExp([(0.5, -0.05), (1.5, -1.1)])
         t = rng.uniform(0, 60, size=12)
-        combined = tissue_concentration(g + h, REGION1, t)
+        combined = tissue_concentration(PolyExp(g.terms + h.terms), REGION1, t)
         separate = tissue_concentration(g, REGION1, t) + tissue_concentration(h, REGION1, t)
         np.testing.assert_allclose(combined, separate, rtol=1e-12)
 

@@ -58,7 +58,11 @@ class TestEvalPolyExp:
             h = PolyExp(zip(rng.normal(size=p2), rng.normal(size=p2)))
             a, b = rng.normal(size=2)
             t = rng.uniform(-2, 2)
-            combined = eval_polyexp(a * g + b * h, t)
+            combined = eval_polyexp(
+                PolyExp([(a * lam, mu) for lam, mu in g.terms]
+                        + [(b * lam, mu) for lam, mu in h.terms]),
+                t,
+            )
             expected = a * eval_polyexp(g, t) + b * eval_polyexp(h, t)
             assert combined == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
