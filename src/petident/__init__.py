@@ -15,7 +15,6 @@ from .kinetics import (
     TissueCurves,
     integrate_compartments_rk4_grid,
     region_kernel,
-    tissue_concentration,
     tissue_concentration_quadrature,
     tissue_curves,
 )
@@ -24,7 +23,6 @@ from .forward import (
     MeasurementSet,
     ParamLayout,
     ParamVector,
-    apply_forward,
     finite_difference_check,
     forward_vector,
     jacobian,
@@ -32,7 +30,6 @@ from .forward import (
     pack,
     project_to_domain,
     tikhonov_objective,
-    unpack,
 )
 from .solver import (
     IrgnmSettings,

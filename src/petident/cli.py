@@ -49,7 +49,7 @@ from .forward import (
     numerical_rank,
     project_to_domain,
 )
-from .kinetics import DomainError, tissue_concentration
+from .kinetics import DomainError, tissue_curves
 from .plasma import plasma_fraction
 from .polyexp import eval_polyexp, has_distinct_rate_regions, region_diversity_report
 from .solver import IrgnmSettings, is_finite, run_irgnm
@@ -99,6 +99,16 @@ def _settings_from_args(args, delta_y: float) -> IrgnmSettings:
         raise UsageError(str(exc)) from exc
 
 
+def _out_dir(path: str) -> Path:
+    """``--out`` made a directory, before any work that would write there."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {path} cannot be a directory: {exc}") from exc
+    return out
+
+
 def _param_names(layout) -> list[str]:
     names = [f"lambda{j + 1}" for j in range(layout.p)]
     names += [f"mu{j + 1}" for j in range(layout.p)]
@@ -113,9 +123,8 @@ def _param_names(layout) -> list[str]:
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
+    out = _out_dir(args.out)
     x_true, y_true = simulate_ground_truth(scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     names = _param_names(x_true.layout)
     write_table(out / "x_true.csv", ["component", "value"], zip(names, x_true.flat))
@@ -132,7 +141,7 @@ def cmd_simulate(args) -> int:
     art = eval_polyexp(scenario.c_art, dense)
     f = plasma_fraction(scenario.plasma, dense)
     columns = [dense * SECONDS_PER_MINUTE, dense, art, f, np.where(f > 0, art / f, 0.0)]
-    columns += [tissue_concentration(scenario.c_art, k, dense) for k in scenario.kinetics]
+    columns += [tissue_curves(scenario.c_art, k, dense).c_tis for k in scenario.kinetics]
     header = ["t_sec", "t_min", "c_art", "f", "c_bl"]
     header += [f"c_tis_{i + 1}" for i in range(scenario.n)]
     write_table(out / "curves.csv", header, np.column_stack(columns))
@@ -144,14 +153,30 @@ def cmd_simulate(args) -> int:
 # -- identify ------------------------------------------------------------------
 
 
+def _json_values(path: Path, payload) -> list:
+    """The numbers of a JSON measurement file: a list, or an object whose
+    only key ``"y"`` holds the list; each entry a finite JSON number."""
+    if isinstance(payload, dict):
+        if set(payload) != {"y"}:
+            raise ParseFailure(
+                f"{path}: an object must hold exactly the key 'y', got {sorted(payload)}"
+            )
+        payload = payload["y"]
+    if type(payload) is not list:
+        raise ParseFailure(f"{path}: expected a list of numbers, got {type(payload).__name__}")
+    for index, value in enumerate(payload):
+        if not is_finite_number(value):
+            raise ParseFailure(f"{path}: value {index} is not a finite number ({value!r})")
+    return payload
+
+
 def _read_measurements(path: str, template: MeasurementSet, n: int) -> MeasurementSet:
     expected = n * template.n_times + template.q
     path = Path(path)
     try:
         if path.suffix == ".json":
             with open(path) as fh:
-                payload = json.load(fh)
-            raw = payload["y"] if isinstance(payload, dict) else payload
+                raw = _json_values(path, json.load(fh))
         else:
             with open(path, newline="") as fh:
                 reader = csv.DictReader(fh)
@@ -159,7 +184,7 @@ def _read_measurements(path: str, template: MeasurementSet, n: int) -> Measureme
                     raise ParseFailure(f"{path}: expected a 'value' column")
                 raw = [row["value"] for row in reader]
         values = np.asarray([float(v) for v in raw])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseFailure(f"{path}: cannot read measurements: {exc}") from exc
     if values.size != expected:
         raise ParseFailure(
@@ -168,8 +193,7 @@ def _read_measurements(path: str, template: MeasurementSet, n: int) -> Measureme
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
         raise ParseFailure(f"{path}: value {bad} is not finite ({values[bad]})")
-    nT = n * template.n_times
-    return template.with_blocks(values[:nT].reshape(n, template.n_times), values[nT:])
+    return template.with_flat(values)
 
 
 def cmd_identify(args) -> int:
@@ -180,13 +204,14 @@ def cmd_identify(args) -> int:
     if args.mode is not None:
         scenario = replace(scenario, mode=args.mode)
     settings = _settings_from_args(args, args.delta_y)
-    x_true, y_true = simulate_ground_truth(scenario)
     if args.data is not None:
         y_delta = _read_measurements(args.data, scenario.template(), scenario.n)
-    elif args.synthesize:
-        y_delta = add_noise(y_true, args.delta_y, [args.seed, 1])
-    else:
+    elif not args.synthesize:
         raise UsageError("either --data PATH or --synthesize is required")
+    out = _out_dir(args.out)
+    x_true, y_true = simulate_ground_truth(scenario)
+    if args.data is None:
+        y_delta = add_noise(y_true, args.delta_y, [args.seed, 1])
     x0 = perturb_initial(x_true, args.delta_x, [args.seed, 0], settings.epsilon)
     # measured data have no known truth: the scenario is only the prior
     record = run_irgnm(
@@ -211,8 +236,6 @@ def cmd_identify(args) -> int:
             f"region {i + 1}: K1={_fmt(row[0])} k2={_fmt(row[1])} k3={_fmt(row[2])} (1/min)"
         )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trace = out / "identify_trace.csv"
     write_trace(trace, record)
     print(f"trace written to {trace}")
@@ -319,8 +342,7 @@ def cmd_reproduce(args) -> int:
     scenario = (
         _load_scenario_arg(args.scenario) if args.scenario else default_scenario()
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     for stale in [out / "table1.csv", out / "results.json", *out.glob("trace_*.csv")]:
         stale.unlink(missing_ok=True)
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .forward import (
-    DEFAULT_EPSILON, MODES, MeasurementSet, ParamVector, apply_forward, pack, project_to_domain,
+    DEFAULT_EPSILON, MODES, MeasurementSet, ParamVector, forward_vector, pack, project_to_domain,
 )
 from .kinetics import KineticParams
 from .plasma import N_PARAMS, PlasmaParams, plasma_fraction
@@ -168,9 +168,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build a scenario from its file form, converting the declared grid
     unit (rates 1/unit, times in the unit) to the internal per-minute scale.
 
-    Raises ``KeyError`` for a missing key or a plasma family other than
-    ``"biexp"``, and ``ValueError`` for a key the file form does not have, a
-    unit other than ``"min"`` or ``"s"``, a mode outside
+    Raises ``KeyError`` for a plasma family other than ``"biexp"``, and
+    ``ValueError`` for a missing key (``lambda``, ``mu``, ``plasma`` and
+    ``regions``, the plasma ``A``, ``xi1`` and ``xi2``, each region's
+    ``K1``, ``k2`` and ``k3``), a key the file form does not have, a unit
+    other than ``"min"`` or ``"s"``, a mode outside
     :data:`.forward.MODES`, or unless the top level, ``grid``, ``plasma``
     and each region are objects, every number is a finite JSON int or float
     (``lambda``, ``mu`` and both time grids flat lists of them, ``p`` and
@@ -184,7 +186,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     sample time.
     """
     _check_object(
-        "scenario", data, ("mode", "p", "n", "lambda", "mu", "plasma", "regions", "grid")
+        "scenario", data, ("mode", "p", "n", "grid"), ("lambda", "mu", "plasma", "regions")
     )
     grid = _check_object("grid", data.get("grid", {}), ("times", "units", "blood_times"))
     units = grid.get("units", "min")
@@ -199,7 +201,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     mu = _numbers("mu", data["mu"]) * scale
     if "p" in data and data["p"] != lam.size:
         raise ValueError("declared p does not match the lambda/mu length")
-    spec = _check_object("plasma", data["plasma"], ("model", "A", "xi1", "xi2"))
+    spec = _check_object("plasma", data["plasma"], ("model",), ("A", "xi1", "xi2"))
     # the amplitude is unitless, the two exponents are rates
     A, xi1, xi2 = (_number(f"plasma {name}", spec[name]) for name in ("A", "xi1", "xi2"))
     m = (A, xi1 * scale, xi2 * scale)
@@ -208,7 +210,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValueError(f"regions must be a list of objects, got {data['regions']!r}")
     regions = []
     for number, r in enumerate(data["regions"], start=1):
-        _check_object(f"region {number}", r, ("K1", "k2", "k3"))
+        _check_object(f"region {number}", r, (), ("K1", "k2", "k3"))
         regions.append(KineticParams(
             *(_number(f"region {number} {name}", r[name]) * scale for name in ("K1", "k2", "k3"))
         ))
@@ -281,14 +283,18 @@ def _numbers(key: str, values) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _check_object(where: str, data, known) -> dict:
-    """``data``, unless it is not a JSON object or has a key not in ``known``."""
+def _check_object(where: str, data, optional, required=()) -> dict:
+    """``data``, unless it is not a JSON object, has a key in neither
+    ``optional`` nor ``required``, or lacks one of ``required``."""
     if type(data) is not dict:
         raise ValueError(f"{where} must be an object, got {type(data).__name__}")
     # a key this reader ignores would silently leave a default in its place
-    unknown = sorted(set(data) - set(known))
+    unknown = sorted(set(data) - set(optional) - set(required))
     if unknown:
         raise ValueError(f"unknown {where} keys {unknown}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{where} is missing {', '.join(missing)}")
     return data
 
 
@@ -330,8 +336,8 @@ def simulate_ground_truth(scn: Scenario) -> tuple[ParamVector, MeasurementSet]:
     The blood-coupling block of the result is exactly zero by construction
     of the blood values.
     """
-    x_true = scn.true_vector()
-    return x_true, apply_forward(x_true, scn.template())
+    x_true, template = scn.true_vector(), scn.template()
+    return x_true, template.with_flat(forward_vector(x_true, template))
 
 
 def make_rng(seed) -> np.random.Generator:

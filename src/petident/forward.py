@@ -121,11 +121,6 @@ class ParamVector:
             self.flat.shape[:-1] + (self.layout.n, 3)
         )
 
-    @property
-    def kinetics(self) -> tuple[KineticParams, ...]:
-        """Per-region rates of a single (unbatched) vector."""
-        return tuple(KineticParams(*row) for row in self.kinetic_block)
-
 
 def pack(lam, mu, m, kinetics: Sequence[KineticParams]) -> ParamVector:
     """Assemble the flat vector from structured blocks."""
@@ -138,11 +133,6 @@ def pack(lam, mu, m, kinetics: Sequence[KineticParams]) -> ParamVector:
     kin = np.array([[k.K1, k.k2, k.k3] for k in kinetics], dtype=float)
     flat = np.concatenate([lam, mu, m, kin.ravel()])
     return ParamVector(flat, layout)
-
-
-def unpack(x: ParamVector):
-    """Inverse of :func:`pack`: ``(lambda, mu, m, [KineticParams, ...])``."""
-    return x.lam.copy(), x.mu.copy(), x.m.copy(), list(x.kinetics)
 
 
 @dataclass(frozen=True)
@@ -197,6 +187,12 @@ class MeasurementSet:
             f2_block=np.asarray(f2_block, dtype=float),
         )
 
+    def with_flat(self, values) -> "MeasurementSet":
+        """The inverse of :meth:`flat` for one data vector: its blocks."""
+        values = np.asarray(values, dtype=float)
+        nT = values.size - self.q
+        return self.with_blocks(values[:nT].reshape(-1, self.n_times), values[nT:])
+
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def forward_vector(x: ParamVector, template: MeasurementSet) -> np.ndarray:
@@ -205,7 +201,7 @@ def forward_vector(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     kernel = _kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
     measured = template.c_bl_values
     if template.mode == "full":
-        measured = measured * plasma.value(x.m, template.s_grid)
+        measured = measured * plasma.value_and_jacobian(x.m, template.s_grid)[0]
     return _forward_value(x, kernel, _arterial_exponentials(x, template), measured)
 
 
@@ -222,15 +218,6 @@ def _forward_value(x, kernel, nes, measured):
     tissue = term_sum(x.lam[..., None, None, :], kernel.w)
     blood = measured + term_sum(x.lam[..., None, :], nes)
     return np.concatenate([tissue.reshape(tissue.shape[:-2] + (-1,)), blood], axis=-1)
-
-
-def apply_forward(x: ParamVector, template: MeasurementSet) -> MeasurementSet:
-    """Evaluate the forward operator, returning a filled measurement set."""
-    y = forward_vector(x, template)
-    nT = x.layout.n * template.n_times
-    return template.with_blocks(
-        y[:nT].reshape(x.layout.n, template.n_times), y[nT:]
-    )
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")

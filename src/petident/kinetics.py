@@ -209,18 +209,6 @@ def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     return RegionKernel(psi0, psi1, w, d_mu, d_rates)
 
 
-def tissue_concentration(c_art: PolyExp, k: KineticParams, t):
-    """Tissue value ``C_tis(t) = C_fr(t) + C_bd(t)`` in closed form.
-
-    The per-term contribution is
-    ``lambda_j * (G1 * psi0(mu_j, t) + G2 * e^(-beta t) * psi0(beta + mu_j, t))``
-    with ``G1 = K1 k3 / beta`` and ``G2 = K1 k2 / beta``; the resonant
-    (``mu_j = -beta``) and constant-input (``mu_j = 0``) limits are the
-    exact values of these expressions.
-    """
-    return tissue_curves(c_art, k, t).c_tis
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def tissue_curves(c_art: PolyExp, k: KineticParams, t):
     """Both compartments at scalar or array ``t``:

@@ -46,19 +46,8 @@ class PlasmaParams:
 def plasma_fraction(params: PlasmaParams, t):
     """Evaluate ``f_m(t)`` for scalar or array ``t``."""
     t = np.asarray(t, dtype=float)
-    vals = value(np.asarray(params.m, dtype=float), np.atleast_1d(t))
+    vals = value_and_jacobian(params.m, np.atleast_1d(t))[0]
     return float(vals[0]) if t.ndim == 0 else vals
-
-
-def _params(m):
-    """``(A, xi1, xi2)``, each with a trailing axis to broadcast over times."""
-    m = np.asarray(m, dtype=float)
-    return m[..., 0, None], m[..., 1, None], m[..., 2, None]
-
-
-def value(m, t):
-    """``f_m`` on an array of times."""
-    return value_and_jacobian(m, t)[0]
 
 
 def value_and_jacobian(m, t):
@@ -86,5 +75,6 @@ def project_in_place(m: np.ndarray) -> None:
 def magnitude(m, t):
     """Sum of the magnitudes of the two additive pieces of ``f_m(t)``, an
     upper bound on the rounding scale of its evaluation."""
-    A, xi1, xi2 = _params(m)
+    m = np.asarray(m, dtype=float)
+    A, xi1, xi2 = (m[..., i, None] for i in range(3))
     return np.abs(A) * np.exp(xi1 * t) + np.abs(1.0 - A) * np.exp(xi2 * t)

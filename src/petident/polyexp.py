@@ -23,10 +23,6 @@ import numpy as np
 EQ_TOL = 1e-10
 
 
-def _as_term_tuple(terms) -> tuple[tuple[float, float], ...]:
-    return tuple((float(lam), float(mu)) for lam, mu in terms)
-
-
 @dataclass(frozen=True)
 class PolyExp:
     """Finite weighted sum of exponentials ``t -> sum_j lambda_j * e^(mu_j t)``.
@@ -46,7 +42,7 @@ class PolyExp:
     terms: tuple[tuple[float, float], ...]
 
     def __init__(self, terms: Sequence[tuple[float, float]]):
-        raw = sorted(_as_term_tuple(terms), key=lambda term: term[1])
+        raw = sorted(((float(lam), float(mu)) for lam, mu in terms), key=lambda term: term[1])
         merged: list[list[float]] = []
         for lam, mu in raw:
             if merged and abs(mu - merged[-1][1]) <= EQ_TOL:

@@ -12,6 +12,7 @@ import numpy as np
 from petident import (
     CampaignSpec,
     IrgnmSettings,
+    KineticParams,
     ParamVector,
     PlasmaParams,
     PolyExp,
@@ -32,7 +33,6 @@ from petident import (
     simulate_ground_truth,
     solve_tikhonov,
     tissue_concentration_quadrature,
-    unpack,
 )
 from petident.cli import main as cli_main
 from petident.experiments import scenario_to_dict
@@ -284,8 +284,8 @@ def test_a9_invariant_suite(scenario, ground_truth, rng):
     checks.append(alphas[-1] < alphas[0] * 1e-8)
 
     # codec round trip
-    lam, mu, m, kin = unpack(x_true)
-    checks.append(np.array_equal(pack(lam, mu, m, kin).flat, x_true.flat))
+    kin = [KineticParams(*row) for row in x_true.kinetic_block]
+    checks.append(np.array_equal(pack(x_true.lam, x_true.mu, x_true.m, kin).flat, x_true.flat))
 
     # superposition and coefficient linearity of the arterial curve
     g = PolyExp([(1.5, -0.4)])

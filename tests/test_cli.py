@@ -154,6 +154,30 @@ class TestIdentify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"y": ["0.5"] * 100}, "value 0 is not a finite number ('0.5')"),
+            ([0.5] * 7 + [True] + [0.5] * 92, "value 7 is not a finite number (True)"),
+            ({"values": [0.5] * 100}, "exactly the key 'y', got ['values']"),
+            ({"y": [0.5] * 100, "units": "min"}, "exactly the key 'y', got ['units', 'y']"),
+        ],
+        ids=["string", "bool", "missing_y", "extra_key"],
+    )
+    def test_json_data_follows_the_reader_number_rule(
+        self, scenario_files, tmp_path, capsys, payload, named
+    ):
+        # the JSON numbers of the scenario and campaign readers: no strings, no bools
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(payload))
+        code = run_cli(
+            "identify", "--scenario", scenario_files["min"], "--data", data,
+            "--max-iter", "1", "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def _spoil_rate(data):
     data["regions"][1]["k2"] = float("nan")
@@ -247,6 +271,19 @@ def _spoil_region_not_object(data):
 
 def _spoil_top_level_list(data):
     return [data]
+
+
+# a required key left out, at each level
+def _spoil_missing_lambda(data):
+    data.pop("lambda")
+
+
+def _spoil_missing_plasma_A(data):
+    data["plasma"].pop("A")
+
+
+def _spoil_missing_region_K1(data):
+    data["regions"][1].pop("K1")
 
 
 def _spoil_merged_mu(data):
@@ -363,6 +400,9 @@ class TestScenarioValidation:
             (_spoil_plasma_not_object, "plasma must be an object"),
             (_spoil_region_not_object, "region 2 must be an object"),
             (_spoil_top_level_list, "scenario must be an object"),
+            (_spoil_missing_lambda, "scenario is missing lambda"),
+            (_spoil_missing_plasma_A, "plasma is missing A"),
+            (_spoil_missing_region_K1, "region 2 is missing K1"),
         ],
         ids=lambda value: value.__name__.removeprefix("_spoil_") if callable(value) else None,
     )
@@ -445,6 +485,31 @@ class TestScenarioValidation:
         err = capsys.readouterr().err
         assert "cannot parse scenario" in err and named in err
         assert not (tmp_path / "out").exists()
+
+
+class TestOutDirectory:
+    """An ``--out`` that cannot be a directory is a usage error, found
+    before any work."""
+
+    @pytest.mark.parametrize(
+        "argv, below",
+        [
+            (["simulate"], False),
+            (["identify", "--synthesize"], False),
+            (["reproduce", "--all", "--repetitions", "1"], True),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_exits_1(self, scenario_files, tmp_path, capsys, argv, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x" if below else blocker
+        code = run_cli(*argv, "--scenario", scenario_files["min"], "--out", out)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --out")
+        assert captured.out == ""  # no fit, no cell ran
+        assert blocker.read_text() == ""
 
 
 class TestNegativeSeed:

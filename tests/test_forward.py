@@ -10,7 +10,6 @@ from petident import (
     KineticParams,
     ParamLayout,
     ParamVector,
-    apply_forward,
     finite_difference_check,
     forward_vector,
     integrate_compartments_rk4_grid,
@@ -18,7 +17,6 @@ from petident import (
     pack,
     project_to_domain,
     tikhonov_objective,
-    unpack,
 )
 from petident.experiments import default_scenario
 from petident.forward import MODES, JacobianCheck, _forward_scale
@@ -96,10 +94,19 @@ class TestCodec:
         kin = [KineticParams(*rng.uniform(0.01, 1, size=3)) for _ in range(5)]
         x = pack(lam, mu, m, kin)
         assert x.flat.size == 2 * 4 + 3 + 15 == 26
-        lam2, mu2, m2, kin2 = unpack(x)
+        lam2, mu2, m2 = x.lam, x.mu, x.m
+        kin2 = [KineticParams(*row) for row in x.kinetic_block]
         assert np.array_equal(lam, lam2) and np.array_equal(mu, mu2)
         assert np.array_equal(m, m2) and kin2 == kin
         assert np.array_equal(pack(lam2, mu2, m2, kin2).flat, x.flat)
+
+    def test_with_flat_inverts_flat(self, ground_truth, rng):
+        _, y_true = ground_truth
+        again = y_true.with_flat(y_true.flat())
+        assert np.array_equal(again.c_tis_block, y_true.c_tis_block)
+        assert np.array_equal(again.f2_block, y_true.f2_block)
+        values = rng.normal(size=y_true.flat().size)
+        assert np.array_equal(y_true.with_flat(values).flat(), values)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -341,8 +348,8 @@ class TestTikhonovObjective:
         x_true, y_true = ground_truth
         x = random_in_domain(x_true, rng)
         x_bar = random_in_domain(x_true, rng)
-        # independent recomputation: apply_forward blocks + plain loops
-        filled = apply_forward(x, y_true)
+        # independent recomputation: forward blocks + plain loops
+        filled = y_true.with_flat(forward_vector(x, y_true))
         res = 0.0
         for i in range(3):
             for l in range(25):

@@ -9,7 +9,6 @@ from petident import (
     PolyExp,
     eval_polyexp,
     integrate_compartments_rk4_grid,
-    tissue_concentration,
     tissue_concentration_quadrature,
     tissue_curves,
 )
@@ -30,7 +29,7 @@ class TestRk4Oracle:
 
     def test_fourth_order_convergence(self):
         # halving the step shrinks the error against the closed form ~16x
-        exact = tissue_concentration(ARTERIAL, REGION1, 5.0)
+        exact = tissue_curves(ARTERIAL, REGION1, 5.0).c_tis
         errors = []
         for step in (0.5, 0.25):
             approx = integrate_compartments_rk4_grid(arterial_fn, REGION1, [5.0], step).c_tis[0]
@@ -52,36 +51,36 @@ class TestClosedForm:
     def test_zero_influx_gives_zero(self):
         k = KineticParams(0.0, 0.174, 0.118)
         for t in (0.0, 1.0, 30.0):
-            assert tissue_concentration(ARTERIAL, k, t) == 0.0
+            assert tissue_curves(ARTERIAL, k, t).c_tis == 0.0
 
     def test_initial_condition(self):
-        assert tissue_concentration(ARTERIAL, REGION1, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert tissue_curves(ARTERIAL, REGION1, 0.0).c_tis == pytest.approx(0.0, abs=1e-15)
         curves = tissue_curves(ARTERIAL, REGION1, 0.0)
         assert curves.c_fr == pytest.approx(0.0, abs=1e-15)
         assert curves.c_bd == pytest.approx(0.0, abs=1e-15)
 
     def test_region1_matches_rk4_at_one_minute(self):
         # t = 60 s on the per-minute scale
-        value = tissue_concentration(ARTERIAL, REGION1, 1.0)
+        value = tissue_curves(ARTERIAL, REGION1, 1.0).c_tis
         oracle = integrate_compartments_rk4_grid(arterial_fn, REGION1, [1.0], step=1e-4).c_tis[0]
         assert value == pytest.approx(oracle, rel=1e-8)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            tissue_concentration(ARTERIAL, KineticParams(0.1, -0.2, 0.1), 1.0)
+            tissue_curves(ARTERIAL, KineticParams(0.1, -0.2, 0.1), 1.0)
 
     def test_linearity_in_influx_exact(self):
         # doubling K1 scales by a power of two: bit-identical result
         doubled = KineticParams(2 * REGION1.K1, REGION1.k2, REGION1.k3)
         t = np.linspace(0.0, 62.5, 40)
         assert np.array_equal(
-            tissue_concentration(ARTERIAL, doubled, t),
-            2.0 * tissue_concentration(ARTERIAL, REGION1, t),
+            tissue_curves(ARTERIAL, doubled, t).c_tis,
+            2.0 * tissue_curves(ARTERIAL, REGION1, t).c_tis,
         )
         tripled = KineticParams(3 * REGION1.K1, REGION1.k2, REGION1.k3)
         np.testing.assert_allclose(
-            tissue_concentration(ARTERIAL, tripled, t),
-            3.0 * tissue_concentration(ARTERIAL, REGION1, t),
+            tissue_curves(ARTERIAL, tripled, t).c_tis,
+            3.0 * tissue_curves(ARTERIAL, REGION1, t).c_tis,
             rtol=1e-15,
         )
 
@@ -89,8 +88,8 @@ class TestClosedForm:
         g = PolyExp([(2.0, -0.3), (-1.0, -0.7)])
         h = PolyExp([(0.5, -0.05), (1.5, -1.1)])
         t = rng.uniform(0, 60, size=12)
-        combined = tissue_concentration(PolyExp(g.terms + h.terms), REGION1, t)
-        separate = tissue_concentration(g, REGION1, t) + tissue_concentration(h, REGION1, t)
+        combined = tissue_curves(PolyExp(g.terms + h.terms), REGION1, t).c_tis
+        separate = tissue_curves(g, REGION1, t).c_tis + tissue_curves(h, REGION1, t).c_tis
         np.testing.assert_allclose(combined, separate, rtol=1e-12)
 
 
@@ -119,7 +118,7 @@ class TestQuadratureOracle:
             for t in scenario.t_grid:
                 if t == 0.0:
                     continue
-                closed = tissue_concentration(scenario.c_art, k, float(t))
+                closed = tissue_curves(scenario.c_art, k, float(t)).c_tis
                 quad = tissue_concentration_quadrature(
                     lambda s: eval_polyexp(scenario.c_art, s), k, float(t)
                 )
@@ -145,7 +144,7 @@ class TestOracleEquivalence:
                 continue
             k = KineticParams(*rng.uniform(0.05, 0.4, size=3))
             t = float(rng.uniform(0.5, 30.0))
-            closed = tissue_concentration(art, k, t)
+            closed = tissue_curves(art, k, t).c_tis
             quad = tissue_concentration_quadrature(lambda s: eval_polyexp(art, s), k, t)
             rk4 = integrate_compartments_rk4_grid(
                 lambda s: eval_polyexp(art, s), k, [t], step=5e-4
@@ -158,16 +157,16 @@ class TestResonance:
     def test_value_continuous_across_resonant_exponent(self):
         k = KineticParams(0.15, 0.2, 0.1)  # beta = 0.3
         t = np.linspace(0.0, 62.5, 30)
-        at = tissue_concentration(PolyExp([(2.0, -0.3)]), k, t)
+        at = tissue_curves(PolyExp([(2.0, -0.3)]), k, t).c_tis
         for offset in (1e-8, -1e-8):
-            near = tissue_concentration(PolyExp([(2.0, -0.3 + offset)]), k, t)
+            near = tissue_curves(PolyExp([(2.0, -0.3 + offset)]), k, t).c_tis
             scale = np.max(np.abs(at))
             assert np.max(np.abs(near - at)) <= 1e-6 * scale
 
     def test_resonant_value_matches_rk4(self):
         k = KineticParams(0.15, 0.2, 0.1)
         art = PolyExp([(2.0, -0.3)])
-        value = tissue_concentration(art, k, 7.0)
+        value = tissue_curves(art, k, 7.0).c_tis
         oracle = integrate_compartments_rk4_grid(
             lambda s: eval_polyexp(art, s), k, [7.0], 1e-4
         ).c_tis[0]
@@ -176,7 +175,7 @@ class TestResonance:
     def test_zero_exponent_matches_rk4(self):
         k = KineticParams(0.15, 0.2, 0.1)
         art = PolyExp([(1.3, 0.0), (1.0, -0.2)])
-        value = tissue_concentration(art, k, 4.0)
+        value = tissue_curves(art, k, 4.0).c_tis
         oracle = integrate_compartments_rk4_grid(
             lambda s: eval_polyexp(art, s), k, [4.0], 1e-4
         ).c_tis[0]

@@ -293,7 +293,7 @@ def test_import_does_not_load_the_integrator():
     before, value, after = result.stdout.split()
     assert (before, after) == ("False", "True")
     k = petident.KineticParams(0.157, 0.174, 0.118)
-    exact = petident.tissue_concentration(petident.PolyExp([(1.0, 0.0)]), k, 2.0)
+    exact = petident.tissue_curves(petident.PolyExp([(1.0, 0.0)]), k, 2.0).c_tis
     assert float(value) == pytest.approx(exact, rel=1e-10)
 
 
