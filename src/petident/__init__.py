@@ -48,7 +48,6 @@ from .experiments import (
     build_time_grid,
     default_scenario,
     emit_results,
-    load_scenario,
     perturb_initial,
     run_campaign,
     scenario_from_dict,

@@ -1,17 +1,20 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands and their flags (any other flag is a usage error):
 
-* ``simulate``   -- evaluate a scenario's ground-truth curves and measurements
-* ``identify``   -- fit kinetic parameters to measured or synthesized data
-* ``check``      -- identifiability diagnostics for a scenario
-* ``reproduce``  -- repeated-campaign tables and median-run traces
-* ``jaccheck``   -- verify the analytic Jacobian against finite differences
+* ``simulate --scenario [--out]`` -- a scenario's ground-truth curves and measurements
+* ``identify --scenario (--data | --synthesize) [--out --seed --delta-x --delta-y
+  --mode --tau --alpha-a --alpha-b --epsilon --max-iter]`` -- fit kinetic parameters
+* ``check --scenario`` -- identifiability diagnostics for a scenario
+* ``reproduce (--campaign | --all) [--scenario --out --seed --repetitions --mode]``
+  -- repeated-campaign tables and median-run traces
+* ``jaccheck [--scenario --seed --trials --tolerance --corrupt]`` -- verify the
+  analytic Jacobian against finite differences
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 numerical
-failure.  All randomness derives from ``--seed``; outputs are deterministic
-functions of the inputs, written with 17 significant digits so reruns are
-byte-identical.
+Exit codes: 0 success, 1 usage error (a bad flag), 2 input parse error (a
+fault inside a scenario, campaign or data file), 3 numerical failure.  All
+randomness derives from ``--seed``; outputs are deterministic functions of the
+inputs, written with 17 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,16 +30,18 @@ import numpy as np
 
 from .experiments import (
     SECONDS_PER_MINUTE,
+    _check_object,
     _fmt,
+    _number,
     CampaignSpec,
     Scenario,
     add_noise,
     default_scenario,
     emit_results,
     is_finite_number,
-    load_scenario,
     perturb_initial,
     run_campaign,
+    scenario_from_dict,
     simulate_ground_truth,
     write_table,
     write_trace,
@@ -73,17 +78,27 @@ class CliParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_scenario_arg(path: str) -> Scenario:
-    try:
-        return load_scenario(path)
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(f"scenario file not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseFailure(f"cannot parse scenario {path}: {exc}") from exc
-
-
 class ParseFailure(Exception):
     pass
+
+
+def _read_json(kind: str, path: str, build):
+    """``build`` applied to the JSON of a ``kind`` file: any fault inside the
+    file is an input error that names the file."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(f"{kind} file not found: {path}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseFailure(f"cannot parse {kind} {path}: {exc}") from exc
+
+
+def _scenario(args) -> Scenario:
+    """The ``--scenario`` file, or the built-in scenario without one."""
+    if args.scenario is None:
+        return default_scenario()
+    return _read_json("scenario", args.scenario, scenario_from_dict)
 
 
 def _settings_from_args(args, delta_y: float) -> IrgnmSettings:
@@ -122,7 +137,7 @@ def _param_names(layout) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_scenario_arg(args.scenario)
+    scenario = _scenario(args)
     out = _out_dir(args.out)
     x_true, y_true = simulate_ground_truth(scenario)
 
@@ -200,23 +215,19 @@ def cmd_identify(args) -> int:
     for flag, level in (("--delta-x", args.delta_x), ("--delta-y", args.delta_y)):
         if not (is_finite(level) and level >= 0):
             raise UsageError(f"{flag} must be finite and nonnegative, got {level}")
-    scenario = _load_scenario_arg(args.scenario)
+    scenario = _scenario(args)
     if args.mode is not None:
         scenario = replace(scenario, mode=args.mode)
     settings = _settings_from_args(args, args.delta_y)
-    if args.data is not None:
+    if not args.synthesize:
         y_delta = _read_measurements(args.data, scenario.template(), scenario.n)
-    elif not args.synthesize:
-        raise UsageError("either --data PATH or --synthesize is required")
     out = _out_dir(args.out)
     x_true, y_true = simulate_ground_truth(scenario)
-    if args.data is None:
+    if args.synthesize:
         y_delta = add_noise(y_true, args.delta_y, [args.seed, 1])
     x0 = perturb_initial(x_true, args.delta_x, [args.seed, 0], settings.epsilon)
     # measured data have no known truth: the scenario is only the prior
-    record = run_irgnm(
-        x0, y_delta, settings, x_true=x_true if args.data is None else None
-    )
+    record = run_irgnm(x0, y_delta, settings, x_true=x_true if args.synthesize else None)
 
     lam, mu, m = record.final_x.lam, record.final_x.mu, record.final_x.m
     print(f"mode: {scenario.mode}")
@@ -246,7 +257,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    scenario = _load_scenario_arg(args.scenario)
+    scenario = _scenario(args)
     report = region_diversity_report(
         scenario.c_art.exponents,
         scenario.c_art.coefficients,
@@ -300,48 +311,32 @@ SETTINGS_KEYS = ("a", "b", "tau", "epsilon", "max_iter")
 
 
 def _campaign_from_file(path: str, args) -> CampaignSpec:
-    """The cell of a campaign file with the command-line overrides.  Unknown
-    keys and non-finite levels are input errors, bad integers usage errors."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"cannot parse campaign {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseFailure(f"campaign {path} is not a JSON object")
-    # a key this reader ignored would silently leave a default in its place
-    unknown = sorted(set(data) - {"delta_y", "delta_x", *CELL_KEYS, *SETTINGS_KEYS})
-    if unknown:
-        raise ParseFailure(f"campaign {path} has unknown keys {unknown}")
-    for key in ("delta_y", "delta_x", "a", "b", "tau", "epsilon"):
-        value = data.get(key, 0.0)
-        if not is_finite_number(value):
-            raise ParseFailure(f"campaign {path}: {key} must be a finite number, got {value!r}")
-    try:
+    """The cell of a campaign file, checked as written, with the command-line
+    overrides, which are checked already."""
+
+    def build(data) -> CampaignSpec:
+        _check_object("campaign", data, CELL_KEYS + SETTINGS_KEYS, ("delta_y", "delta_x"))
+        # the integers and the mode are checked by IrgnmSettings and CampaignSpec
+        for key in ("delta_y", "delta_x", "a", "b", "tau", "epsilon"):
+            _number(key, data.get(key, 0.0))
         settings = IrgnmSettings.for_noise(
             data["delta_y"], **{key: data[key] for key in SETTINGS_KEYS if key in data}
         )
-        fields = {key: data[key] for key in CELL_KEYS if key in data}
-        return CampaignSpec(
+        cell = CampaignSpec(
             data["delta_y"], data["delta_x"], settings=settings,
-            **{**fields, **_cell_overrides(args)},
+            **{key: data[key] for key in CELL_KEYS if key in data},
         )
-    except KeyError as exc:
-        raise ParseFailure(f"campaign {path} is missing field {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        return replace(cell, **_cell_overrides(args))
+
+    return _read_json("campaign", path, build)
 
 
 def cmd_reproduce(args) -> int:
-    if (args.campaign is None) == (not args.all):
-        raise UsageError("exactly one of --campaign PATH or --all is required")
     if args.all and args.mode is not None:
         raise UsageError("--mode cannot be combined with --all, which runs both modes")
     if args.repetitions is not None and args.repetitions < 1:
         raise UsageError("--repetitions must be >= 1")
-    scenario = (
-        _load_scenario_arg(args.scenario) if args.scenario else default_scenario()
-    )
+    scenario = _scenario(args)
     out = _out_dir(args.out)
     for stale in [out / "table1.csv", out / "results.json", *out.glob("trace_*.csv")]:
         stale.unlink(missing_ok=True)
@@ -436,9 +431,7 @@ def cmd_jaccheck(args) -> int:
         raise UsageError("--trials must be >= 1")
     if not (is_finite(args.tolerance) and args.tolerance > 0):
         raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
-    scenario = (
-        _load_scenario_arg(args.scenario) if args.scenario else default_scenario()
-    )
+    scenario = _scenario(args)
     corrupt = _corrupt_entry(args.corrupt, scenario) if args.corrupt else None
     check = run_jaccheck(scenario, args.trials, args.tolerance, args.seed, corrupt)
     print(
@@ -466,53 +459,64 @@ def build_parser() -> CliParser:
     parser = CliParser(prog="petident", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
+    def subcommand(name, func, help, *flags, scenario_required=True):
+        # of --out and --seed, a subcommand takes only those its command reads
+        p = sub.add_parser(name, help=help)
         p.add_argument(
             "--scenario",
             required=scenario_required,
             help="scenario JSON file" + ("" if scenario_required else " (default: built-in)"),
         )
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=_seed, default=0, help="base RNG seed (>= 0)")
+        if "out" in flags:
+            p.add_argument("--out", default="out", help="output directory")
+        if "seed" in flags:
+            p.add_argument("--seed", type=_seed, default=0, help="base RNG seed (>= 0)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="evaluate ground-truth curves and measurements")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    subcommand("simulate", cmd_simulate, "evaluate ground-truth curves and measurements", "out")
 
-    p = sub.add_parser("identify", help="fit parameters to data")
-    common(p)
-    p.add_argument("--data", help="measurement file (CSV with a value column, or JSON)")
-    p.add_argument("--synthesize", action="store_true", help="generate data from the scenario")
+    p = subcommand("identify", cmd_identify, "fit parameters to data", "out", "seed")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="measurement file (CSV with a value column, or JSON)")
+    source.add_argument("--synthesize", action="store_true", help="generate data from the scenario")
     p.add_argument("--delta-x", type=float, default=0.05, help="initialization perturbation level")
-    p.add_argument("--delta-y", type=float, default=0.0, help="noise level for --synthesize")
+    p.add_argument(
+        "--delta-y", type=float, default=0.0,
+        help="noise level: the discrepancy-stop estimate (0: no such stop, default --max-iter "
+        "300, else 200); with --synthesize also the noise added to the data",
+    )
     p.add_argument("--mode", choices=("full", "known_cart"))
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--alpha-a", type=float, default=None)
     p.add_argument("--alpha-b", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
-    p.set_defaults(func=cmd_identify)
 
-    p = sub.add_parser("check", help="identifiability diagnostics")
-    common(p)
-    p.set_defaults(func=cmd_check)
+    subcommand("check", cmd_check, "identifiability diagnostics")
 
-    p = sub.add_parser("reproduce", help="repeated campaigns and tables")
-    common(p, scenario_required=False)
-    p.add_argument("--campaign", help="campaign JSON file")
-    p.add_argument("--all", action="store_true", help="run the full noise x perturbation x mode grid")
+    p = subcommand(
+        "reproduce", cmd_reproduce, "repeated campaigns and tables", "out", "seed",
+        scenario_required=False,
+    )
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--campaign", help="campaign JSON file")
+    source.add_argument(
+        "--all", action="store_true", help="run the full noise x perturbation x mode grid"
+    )
     p.add_argument("--repetitions", type=int, default=None)
     p.add_argument("--mode", choices=("full", "known_cart"), default=None)
     # without --seed, a campaign file's own seed applies
-    p.set_defaults(func=cmd_reproduce, seed=None)
+    p.set_defaults(seed=None)
 
-    p = sub.add_parser("jaccheck", help="finite-difference Jacobian verification")
-    common(p, scenario_required=False)
+    p = subcommand(
+        "jaccheck", cmd_jaccheck, "finite-difference Jacobian verification", "seed",
+        scenario_required=False,
+    )
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--corrupt", nargs=3, metavar=("ROW", "COL", "AMOUNT"), default=None,
                    help="inject an error into the analytic Jacobian (self-test)")
-    p.set_defaults(func=cmd_jaccheck)
 
     return parser
 

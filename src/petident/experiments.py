@@ -325,11 +325,6 @@ def _check_scenario_values(lam, mu, m, regions, t_grid, s_grid):
             raise ValueError(f"{name} must be strictly increasing")
 
 
-def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
-
-
 def simulate_ground_truth(scn: Scenario) -> tuple[ParamVector, MeasurementSet]:
     """Pack the true parameters and evaluate the noise-free measurements.
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -99,6 +100,30 @@ class TestIdentify:
         assert code == 1
         assert capsys.readouterr().err.startswith("usage error:")
         assert not (tmp_path / "identify_trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "source, named",
+        [
+            (
+                ["--data", "{data}", "--synthesize"],
+                "argument --synthesize: not allowed with argument --data",
+            ),
+            ([], "one of the arguments --data --synthesize is required"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_exactly_one_data_source(self, scenario_files, tmp_path, capsys, source, named):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps([0.5] * 100))
+        argv = [a.format(data=data) for a in source]
+        code = run_cli(
+            "identify", "--scenario", scenario_files["min"], *argv, "--out", tmp_path / "out"
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"usage error: {named}\n" in captured.err
+        assert captured.out == ""  # no fit
+        assert not (tmp_path / "out").exists()
 
     def test_data_dimension_mismatch_exits_2(self, scenario_files, tmp_path):
         data = tmp_path / "short.json"
@@ -372,9 +397,9 @@ class TestScenarioValidation:
         "command",
         [
             ["check"],
-            ["simulate"],
-            ["identify", "--synthesize", "--max-iter", "1"],
-            ["reproduce", "--all", "--repetitions", "1"],
+            ["simulate", "--out", "{out}"],
+            ["identify", "--synthesize", "--max-iter", "1", "--out", "{out}"],
+            ["reproduce", "--all", "--repetitions", "1", "--out", "{out}"],
             ["jaccheck", "--trials", "1"],
         ],
         ids=lambda command: command[0],
@@ -384,7 +409,8 @@ class TestScenarioValidation:
         data = spoil(data) or data  # a spoil may replace the whole file
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        code = run_cli(*command, "--scenario", path, "--out", tmp_path / "out")
+        argv = [a.format(out=tmp_path / "out") for a in command]
+        code = run_cli(*argv, "--scenario", path)
         assert code == 2
         assert "cannot parse scenario" in capsys.readouterr().err
 
@@ -422,9 +448,9 @@ class TestScenarioValidation:
         "command",
         [
             ["check"],
-            ["simulate"],
-            ["identify", "--synthesize", "--max-iter", "1"],
-            ["reproduce", "--campaign", "{campaign}"],
+            ["simulate", "--out", "{out}"],
+            ["identify", "--synthesize", "--max-iter", "1", "--out", "{out}"],
+            ["reproduce", "--campaign", "{campaign}", "--out", "{out}"],
         ],
         ids=lambda command: command[0],
     )
@@ -439,8 +465,8 @@ class TestScenarioValidation:
         path.write_text(json.dumps(data))
         campaign = tmp_path / "campaign.json"
         campaign.write_text(json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1}))
-        argv = [a.format(campaign=campaign) for a in command]
-        code = run_cli(*argv, "--scenario", path, "--out", tmp_path / "out")
+        argv = [a.format(campaign=campaign, out=tmp_path / "out") for a in command]
+        code = run_cli(*argv, "--scenario", path)
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot parse scenario" in err and named in err
@@ -467,8 +493,8 @@ class TestScenarioValidation:
         "command",
         [
             ["check"],
-            ["simulate"],
-            ["identify", "--synthesize", "--max-iter", "1"],
+            ["simulate", "--out", "{out}"],
+            ["identify", "--synthesize", "--max-iter", "1", "--out", "{out}"],
             ["jaccheck", "--trials", "1"],
         ],
         ids=lambda command: command[0],
@@ -480,7 +506,8 @@ class TestScenarioValidation:
         spoil(data)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        code = run_cli(*command, "--scenario", path, "--out", tmp_path / "out")
+        argv = [a.format(out=tmp_path / "out") for a in command]
+        code = run_cli(*argv, "--scenario", path)
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot parse scenario" in err and named in err
@@ -489,7 +516,8 @@ class TestScenarioValidation:
 
 class TestOutDirectory:
     """An ``--out`` that cannot be a directory is a usage error, found
-    before any work."""
+    before any work; ``check`` and ``jaccheck``, which write nothing, take
+    no ``--out`` at all."""
 
     @pytest.mark.parametrize(
         "argv, below",
@@ -497,6 +525,8 @@ class TestOutDirectory:
             (["simulate"], False),
             (["identify", "--synthesize"], False),
             (["reproduce", "--all", "--repetitions", "1"], True),
+            (["check"], False),
+            (["jaccheck", "--trials", "1"], True),
         ],
         ids=lambda value: value[0] if isinstance(value, list) else None,
     )
@@ -507,86 +537,171 @@ class TestOutDirectory:
         code = run_cli(*argv, "--scenario", scenario_files["min"], "--out", out)
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("usage error: --out")
+        if argv[0] in ("check", "jaccheck"):
+            assert captured.err.startswith("usage: petident ")
+            assert f"usage error: unrecognized arguments: --out {out}\n" in captured.err
+        else:
+            assert captured.err.startswith("usage error: --out")
         assert captured.out == ""  # no fit, no cell ran
         assert blocker.read_text() == ""
 
 
+def _dests_and_reads(argv):
+    """The flags ``argv`` parses to, and the attributes its command reads."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    assert args.func(Recorder(**vars(args))) == 0
+    return set(vars(args)) - {"command", "func"}, reads
+
+
+class TestFlagsAreRead:
+    """Each subcommand takes only the flags its command reads: a flag it
+    parsed and never read would be accepted and silently ignored."""
+
+    @pytest.mark.parametrize("command", ["simulate", "identify", "check", "reproduce", "jaccheck"])
+    def test_every_parsed_flag_is_read(self, scenario_files, tmp_path, capsys, command):
+        scenario, out = scenario_files["min"], ["--out", tmp_path / "out"]
+        assert run_cli("simulate", "--scenario", scenario, "--out", tmp_path / "sim") == 0
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(
+            json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1, "max_iter": 1})
+        )
+        argvs = {
+            "simulate": [["--scenario", scenario, *out]],
+            "identify": [
+                ["--scenario", scenario, "--synthesize", "--max-iter", "1", *out],
+                ["--scenario", scenario, "--data", tmp_path / "sim" / "y_true.csv",
+                 "--max-iter", "1", *out],
+            ],
+            "check": [["--scenario", scenario]],
+            "reproduce": [["--campaign", campaign, *out]],
+            "jaccheck": [["--trials", "1"]],
+        }
+        parsed, read = set(), set()
+        for argv in argvs[command]:
+            dests, reads = _dests_and_reads([command, *argv])
+            parsed |= dests
+            read |= reads
+        assert parsed - read == set()
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "--out", "{out}"], ["check"]], ids=lambda argv: argv[0]
+    )
+    def test_seed_is_not_taken(self, scenario_files, tmp_path, capsys, argv):
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        assert run_cli(*argv, "--scenario", scenario_files["min"], "--seed", "3") == 1
+        captured = capsys.readouterr()
+        assert "usage error: unrecognized arguments: --seed 3\n" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 class TestNegativeSeed:
-    """Philox takes nonnegative seeds only: a negative one, from the flag or
-    from a campaign file, is a usage error before any run starts."""
+    """Philox takes nonnegative seeds only: a negative ``--seed`` is a usage
+    error before any run starts (a negative seed in a campaign file is an
+    input error, see TestCampaignFile)."""
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["identify", "--synthesize", "--scenario", "{scenario}", "--seed", "-1"],
+            ["identify", "--synthesize", "--scenario", "{scenario}", "--seed", "-1",
+             "--out", "{out}"],
             ["jaccheck", "--trials", "1", "--seed", "-1"],
-            ["reproduce", "--campaign", "{campaign}", "--seed", "-1"],
-            ["reproduce", "--campaign", "{negative_campaign}"],
+            ["reproduce", "--campaign", "{campaign}", "--seed", "-1", "--out", "{out}"],
         ],
-        ids=["identify", "jaccheck", "reproduce-flag", "reproduce-file"],
+        ids=["identify", "jaccheck", "reproduce-flag"],
     )
     def test_exits_1(self, scenario_files, tmp_path, capsys, argv):
-        paths = {"scenario": scenario_files["min"]}
-        for name, seed in (("campaign", 0), ("negative_campaign", -1)):
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(
-                json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1, "seed": seed})
-            )
+        paths = {"scenario": scenario_files["min"], "out": tmp_path / "out"}
+        paths["campaign"] = tmp_path / "campaign.json"
+        paths["campaign"].write_text(
+            json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1, "seed": 0})
+        )
         argv = [a.format(**paths) for a in argv]
-        assert run_cli(*argv, "--out", tmp_path / "out") == 1
+        assert run_cli(*argv) == 1
         assert "usage error:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.json").exists()
 
 
 class TestCampaignFile:
     """A campaign file is read strictly, before any cell runs: an unknown
-    key or a level that is not a number is an input error (exit 2), an
-    integer field that is not an integer or an unknown mode a usage error
-    (exit 1); each message names the field."""
+    key, a level or setting that is not a finite number, an integer field
+    that is not a nonnegative integer or an unknown mode is an input error
+    (exit 2), like any fault in a scenario file; each message names the
+    file and the field."""
 
     @pytest.mark.parametrize(
-        "fields, code, named",
+        "fields, named",
         [
-            ({"repetitons": 1, "max_iters": 5}, 2, "['max_iters', 'repetitons']"),
-            ({"mode": "bogus"}, 1, "'bogus'"),
-            ({"repetitions": 2.5}, 1, "repetitions"),
-            ({"repetitions": True}, 1, "repetitions"),
-            ({"seed": 1.5}, 1, "seed"),
-            ({"seed": True}, 1, "seed"),
-            ({"max_iter": 2.5}, 1, "max_iter"),
-            ({"max_iter": True}, 1, "max_iter"),
-            ({"delta_y": "x"}, 2, "delta_y"),
-            ({"delta_x": "x"}, 2, "delta_x"),
-            ({"tau": None}, 2, "tau"),
-            ({"delta_y": float("nan")}, 2, "delta_y"),
-            ({"delta_x": float("inf")}, 2, "delta_x"),
-            ({"delta_y": 10**400}, 2, "delta_y"),
-            ({"delta_x": 10**400}, 2, "delta_x"),
-            ({"a": 10**400}, 2, "a must be"),
+            ({"repetitons": 1, "max_iters": 5}, "['max_iters', 'repetitons']"),
+            ({"mode": "bogus"}, "'bogus'"),
+            ({"repetitions": 2.5}, "repetitions"),
+            ({"repetitions": True}, "repetitions"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"max_iter": 2.5}, "max_iter"),
+            ({"max_iter": True}, "max_iter"),
+            ({"delta_y": "x"}, "delta_y"),
+            ({"delta_x": "x"}, "delta_x"),
+            ({"tau": None}, "tau"),
+            ({"delta_y": float("nan")}, "delta_y"),
+            ({"delta_x": float("inf")}, "delta_x"),
+            ({"delta_y": 10**400}, "delta_y"),
+            ({"delta_x": 10**400}, "delta_x"),
+            ({"a": 10**400}, "a must be"),
+            ({"seed": -1}, "seed must be nonnegative"),
         ],
     )
-    def test_rejected_before_any_run(self, tmp_path, capsys, fields, code, named):
+    def test_rejected_before_any_run(self, tmp_path, capsys, fields, named):
         campaign = tmp_path / "campaign.json"
         campaign.write_text(
             json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1, **fields})
         )
         out = tmp_path / "rep"
-        assert run_cli("reproduce", "--campaign", campaign, "--out", out) == code
+        assert run_cli("reproduce", "--campaign", campaign, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage error:" if code == 1 else "input error:")
+        assert err.startswith(f"input error: cannot parse campaign {campaign}:")
         assert named in err
         assert not (out / "results.json").exists()
 
     @pytest.mark.parametrize(
+        "fields, flag",
+        [
+            ({"mode": "bogus"}, ["--mode", "full"]),
+            ({"seed": -1}, ["--seed", "3"]),
+            ({"repetitions": 2.5}, ["--repetitions", "1"]),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_fault_under_an_overriding_flag_is_an_input_error(
+        self, tmp_path, capsys, fields, flag
+    ):
+        # the file is checked as written, before a flag replaces the value
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"delta_y": 1e-3, "delta_x": 0.1, **fields}))
+        out = tmp_path / "rep"
+        assert run_cli("reproduce", "--campaign", campaign, *flag, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"input error: cannot parse campaign {campaign}:")
+        assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize(
         "text, named",
-        [('{"delta_y": 0.001}', "missing field 'delta_x'"), ("5", "not a JSON object")],
+        [
+            ('{"delta_y": 0.001}', "campaign is missing delta_x"),
+            ("5", "campaign must be an object"),
+        ],
     )
     def test_malformed_file_is_an_input_error(self, tmp_path, capsys, text, named):
         campaign = tmp_path / "campaign.json"
         campaign.write_text(text)
         assert run_cli("reproduce", "--campaign", campaign, "--out", tmp_path) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(campaign) in err and named in err
 
 
 class TestCheck:
