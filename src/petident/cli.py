@@ -12,9 +12,10 @@ Subcommands and their flags (any other flag is a usage error):
   analytic Jacobian against finite differences
 
 Exit codes: 0 success, 1 usage error (a bad flag), 2 input parse error (a
-fault inside a scenario, campaign or data file), 3 numerical failure.  All
-randomness derives from ``--seed``; outputs are deterministic functions of the
-inputs, written with 17 significant digits so reruns are byte-identical.
+scenario, campaign or data file that is missing, cannot be read or has a
+fault inside), 3 numerical failure.  All randomness derives from ``--seed``;
+outputs are deterministic functions of the inputs, written with 17
+significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from .experiments import (
     _check_object,
     _fmt,
     _number,
+    _numbers,
     CampaignSpec,
     Scenario,
     add_noise,
     default_scenario,
     emit_results,
-    is_finite_number,
+    make_rng,
     perturb_initial,
     run_campaign,
     scenario_from_dict,
@@ -82,15 +84,16 @@ class ParseFailure(Exception):
     pass
 
 
-def _read_json(kind: str, path: str, build):
-    """``build`` applied to the JSON of a ``kind`` file: any fault inside the
-    file is an input error that names the file."""
+def _read_file(kind: str, path: str, build, parse=json.load):
+    """``build`` applied to ``parse`` of a ``kind`` file: a file that cannot
+    be read, or any fault inside it, is an input error that names the file."""
     try:
-        with open(path) as fh:
-            return build(json.load(fh))
+        with open(path, encoding="utf-8", newline="") as fh:
+            return build(parse(fh))
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"{kind} file not found: {path}") from exc
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"cannot parse {kind} {path}: {exc}") from exc
 
 
@@ -98,7 +101,7 @@ def _scenario(args) -> Scenario:
     """The ``--scenario`` file, or the built-in scenario without one."""
     if args.scenario is None:
         return default_scenario()
-    return _read_json("scenario", args.scenario, scenario_from_dict)
+    return _read_file("scenario", args.scenario, scenario_from_dict)
 
 
 def _settings_from_args(args, delta_y: float) -> IrgnmSettings:
@@ -168,47 +171,28 @@ def cmd_simulate(args) -> int:
 # -- identify ------------------------------------------------------------------
 
 
-def _json_values(path: Path, payload) -> list:
-    """The numbers of a JSON measurement file: a list, or an object whose
-    only key ``"y"`` holds the list; each entry a finite JSON number."""
-    if isinstance(payload, dict):
-        if set(payload) != {"y"}:
-            raise ParseFailure(
-                f"{path}: an object must hold exactly the key 'y', got {sorted(payload)}"
-            )
-        payload = payload["y"]
-    if type(payload) is not list:
-        raise ParseFailure(f"{path}: expected a list of numbers, got {type(payload).__name__}")
-    for index, value in enumerate(payload):
-        if not is_finite_number(value):
-            raise ParseFailure(f"{path}: value {index} is not a finite number ({value!r})")
-    return payload
+def _csv_values(fh) -> list[float]:
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None or "value" not in reader.fieldnames:
+        raise ValueError("expected a 'value' column")
+    return [float(row["value"]) for row in reader]
 
 
 def _read_measurements(path: str, template: MeasurementSet, n: int) -> MeasurementSet:
+    """The ``--data`` file: a CSV ``value`` column, or a JSON list, bare or
+    as the only key ``"y"`` of an object, of finite numbers."""
     expected = n * template.n_times + template.q
-    path = Path(path)
-    try:
-        if path.suffix == ".json":
-            with open(path) as fh:
-                raw = _json_values(path, json.load(fh))
-        else:
-            with open(path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                if reader.fieldnames is None or "value" not in reader.fieldnames:
-                    raise ParseFailure(f"{path}: expected a 'value' column")
-                raw = [row["value"] for row in reader]
-        values = np.asarray([float(v) for v in raw])
-    except (TypeError, ValueError) as exc:
-        raise ParseFailure(f"{path}: cannot read measurements: {exc}") from exc
-    if values.size != expected:
-        raise ParseFailure(
-            f"{path}: {values.size} values, scenario requires {expected}"
-        )
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmin(np.isfinite(values)))
-        raise ParseFailure(f"{path}: value {bad} is not finite ({values[bad]})")
-    return template.with_flat(values)
+
+    def build(payload) -> MeasurementSet:
+        if type(payload) is dict:
+            payload = _check_object("data", payload, (), ("y",))["y"]
+        values = _numbers("y", payload)
+        if values.size != expected:
+            raise ValueError(f"{values.size} values, scenario requires {expected}")
+        return template.with_flat(values)
+
+    parse = json.load if Path(path).suffix == ".json" else _csv_values
+    return _read_file("data", path, build, parse)
 
 
 def cmd_identify(args) -> int:
@@ -328,7 +312,7 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
         )
         return replace(cell, **_cell_overrides(args))
 
-    return _read_json("campaign", path, build)
+    return _read_file("campaign", path, build)
 
 
 def cmd_reproduce(args) -> int:
@@ -337,10 +321,6 @@ def cmd_reproduce(args) -> int:
     if args.repetitions is not None and args.repetitions < 1:
         raise UsageError("--repetitions must be >= 1")
     scenario = _scenario(args)
-    out = _out_dir(args.out)
-    for stale in [out / "table1.csv", out / "results.json", *out.glob("trace_*.csv")]:
-        stale.unlink(missing_ok=True)
-
     if args.all:
         specs = [
             CampaignSpec(delta_y=dy, delta_x=dx, mode=mode, **_cell_overrides(args))
@@ -350,6 +330,10 @@ def cmd_reproduce(args) -> int:
         ]
     else:
         specs = [_campaign_from_file(args.campaign, args)]
+    # every input is read before the outputs of an earlier run go
+    out = _out_dir(args.out)
+    for stale in [out / "table1.csv", out / "results.json", *out.glob("trace_*.csv")]:
+        stale.unlink(missing_ok=True)
 
     failures = 0
     summaries = []
@@ -394,7 +378,7 @@ def run_jaccheck(
     Jacobian of the first trial (self-test of the comparison)."""
     template = scenario.template()
     x_true = scenario.true_vector()
-    rng = np.random.Generator(np.random.Philox([seed, 2]))
+    rng = make_rng([seed, 2])
     worst = None
     for trial in range(trials):
         flat = x_true.flat * (1.0 + 0.3 * rng.standard_normal(x_true.flat.size))
@@ -458,6 +442,7 @@ def _seed(text: str) -> int:
 def build_parser() -> CliParser:
     parser = CliParser(prog="petident", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def subcommand(name, func, help, *flags, scenario_required=True):
         # of --out and --seed, a subcommand takes only those its command reads
@@ -524,7 +509,9 @@ def build_parser() -> CliParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the usage of the subcommand that does not take them
+            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

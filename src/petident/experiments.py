@@ -198,23 +198,46 @@ def scenario_from_dict(data: dict) -> Scenario:
             check_integer(key, data[key])
 
     lam = _numbers("lambda", data["lambda"])
-    mu = _numbers("mu", data["mu"]) * scale
+    mu = _numbers("mu", data["mu"], scale)
     if "p" in data and data["p"] != lam.size:
         raise ValueError("declared p does not match the lambda/mu length")
     spec = _check_object("plasma", data["plasma"], ("model",), ("A", "xi1", "xi2"))
-    # the amplitude is unitless, the two exponents are rates
-    A, xi1, xi2 = (_number(f"plasma {name}", spec[name]) for name in ("A", "xi1", "xi2"))
-    m = (A, xi1 * scale, xi2 * scale)
+    # the amplitude is unitless, the two exponents are rates; the admissible
+    # plasma set is A >= 0, xi1 <= 0, xi2 <= 0
+    m = tuple(
+        _number(f"plasma {name}", spec[name], 1.0 if name == "A" else scale)
+        for name in ("A", "xi1", "xi2")
+    )
+    if m[0] < 0:
+        raise ValueError(f"plasma A must be nonnegative, got {spec['A']}")
+    for name, xi in zip(("xi1", "xi2"), m[1:]):
+        if xi > 0:
+            raise ValueError(f"plasma {name} must not be positive, got {spec[name]} 1/{units}")
     plasma = PlasmaParams(spec.get("model", "biexp"), m)
     if type(data["regions"]) is not list:
         raise ValueError(f"regions must be a list of objects, got {data['regions']!r}")
+    if not data["regions"]:
+        raise ValueError("regions must not be empty")
     regions = []
     for number, r in enumerate(data["regions"], start=1):
         _check_object(f"region {number}", r, (), ("K1", "k2", "k3"))
-        regions.append(KineticParams(
-            *(_number(f"region {number} {name}", r[name]) * scale for name in ("K1", "k2", "k3"))
-        ))
-    regions = tuple(regions)
+        k = KineticParams(
+            *(_number(f"region {number} {name}", r[name], scale) for name in ("K1", "k2", "k3"))
+        )
+        # the closed forms divide by the clearance k2 + k3, and the solver's
+        # box holds no negative rate
+        where = f"region {number} of {len(data['regions'])}"
+        if not k.beta > 0:
+            raise ValueError(
+                f"k2 + k3 must be positive in every region, {where} "
+                f"has k2 + k3 = {float(r['k2']) + float(r['k3'])} 1/{units}"
+            )
+        for name in ("K1", "k2", "k3"):
+            if getattr(k, name) < 0:
+                raise ValueError(
+                    f"rates must be nonnegative, {where} has {name} = {float(r[name])} 1/{units}"
+                )
+        regions.append(k)
     if "n" in data and data["n"] != len(regions):
         raise ValueError("declared n does not match the number of regions")
     if "times" in grid:
@@ -226,27 +249,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if "blood_times" in grid
         else t_grid.copy()
     )
-    _check_scenario_values(lam, mu, plasma.m, regions, t_grid, s_grid)
-    # the closed forms divide by the clearance k2 + k3, and the solver's box
-    # holds no negative rate
-    for number, (r, k) in enumerate(zip(data["regions"], regions), start=1):
-        if not k.beta > 0:
-            raise ValueError(
-                f"k2 + k3 must be positive in every region, region {number} of "
-                f"{len(regions)} has k2 + k3 = {float(r['k2']) + float(r['k3'])} 1/{units}"
-            )
-        for name in ("K1", "k2", "k3"):
-            if getattr(k, name) < 0:
-                raise ValueError(
-                    f"rates must be nonnegative, region {number} of {len(regions)} "
-                    f"has {name} = {float(r[name])} 1/{units}"
-                )
-    # the admissible plasma set: A >= 0, xi1 <= 0, xi2 <= 0
-    if m[0] < 0:
-        raise ValueError(f"plasma A must be nonnegative, got {spec['A']}")
-    for name, xi in zip(("xi1", "xi2"), m[1:]):
-        if xi > 0:
-            raise ValueError(f"plasma {name} must not be positive, got {spec[name]} 1/{units}")
+    _check_scenario_values(lam, mu, t_grid, s_grid)
     # full-mode blood data are C_art / f, so f must be positive where sampled
     f = plasma_fraction(plasma, s_grid)
     if not np.all(f > 0):
@@ -271,16 +274,24 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and is_finite(value)
 
 
-def _number(key: str, value) -> float:
+def _number(key: str, value, scale: float = 1.0) -> float:
+    """``value`` times ``scale``, the file's unit in 1/min: a finite JSON
+    number whose product stays finite."""
     if not is_finite_number(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
+    scaled = float(value) * scale
+    if not is_finite(scaled):
+        raise ValueError(f"{key} = {value!r} overflows in 1/min")
+    return scaled
 
 
-def _numbers(key: str, values) -> np.ndarray:
-    if type(values) is not list or not all(map(is_finite_number, values)):
+def _numbers(key: str, values, scale: float = 1.0) -> np.ndarray:
+    """A nonempty JSON list of :func:`_number` entries, each times ``scale``."""
+    if type(values) is not list:
         raise ValueError(f"{key} must be a flat list of finite numbers, got {values!r}")
-    return np.array(values, dtype=float)
+    if not values:
+        raise ValueError(f"{key} must not be empty")
+    return np.array([_number(f"{key} entry {i}", v, scale) for i, v in enumerate(values)])
 
 
 def _check_object(where: str, data, optional, required=()) -> dict:
@@ -298,20 +309,9 @@ def _check_object(where: str, data, optional, required=()) -> dict:
     return data
 
 
-def _check_scenario_values(lam, mu, m, regions, t_grid, s_grid):
-    for key, values in (
-        ("lambda", lam), ("mu", mu), ("regions", regions),
-        ("times", t_grid), ("blood_times", s_grid),
-    ):
-        if len(values) == 0:
-            raise ValueError(f"{key} must not be empty")
+def _check_scenario_values(lam, mu, t_grid, s_grid):
     if lam.shape != mu.shape:
         raise ValueError(f"lambda has {lam.size} entries, mu has {mu.size}")
-    # every number read is finite; the rates can overflow when scaled to 1/min
-    rates = [[k.K1, k.k2, k.k3] for k in regions]
-    for name, values in (("mu", mu), ("plasma parameters", m), ("region rates", rates)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite, got {np.asarray(values).tolist()}")
     # PolyExp merges such exponents and drops such weights: the arterial
     # model would have fewer terms than the file lists
     if np.any(lam == 0):

@@ -182,10 +182,10 @@ class TestIdentify:
     @pytest.mark.parametrize(
         "payload, named",
         [
-            ({"y": ["0.5"] * 100}, "value 0 is not a finite number ('0.5')"),
-            ([0.5] * 7 + [True] + [0.5] * 92, "value 7 is not a finite number (True)"),
-            ({"values": [0.5] * 100}, "exactly the key 'y', got ['values']"),
-            ({"y": [0.5] * 100, "units": "min"}, "exactly the key 'y', got ['units', 'y']"),
+            ({"y": ["0.5"] * 100}, "y entry 0 must be a finite number, got '0.5'"),
+            ([0.5] * 7 + [True] + [0.5] * 92, "y entry 7 must be a finite number, got True"),
+            ({"values": [0.5] * 100}, "unknown data keys ['values']"),
+            ({"y": [0.5] * 100, "units": "min"}, "unknown data keys ['units']"),
         ],
         ids=["string", "bool", "missing_y", "extra_key"],
     )
@@ -200,7 +200,7 @@ class TestIdentify:
             "--max-iter", "1", "--out", tmp_path / "out",
         )
         assert code == 2
-        assert named in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"input error: cannot parse data {data}: {named}")
         assert not (tmp_path / "out").exists()
 
 
@@ -348,6 +348,17 @@ def _spoil_empty_blood_times(data):
     data["grid"]["blood_times"] = []
 
 
+def _spoil_overflowing_K1(data):
+    # finite in 1/s, beyond the largest double once multiplied by 60
+    data["grid"]["units"] = "s"
+    data["regions"][1]["K1"] = 1e307
+
+
+def _spoil_overflowing_mu(data):
+    data["grid"]["units"] = "s"
+    data["mu"][0] = -1e307
+
+
 # each negative rate leaves k2 + k3 positive
 def _spoil_negative_K1(data):
     data["regions"][1]["K1"] = -0.05
@@ -418,7 +429,7 @@ class TestScenarioValidation:
         "spoil, named",
         [
             (_spoil_grid_not_object, "grid must be an object"),
-            (_spoil_nested_times, "times must be a flat list of finite numbers"),
+            (_spoil_nested_times, "times entry 0 must be a finite number, got [0, 1]"),
             (_spoil_string_rate, "region 1 K1 must be a finite number, got '0.1'"),
             (_spoil_bool_rate, "region 1 K1 must be a finite number, got True"),
             (_spoil_fractional_p, "p must be an integer, got 3.7"),
@@ -480,6 +491,8 @@ class TestScenarioValidation:
             (_spoil_no_regions, "regions must not be empty"),
             (_spoil_empty_times, "times must not be empty"),
             (_spoil_empty_blood_times, "blood_times must not be empty"),
+            (_spoil_overflowing_K1, "region 2 K1 = 1e+307 overflows in 1/min"),
+            (_spoil_overflowing_mu, "mu entry 0 = -1e+307 overflows in 1/min"),
             (_spoil_negative_K1, "region 2 of 3 has K1 = -0.05 1/min"),
             (_spoil_negative_k2, "region 2 of 3 has k2 = -0.05 1/min"),
             (_spoil_negative_k3, "region 2 of 3 has k3 = -0.05 1/min"),
@@ -514,6 +527,38 @@ class TestScenarioValidation:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnreadableFile:
+    """A file flag naming a directory, an empty file or bytes that are not
+    UTF-8 is an input error with one line, before anything is written."""
+
+    @pytest.mark.parametrize(
+        "argv, kind, suffix",
+        [
+            (["check", "--scenario"], "scenario", ".json"),
+            (["reproduce", "--out", "{out}", "--campaign"], "campaign", ".json"),
+            (["identify", "--scenario", "{scenario}", "--out", "{out}", "--data"], "data", ".json"),
+            (["identify", "--scenario", "{scenario}", "--out", "{out}", "--data"], "data", ".csv"),
+        ],
+        ids=["scenario", "campaign", "data-json", "data-csv"],
+    )
+    @pytest.mark.parametrize("content", ["directory", "empty", "not-utf8"])
+    def test_exits_2_with_one_line(
+        self, scenario_files, tmp_path, capsys, argv, kind, suffix, content
+    ):
+        path = tmp_path / f"x{suffix}"
+        if content == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"" if content == "empty" else b"\xff\xfe\x00[1]")
+        out = tmp_path / "out"
+        argv = [a.format(scenario=scenario_files["min"], out=out) for a in argv]
+        assert run_cli(*argv, path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: cannot parse {kind} {path}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 class TestOutDirectory:
     """An ``--out`` that cannot be a directory is a usage error, found
     before any work; ``check`` and ``jaccheck``, which write nothing, take
@@ -538,7 +583,7 @@ class TestOutDirectory:
         assert code == 1
         captured = capsys.readouterr()
         if argv[0] in ("check", "jaccheck"):
-            assert captured.err.startswith("usage: petident ")
+            assert captured.err.startswith(f"usage: petident {argv[0]} [-h] ")
             assert f"usage error: unrecognized arguments: --out {out}\n" in captured.err
         else:
             assert captured.err.startswith("usage error: --out")
@@ -597,6 +642,7 @@ class TestFlagsAreRead:
         argv = [a.format(out=tmp_path / "out") for a in argv]
         assert run_cli(*argv, "--scenario", scenario_files["min"], "--seed", "3") == 1
         captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: petident {argv[0]} [-h] ")
         assert "usage error: unrecognized arguments: --seed 3\n" in captured.err
         assert captured.out == "" and not (tmp_path / "out").exists()
 
@@ -870,6 +916,19 @@ class TestReproduce:
         assert names == sorted(p.name for p in fresh.iterdir())
         for name in names:
             assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_bad_campaign_file_keeps_earlier_outputs(self, tmp_path, capsys):
+        # the campaign file is read before the outputs of an earlier run go
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1}))
+        out = tmp_path / "rep"
+        assert run_cli("reproduce", "--campaign", campaign, "--out", out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "results.json" in before and "table1.csv" in before
+        campaign.write_text(json.dumps({"delta_y": 1e-3}))
+        assert run_cli("reproduce", "--campaign", campaign, "--out", out) == 2
+        assert "campaign is missing delta_x" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_interrupt_keeps_the_finished_cells(self, tmp_path, monkeypatch):
         finished = []
