@@ -2,22 +2,13 @@
 
 Evaluates the ground-truth curves of the reference scenario (three cortical
 regions, triexponential arterial input, biexponential parent plasma
-fraction) and cross-checks the closed-form tissue solution against two
-independent numerical routes: adaptive quadrature of the
-variation-of-constants formula and a fixed-step RK4 integration of the ODE
-system.
+fraction): the arterial input, the plasma fraction and the total blood
+activity at a few times, and the blood-coupling block at the truth.
 """
 
 import numpy as np
 
-from petident import (
-    default_scenario,
-    eval_polyexp,
-    integrate_compartments_rk4_grid,
-    plasma_fraction,
-    simulate_ground_truth,
-    tissue_concentration_quadrature,
-)
+from petident import default_scenario, eval_polyexp, plasma_fraction, simulate_ground_truth
 
 scenario = default_scenario()
 x_true, y_true = simulate_ground_truth(scenario)
@@ -34,22 +25,6 @@ f = plasma_fraction(scenario.plasma, t_probe)
 print("\n   t [min]    C_art        f        C_bl")
 for t, a, fv in zip(t_probe, art, f):
     print(f"  {t:7.1f}  {a:9.5f}  {fv:7.4f}  {a / fv:9.5f}")
-
-print("\nclosed form vs independent oracles (region 1):")
-kin = scenario.kinetics[0]
-rk4 = integrate_compartments_rk4_grid(
-    lambda s: eval_polyexp(scenario.c_art, s), kin, scenario.t_grid, step=2e-3
-)
-print("   t [min]    closed        RK4 dev     quadrature dev")
-for idx in (1, 5, 9, 15, 24):
-    t = float(scenario.t_grid[idx])
-    closed = y_true.c_tis_block[0, idx]
-    quad = tissue_concentration_quadrature(
-        lambda s: eval_polyexp(scenario.c_art, s), kin, t
-    )
-    dev_rk4 = abs(closed - rk4.c_tis[idx]) / abs(closed)
-    dev_quad = abs(closed - quad) / abs(closed)
-    print(f"  {t:7.1f}  {closed:11.8f}   {dev_rk4:9.2e}    {dev_quad:9.2e}")
 
 print("\nblood-coupling block at the truth (should vanish identically):")
 print(f"  max |F2| = {np.max(np.abs(y_true.f2_block)):.2e}")

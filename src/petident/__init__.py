@@ -13,9 +13,7 @@ from .kinetics import (
     KineticParams,
     RegionKernel,
     TissueCurves,
-    integrate_compartments_rk4_grid,
     region_kernel,
-    tissue_concentration_quadrature,
     tissue_curves,
 )
 from .plasma import PlasmaParams, plasma_fraction
@@ -29,7 +27,6 @@ from .forward import (
     numerical_rank,
     pack,
     project_to_domain,
-    tikhonov_objective,
 )
 from .solver import (
     IrgnmSettings,
@@ -38,7 +35,6 @@ from .solver import (
     irgnm_step,
     rho_metrics,
     run_irgnm,
-    solve_tikhonov,
 )
 from .experiments import (
     CampaignSpec,

@@ -300,17 +300,18 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
 
     def build(data) -> CampaignSpec:
         _check_object("campaign", data, CELL_KEYS + SETTINGS_KEYS, ("delta_y", "delta_x"))
-        # the integers and the mode are checked by IrgnmSettings and CampaignSpec
+        # the integers and the mode are checked by CampaignSpec and IrgnmSettings,
+        # the levels by CampaignSpec before they become solver settings
         for key in ("delta_y", "delta_x", "a", "b", "tau", "epsilon"):
             _number(key, data.get(key, 0.0))
+        cell = CampaignSpec(
+            data["delta_y"], data["delta_x"],
+            **{key: data[key] for key in CELL_KEYS if key in data},
+        )
         settings = IrgnmSettings.for_noise(
             data["delta_y"], **{key: data[key] for key in SETTINGS_KEYS if key in data}
         )
-        cell = CampaignSpec(
-            data["delta_y"], data["delta_x"], settings=settings,
-            **{key: data[key] for key in CELL_KEYS if key in data},
-        )
-        return replace(cell, **_cell_overrides(args))
+        return replace(cell, settings=settings, **_cell_overrides(args))
 
     return _read_file("campaign", path, build)
 

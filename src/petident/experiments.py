@@ -29,7 +29,7 @@ from .forward import (
     DEFAULT_EPSILON, MODES, MeasurementSet, ParamVector, forward_vector, pack, project_to_domain,
 )
 from .kinetics import KineticParams
-from .plasma import N_PARAMS, PlasmaParams, plasma_fraction
+from .plasma import PlasmaParams, plasma_fraction
 from .polyexp import EQ_TOL, PolyExp, eval_polyexp
 from .solver import IrgnmSettings, RunRecord, check_integer, is_finite, run_irgnm
 
@@ -89,10 +89,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.kinetics)
-
-    @property
-    def q_hat(self) -> int:
-        return N_PARAMS
 
     def true_vector(self) -> ParamVector:
         return pack(
@@ -182,8 +178,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     grids are not empty, every region has a positive ``k2 + k3`` and no
     negative rate, the plasma parameters lie in their admissible set
     (``A >= 0``, ``xi1, xi2 <= 0``), both time grids are nonnegative and
-    strictly increasing, and the plasma fraction is positive at every blood
-    sample time.
+    strictly increasing, the plasma fraction is positive at every blood
+    sample time, and the noise-free measurements are all finite.
     """
     _check_object(
         "scenario", data, ("mode", "p", "n", "grid"), ("lambda", "mu", "plasma", "regions")
@@ -258,7 +254,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"plasma parameters (A, xi1, xi2) = {spec['A']}, {spec['xi1']}, {spec['xi2']} "
             f"give plasma fraction {f[first]} at blood time {s_grid[first] * scale} {units}"
         )
-    return Scenario(
+    scenario = Scenario(
         c_art=PolyExp(list(zip(lam, mu))),
         plasma=plasma,
         kinetics=regions,
@@ -266,18 +262,27 @@ def scenario_from_dict(data: dict) -> Scenario:
         s_grid=s_grid,
         mode=data.get("mode", "full"),
     )
-
-
-def is_finite_number(value) -> bool:
-    """Whether a value read from JSON is a finite number: an int or a float,
-    not a bool, a string or an int too large for a float."""
-    return type(value) in (int, float) and is_finite(value)
+    # finite rates can still overflow the data: a clearance k2 + k3 beyond
+    # the largest double, or a growing exponent over a long grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = simulate_ground_truth(scenario)[1].flat()
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        first, T = int(bad[0]), t_grid.size
+        where = (
+            f"region {first // T + 1} at time {t_grid[first % T] * scale:g} {units}"
+            if first < len(regions) * T
+            else f"blood time {s_grid[first - len(regions) * T] * scale:g} {units}"
+        )
+        raise ValueError(f"noise-free measurements must be finite, {where} gives {values[first]}")
+    return scenario
 
 
 def _number(key: str, value, scale: float = 1.0) -> float:
     """``value`` times ``scale``, the file's unit in 1/min: a finite JSON
-    number whose product stays finite."""
-    if not is_finite_number(value):
+    number (an int or a float, not a bool, a string or an int too large for
+    a float) whose product stays finite."""
+    if not (type(value) in (int, float) and is_finite(value)):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     scaled = float(value) * scale
     if not is_finite(scaled):
@@ -400,8 +405,9 @@ class CampaignSpec:
             raise ValueError("repetitions must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not all(is_finite(v) and v >= 0 for v in (self.delta_y, self.delta_x)):
-            raise ValueError("noise and perturbation levels must be finite and nonnegative")
+        for name, level in (("delta_y", self.delta_y), ("delta_x", self.delta_x)):
+            if not (is_finite(level) and level >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {level!r}")
 
     def resolved_settings(self) -> IrgnmSettings:
         if self.settings is not None:

@@ -377,18 +377,3 @@ def numerical_rank(J: np.ndarray) -> tuple[int, float]:
     sigma = np.linalg.svd(J, compute_uv=False)
     rank = int(np.count_nonzero(sigma > max(J.shape) * np.finfo(float).eps * sigma[0]))
     return rank, float(sigma[rank - 1] / sigma[0]) if rank else 0.0
-
-
-def tikhonov_objective(
-    x: ParamVector, x_bar: ParamVector, y_delta: MeasurementSet, alpha: float
-) -> float:
-    """Penalized misfit ``|F(x) - y|^2 + alpha * |x - x_bar|^2``.
-
-    The parameter-space norm is the Euclidean norm of the flat vector (all
-    blocks weighted equally).
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    residual = forward_vector(x, y_delta) - y_delta.flat()
-    penalty = x.flat - x_bar.flat
-    return float(residual @ residual + alpha * (penalty @ penalty))

@@ -1,5 +1,4 @@
-"""Closed-form and numerical solutions of the irreversible two-tissue
-compartment system.
+"""Closed-form solution of the irreversible two-tissue compartment system.
 
 The model is the linear ODE pair
 
@@ -15,10 +14,8 @@ with ``beta = k2 + k3``, ``G1 = K1 k3 / beta`` and ``G2 = K1 k2 / beta``.
 :func:`region_kernel` is the one implementation of this closed form and of
 its exact parameter derivatives, vectorized over regions; the single-region
 curves here and the forward operator and Jacobian in :mod:`.forward` are
-views of its arrays.  Two independent numerical routes (adaptive quadrature
-of the variation-of-constants formula and a fixed-step RK4 integration) are
-provided as oracles; the quadrature oracle loads SciPy's integrator on its
-first call, so importing this module does not.
+views of its arrays.  The numerical routes that the tests check it against
+(quadrature and RK4) live with the tests.
 
 All closed-form expressions are evaluated through the pair
 
@@ -35,9 +32,8 @@ close to the resonant configurations ``mu_j = -(k2 + k3)`` and ``mu_j = 0``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,7 +105,6 @@ def _check_clearance(beta):
     ``beta`` holds one entry per region in its last axis."""
     bad = np.less_equal(beta, 0.0)
     if np.count_nonzero(bad):
-        beta, bad = np.atleast_1d(beta, bad)
         index = tuple(np.argwhere(bad)[0])
         raise DomainError(
             f"k2 + k3 must be positive in every region "
@@ -224,109 +219,3 @@ def tissue_curves(c_art: PolyExp, k: KineticParams, t):
     if t.ndim == 0:
         return TissueCurves(c_fr=float(fr[0]), c_bd=float(bd[0]))
     return TissueCurves(c_fr=fr, c_bd=bd)
-
-
-# -- independent oracles -------------------------------------------------------
-
-
-def tissue_concentration_quadrature(
-    c_art_values: Callable[[float], float],
-    k: KineticParams,
-    t: float,
-) -> float:
-    """Tissue value via adaptive quadrature of the variation-of-constants
-    representation
-
-        C_tis(t) = K1 k2/beta * e^(-beta t) * int_0^t e^(beta s) C_art(s) ds
-                 + K1 k3/beta * int_0^t C_art(s) ds.
-
-    Accepts any continuous arterial input, which makes it an oracle
-    independent of the closed forms.  Both integrals are asked for a
-    relative error of 1e-11.
-
-    Raises
-    ------
-    DomainError
-        If ``k2 + k3 <= 0``.
-    RuntimeError
-        If the quadrature does not reach the requested tolerance.
-    """
-    # SciPy's integrator is loaded here, on first use, so that importing
-    # the package does not pay for it
-    from scipy.integrate import quad
-
-    _check_clearance(k.beta)
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    beta = k.beta
-
-    def weighted(s):
-        return math.exp(beta * (s - t)) * c_art_values(s)
-
-    val1, err1 = quad(weighted, 0.0, t, epsabs=0.0, epsrel=1e-11, limit=400)
-    val2, err2 = quad(c_art_values, 0.0, t, epsabs=0.0, epsrel=1e-11, limit=400)
-    scale = max(abs(val1), abs(val2), 1e-300)
-    if max(err1, err2) > 1e-6 * scale:
-        raise RuntimeError(
-            f"quadrature did not converge: errors ({err1:.2e}, {err2:.2e})"
-        )
-    return k.K1 * (k.k2 * val1 + k.k3 * val2) / beta
-
-
-def integrate_compartments_rk4_grid(
-    c_art_values: Callable[[float], float],
-    k: KineticParams,
-    t_grid,
-    step: float,
-) -> TissueCurves:
-    """RK4 integration reporting both compartments at every point of an
-    increasing time grid (single pass).
-
-    Within each grid interval the step size is shrunk to divide the interval
-    exactly, so grid points are hit without interpolation.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        return TissueCurves(c_fr=np.array([]), c_bd=np.array([]))
-    if np.any(np.diff(t_grid) < 0) or t_grid[0] < 0:
-        raise ValueError("t_grid must be nonnegative and nondecreasing")
-    if step <= 0:
-        raise ValueError("step must be positive")
-
-    K1, beta, k3 = k.K1, k.k2 + k.k3, k.k3
-    exp = math.exp
-
-    fr = 0.0
-    bd = 0.0
-    t = 0.0
-    out_fr = np.empty_like(t_grid)
-    out_bd = np.empty_like(t_grid)
-    for idx, t_next in enumerate(t_grid):
-        span = t_next - t
-        if span > 0.0:
-            nsteps = max(1, math.ceil(span / step))
-            h = span / nsteps
-            for _ in range(nsteps):
-                ca0 = c_art_values(t)
-                cam = c_art_values(t + 0.5 * h)
-                ca1 = c_art_values(t + h)
-                # stage derivatives of (fr, bd)
-                k1f = K1 * ca0 - beta * fr
-                k1b = k3 * fr
-                f2 = fr + 0.5 * h * k1f
-                k2f = K1 * cam - beta * f2
-                k2b = k3 * f2
-                f3 = fr + 0.5 * h * k2f
-                k3f = K1 * cam - beta * f3
-                k3b = k3 * f3
-                f4 = fr + h * k3f
-                k4f = K1 * ca1 - beta * f4
-                k4b = k3 * f4
-                fr += h * (k1f + 2.0 * k2f + 2.0 * k3f + k4f) / 6.0
-                bd += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
-                t += h
-            t = float(t_next)
-        out_fr[idx] = fr
-        out_bd[idx] = bd
-    return TissueCurves(c_fr=out_fr, c_bd=out_bd)

@@ -21,8 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-N_PARAMS = 3
-
 
 def check_model(model_id: str) -> None:
     """Raise ``KeyError`` unless ``model_id`` names the biexponential family."""

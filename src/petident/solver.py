@@ -1,5 +1,4 @@
-"""Projected iteratively regularized Gauss-Newton (IRGNM) solver and an
-augmented Gauss-Newton minimizer for the penalized least-squares objective.
+"""Projected iteratively regularized Gauss-Newton (IRGNM) solver.
 
 One IRGNM step linearizes the forward map at the current iterate ``x_k`` and
 solves
@@ -35,7 +34,6 @@ from .forward import (
     forward_vector,
     jacobian,
     project_to_domain,
-    tikhonov_objective,
 )
 
 
@@ -58,7 +56,7 @@ class IrgnmSettings:
     """Solver configuration.
 
     ``a`` and ``b`` define the regularization schedule ``alpha_k = a e^(-bk)``
-    (positive, ratio ``alpha_k / alpha_{k+1} = e^b`` between 1 and ``c_alpha``,
+    (positive, with the constant ratio ``alpha_k / alpha_{k+1} = e^b > 1``,
     decaying to zero).  ``tau > 1`` is the discrepancy factor,
     ``delta_estimate`` the noise-level estimate (0 disables the discrepancy
     stop), ``epsilon`` the kinetic-rate floor of the admissible box.
@@ -98,11 +96,6 @@ class IrgnmSettings:
 
     def alpha(self, k: int) -> float:
         return self.a * math.exp(-self.b * k)
-
-    @property
-    def c_alpha(self) -> float:
-        """Exact decay ratio ``alpha_k / alpha_{k+1}``."""
-        return math.exp(self.b)
 
 
 @dataclass
@@ -400,44 +393,3 @@ def rho_metrics(record: RunRecord, x_true: ParamVector) -> tuple[float, float | 
         else None
     )
     return float(rho_opt), rho_d
-
-
-def solve_tikhonov(
-    x_bar: ParamVector,
-    y_delta: MeasurementSet,
-    alpha: float,
-) -> ParamVector:
-    """Minimize ``|F(x) - y|^2 + alpha |x - x_bar|^2`` over the admissible box
-    by damped Gauss-Newton on the stacked residual, starting from the anchor.
-
-    Returns a stationary point (local solution); iteration ends when the
-    accepted step is shorter than ``1e-10``, when no damping factor yields
-    descent, or after 300 steps.  The box's rate floor is
-    :data:`.forward.DEFAULT_EPSILON`.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    x = project_to_domain(x_bar)
-    for _ in range(300):
-        # the Gauss-Newton step of the stacked residual is the IRGNM step
-        # anchored at x_bar
-        J, value = jacobian(x, y_delta)
-        step, [failure] = _regularized_steps(x, x_bar, alpha, J, value - y_delta.flat())
-        if failure is not None:
-            raise failure
-        current = tikhonov_objective(x, x_bar, y_delta, alpha)
-        damping = 1.0
-        accepted = None
-        while damping >= 2.0 ** -30:
-            candidate = project_to_domain(ParamVector(x.flat + damping * step, x.layout))
-            if tikhonov_objective(candidate, x_bar, y_delta, alpha) < current:
-                accepted = candidate
-                break
-            damping *= 0.5
-        if accepted is None:
-            return x
-        moved = float(np.linalg.norm(accepted.flat - x.flat))
-        x = accepted
-        if moved < 1e-10:
-            return x
-    return x

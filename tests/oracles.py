@@ -1,0 +1,176 @@
+"""Reference implementations that the tests compare the package against.
+
+Two numerical routes to the tissue curves that share nothing with the
+closed form of :mod:`petident.kinetics` (adaptive quadrature of the
+variation-of-constants formula and a fixed-step RK4 integration of the
+ODE pair), and a damped Gauss-Newton minimizer of the Tikhonov functional,
+which gives the consistency test a second estimator beside the IRGNM.  No
+command of the package needs them, so they live with the tests.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+from scipy.integrate import quad
+
+from petident.forward import MeasurementSet, ParamVector, forward_vector, jacobian, project_to_domain
+from petident.kinetics import KineticParams, TissueCurves, _check_clearance
+from petident.solver import _regularized_steps
+
+
+def tissue_concentration_quadrature(
+    c_art_values: Callable[[float], float],
+    k: KineticParams,
+    t: float,
+) -> float:
+    """Tissue value via adaptive quadrature of the variation-of-constants
+    representation
+
+        C_tis(t) = K1 k2/beta * e^(-beta t) * int_0^t e^(beta s) C_art(s) ds
+                 + K1 k3/beta * int_0^t C_art(s) ds.
+
+    Accepts any continuous arterial input, which makes it an oracle
+    independent of the closed forms.  Both integrals are asked for a
+    relative error of 1e-11.
+
+    Raises
+    ------
+    DomainError
+        If ``k2 + k3 <= 0``.
+    RuntimeError
+        If the quadrature does not reach the requested tolerance.
+    """
+    _check_clearance(np.array([k.beta]))
+    t = float(t)
+    if t == 0.0:
+        return 0.0
+    beta = k.beta
+
+    def weighted(s):
+        return math.exp(beta * (s - t)) * c_art_values(s)
+
+    val1, err1 = quad(weighted, 0.0, t, epsabs=0.0, epsrel=1e-11, limit=400)
+    val2, err2 = quad(c_art_values, 0.0, t, epsabs=0.0, epsrel=1e-11, limit=400)
+    scale = max(abs(val1), abs(val2), 1e-300)
+    if max(err1, err2) > 1e-6 * scale:
+        raise RuntimeError(
+            f"quadrature did not converge: errors ({err1:.2e}, {err2:.2e})"
+        )
+    return k.K1 * (k.k2 * val1 + k.k3 * val2) / beta
+
+
+def integrate_compartments_rk4_grid(
+    c_art_values: Callable[[float], float],
+    k: KineticParams,
+    t_grid,
+    step: float,
+) -> TissueCurves:
+    """RK4 integration reporting both compartments at every point of an
+    increasing time grid (single pass).
+
+    Within each grid interval the step size is shrunk to divide the interval
+    exactly, so grid points are hit without interpolation.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        return TissueCurves(c_fr=np.array([]), c_bd=np.array([]))
+    if np.any(np.diff(t_grid) < 0) or t_grid[0] < 0:
+        raise ValueError("t_grid must be nonnegative and nondecreasing")
+    if step <= 0:
+        raise ValueError("step must be positive")
+
+    K1, beta, k3 = k.K1, k.k2 + k.k3, k.k3
+    exp = math.exp
+
+    fr = 0.0
+    bd = 0.0
+    t = 0.0
+    out_fr = np.empty_like(t_grid)
+    out_bd = np.empty_like(t_grid)
+    for idx, t_next in enumerate(t_grid):
+        span = t_next - t
+        if span > 0.0:
+            nsteps = max(1, math.ceil(span / step))
+            h = span / nsteps
+            for _ in range(nsteps):
+                ca0 = c_art_values(t)
+                cam = c_art_values(t + 0.5 * h)
+                ca1 = c_art_values(t + h)
+                # stage derivatives of (fr, bd)
+                k1f = K1 * ca0 - beta * fr
+                k1b = k3 * fr
+                f2 = fr + 0.5 * h * k1f
+                k2f = K1 * cam - beta * f2
+                k2b = k3 * f2
+                f3 = fr + 0.5 * h * k2f
+                k3f = K1 * cam - beta * f3
+                k3b = k3 * f3
+                f4 = fr + h * k3f
+                k4f = K1 * ca1 - beta * f4
+                k4b = k3 * f4
+                fr += h * (k1f + 2.0 * k2f + 2.0 * k3f + k4f) / 6.0
+                bd += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
+                t += h
+            t = float(t_next)
+        out_fr[idx] = fr
+        out_bd[idx] = bd
+    return TissueCurves(c_fr=out_fr, c_bd=out_bd)
+
+
+def tikhonov_objective(
+    x: ParamVector, x_bar: ParamVector, y_delta: MeasurementSet, alpha: float
+) -> float:
+    """Penalized misfit ``|F(x) - y|^2 + alpha * |x - x_bar|^2``.
+
+    The parameter-space norm is the Euclidean norm of the flat vector (all
+    blocks weighted equally).
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    residual = forward_vector(x, y_delta) - y_delta.flat()
+    penalty = x.flat - x_bar.flat
+    return float(residual @ residual + alpha * (penalty @ penalty))
+
+
+def solve_tikhonov(
+    x_bar: ParamVector,
+    y_delta: MeasurementSet,
+    alpha: float,
+) -> ParamVector:
+    """Minimize ``|F(x) - y|^2 + alpha |x - x_bar|^2`` over the admissible box
+    by damped Gauss-Newton on the stacked residual, starting from the anchor.
+
+    Returns a stationary point (local solution); iteration ends when the
+    accepted step is shorter than ``1e-10``, when no damping factor yields
+    descent, or after 300 steps.  The box's rate floor is
+    :data:`petident.forward.DEFAULT_EPSILON`.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    x = project_to_domain(x_bar)
+    for _ in range(300):
+        # the Gauss-Newton step of the stacked residual is the IRGNM step
+        # anchored at x_bar
+        J, value = jacobian(x, y_delta)
+        step, [failure] = _regularized_steps(x, x_bar, alpha, J, value - y_delta.flat())
+        if failure is not None:
+            raise failure
+        current = tikhonov_objective(x, x_bar, y_delta, alpha)
+        damping = 1.0
+        accepted = None
+        while damping >= 2.0 ** -30:
+            candidate = project_to_domain(ParamVector(x.flat + damping * step, x.layout))
+            if tikhonov_objective(candidate, x_bar, y_delta, alpha) < current:
+                accepted = candidate
+                break
+            damping *= 0.5
+        if accepted is None:
+            return x
+        moved = float(np.linalg.norm(accepted.flat - x.flat))
+        x = accepted
+        if moved < 1e-10:
+            return x
+    return x

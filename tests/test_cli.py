@@ -384,13 +384,33 @@ def _spoil_positive_xi2(data):
     data["plasma"]["xi2"] = 0.01
 
 
+# every number is finite in 1/min, the noise-free measurements are not
+def _spoil_infinite_clearance(data):
+    data["regions"][1].update(k2=1.5e308, k3=1.5e308)
+
+
+def _spoil_overflowing_gain(data):
+    data["regions"][1].update(K1=1e200, k3=1e200)
+
+
+def _spoil_growing_exponent(data):
+    data["mu"][2] = 20
+
+
+def _spoil_growing_exponent_in_blood(data):
+    # the tissue frames end before e^(20 t) overflows, the blood samples do not
+    data["mu"][2] = 20
+    times = data["grid"]["times"]
+    data["grid"].update(times=[t for t in times if t <= 32.5], blood_times=times)
+
+
 class TestScenarioValidation:
     """A scenario file with a non-finite value, a bad time grid, a plasma
     block other than the biexponential's, a plasma fraction that is not
     positive at a blood sample time, a region whose k2 + k3 is not positive,
-    an empty piece, a truth outside the solver's admissible set, an unknown
-    mode or a key the file form does not have is an input error for every
-    subcommand that reads it."""
+    an empty piece, a truth outside the solver's admissible set, noise-free
+    measurements that are not finite, an unknown mode or a key the file form
+    does not have is an input error for every subcommand that reads it."""
 
     @pytest.mark.parametrize(
         "spoil",
@@ -524,6 +544,42 @@ class TestScenarioValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot parse scenario" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        "spoil, named",
+        [
+            (_spoil_infinite_clearance, "region 2 at time 0 min gives nan"),
+            (_spoil_overflowing_gain, "region 2 at time 0 min gives nan"),
+            (_spoil_growing_exponent, "region 1 at time 37.5 min gives inf"),
+            (_spoil_growing_exponent_in_blood, "blood time 37.5 min gives nan"),
+        ],
+        ids=lambda value: value.__name__.removeprefix("_spoil_") if callable(value) else None,
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check"],
+            ["simulate", "--out", "{out}"],
+            ["identify", "--synthesize", "--max-iter", "2", "--out", "{out}"],
+            ["reproduce", "--all", "--repetitions", "1", "--out", "{out}"],
+            ["jaccheck", "--trials", "1"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_nonfinite_ground_truth_exits_2(self, tmp_path, capsys, spoil, named, command):
+        # a RuntimeWarning on the way is an error under this suite's settings
+        data = scenario_to_dict(default_scenario())
+        spoil(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = [a.format(out=tmp_path / "out") for a in command]
+        code = run_cli(*argv, "--scenario", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot parse scenario {path}: noise-free ")
+        assert named in err
         assert not (tmp_path / "out").exists()
 
 
@@ -701,6 +757,8 @@ class TestCampaignFile:
             ({"delta_x": 10**400}, "delta_x"),
             ({"a": 10**400}, "a must be"),
             ({"seed": -1}, "seed must be nonnegative"),
+            ({"delta_y": -1}, "delta_y must be finite and nonnegative, got -1"),
+            ({"delta_x": -0.1}, "delta_x must be finite and nonnegative, got -0.1"),
         ],
     )
     def test_rejected_before_any_run(self, tmp_path, capsys, fields, named):

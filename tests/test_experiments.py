@@ -42,7 +42,7 @@ class TestTimeGrid:
 
 class TestScenario:
     def test_reference_dimensions(self, scenario):
-        assert scenario.p == 3 and scenario.n == 3 and scenario.q_hat == 3
+        assert scenario.p == 3 and scenario.n == 3 and scenario.true_vector().layout.q_hat == 3
         assert scenario.true_vector().flat.size == 18
 
     def test_blood_values_consistency(self, scenario):

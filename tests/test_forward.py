@@ -12,15 +12,15 @@ from petident import (
     ParamVector,
     finite_difference_check,
     forward_vector,
-    integrate_compartments_rk4_grid,
     jacobian,
     pack,
     project_to_domain,
-    tikhonov_objective,
 )
 from petident.experiments import default_scenario
 from petident.forward import MODES, JacobianCheck, _forward_scale
 from petident.polyexp import eval_polyexp
+
+from oracles import integrate_compartments_rk4_grid, tikhonov_objective
 
 
 def twelve_region_scenario(mode):

@@ -8,10 +8,10 @@ from petident import (
     KineticParams,
     PolyExp,
     eval_polyexp,
-    integrate_compartments_rk4_grid,
-    tissue_concentration_quadrature,
     tissue_curves,
 )
+
+from oracles import integrate_compartments_rk4_grid, tissue_concentration_quadrature
 
 ARTERIAL = PolyExp([(-5.0, -0.5), (4.0, -0.2), (1.0, -0.1)])
 REGION1 = KineticParams(0.157, 0.174, 0.118)
@@ -129,10 +129,13 @@ class TestQuadratureOracle:
         c = 2.3
         k = REGION1
         beta = k.k2 + k.k3
-        for t in (0.5, 3.0, 20.0):
+        for t in (0.5, 2.0, 3.0, 20.0):
             expected = k.K1 * c * (k.k3 * t + k.k2 * (1 - math.exp(-beta * t)) / beta) / beta
             value = tissue_concentration_quadrature(lambda s: c, k, t)
             assert value == pytest.approx(expected, rel=1e-10)
+            # the closed form's zero-exponent branch
+            closed = tissue_curves(PolyExp([(c, 0.0)]), k, t).c_tis
+            assert value == pytest.approx(closed, rel=1e-10)
 
 
 class TestOracleEquivalence:

@@ -23,9 +23,10 @@ from petident import (
     run_campaign,
     run_irgnm,
     simulate_ground_truth,
-    solve_tikhonov,
 )
 from petident.solver import _residual_norm, _solve_systems
+
+from oracles import solve_tikhonov
 
 
 class TestSettings:
@@ -35,8 +36,8 @@ class TestSettings:
         assert np.all(alphas > 0)
         ratios = alphas[:-1] / alphas[1:]
         assert np.all(ratios >= 1.0)
-        np.testing.assert_allclose(ratios, s.c_alpha, rtol=1e-12)
-        assert s.c_alpha == pytest.approx(math.exp(0.2), rel=1e-15)
+        np.testing.assert_allclose(ratios, math.exp(s.b), rtol=1e-12)
+        assert math.exp(s.b) == pytest.approx(math.exp(0.2), rel=1e-15)
         assert s.alpha(400) < 1e-30
 
     @pytest.mark.parametrize(

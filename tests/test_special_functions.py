@@ -273,28 +273,20 @@ class TestRateBlocks:
 # -- import path ---------------------------------------------------------------------
 
 
-def test_import_does_not_load_the_integrator():
+def test_import_loads_no_scipy():
     src = str(Path(petident.__file__).resolve().parent.parent)
     code = "\n".join(
         [
             "import sys",
             f"sys.path.insert(0, {src!r})",
             "import petident, petident.cli",
-            "print('scipy.integrate' in sys.modules)",
-            "from petident import KineticParams, tissue_concentration_quadrature",
-            "k = KineticParams(0.157, 0.174, 0.118)",
-            "print(repr(tissue_concentration_quadrature(lambda s: 1.0, k, 2.0)))",
-            "print('scipy.integrate' in sys.modules)",
+            "print([name for name in sys.modules if name.startswith('scipy')])",
         ]
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    before, value, after = result.stdout.split()
-    assert (before, after) == ("False", "True")
-    k = petident.KineticParams(0.157, 0.174, 0.118)
-    exact = petident.tissue_curves(petident.PolyExp([(1.0, 0.0)]), k, 2.0).c_tis
-    assert float(value) == pytest.approx(exact, rel=1e-10)
+    assert result.stdout.split() == ["[]"]
 
 
 def test_import_does_not_load_lapack():
