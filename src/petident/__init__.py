@@ -33,7 +33,6 @@ from .solver import (
     RunRecord,
     StepFailure,
     irgnm_step,
-    rho_metrics,
     run_irgnm,
 )
 from .experiments import (

@@ -158,7 +158,10 @@ def cmd_simulate(args) -> int:
     dense = np.linspace(0.0, scenario.t_grid[-1], 501)
     art = eval_polyexp(scenario.c_art, dense)
     f = plasma_fraction(scenario.plasma, dense)
-    columns = [dense * SECONDS_PER_MINUTE, dense, art, f, np.where(f > 0, art / f, 0.0)]
+    # c_bl is 0 where f underflows to 0, and inf where C_art / f overflows
+    with np.errstate(over="ignore"):
+        c_bl = np.divide(art, f, out=np.zeros_like(art), where=f > 0)
+    columns = [dense * SECONDS_PER_MINUTE, dense, art, f, c_bl]
     columns += [tissue_curves(scenario.c_art, k, dense).c_tis for k in scenario.kinetics]
     header = ["t_sec", "t_min", "c_art", "f", "c_bl"]
     header += [f"c_tis_{i + 1}" for i in range(scenario.n)]

@@ -179,7 +179,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     negative rate, the plasma parameters lie in their admissible set
     (``A >= 0``, ``xi1, xi2 <= 0``), both time grids are nonnegative and
     strictly increasing, the plasma fraction is positive at every blood
-    sample time, and the noise-free measurements are all finite.
+    sample time, and the noise-free measurements are all finite in both
+    modes.
     """
     _check_object(
         "scenario", data, ("mode", "p", "n", "grid"), ("lambda", "mu", "plasma", "regions")
@@ -263,18 +264,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         mode=data.get("mode", "full"),
     )
     # finite rates can still overflow the data: a clearance k2 + k3 beyond
-    # the largest double, or a growing exponent over a long grid
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = simulate_ground_truth(scenario)[1].flat()
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        first, T = int(bad[0]), t_grid.size
-        where = (
-            f"region {first // T + 1} at time {t_grid[first % T] * scale:g} {units}"
-            if first < len(regions) * T
-            else f"blood time {s_grid[first - len(regions) * T] * scale:g} {units}"
-        )
-        raise ValueError(f"noise-free measurements must be finite, {where} gives {values[first]}")
+    # the largest double, or a growing exponent over a long grid.  Commands
+    # can switch the mode, so both modes are checked, the file's own first.
+    for mode in sorted(MODES, key=lambda m: m != scenario.mode):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = simulate_ground_truth(replace(scenario, mode=mode))[1].flat()
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            first, T = int(bad[0]), t_grid.size
+            where = (
+                f"region {first // T + 1} at time {t_grid[first % T] * scale:g} {units}"
+                if first < len(regions) * T
+                else f"blood time {s_grid[first - len(regions) * T] * scale:g} {units}"
+            )
+            other = "" if mode == scenario.mode else f" in {mode} mode"
+            raise ValueError(
+                f"noise-free measurements must be finite{other}, {where} gives {values[first]}"
+            )
     return scenario
 
 
@@ -355,10 +361,10 @@ def add_noise(y_true: MeasurementSet, delta_y: float, seed) -> MeasurementSet:
         raise ValueError(f"delta_y must be finite and nonnegative, got {delta_y}")
     if delta_y == 0.0:
         return y_true
-    block = np.asarray(y_true.c_tis_block)
-    sigma = delta_y / np.sqrt(block.size)
-    noise = make_rng(seed).normal(0.0, sigma, size=block.shape)
-    return replace(y_true, c_tis_block=block + noise)
+    noisy = y_true.with_flat(y_true.flat().copy())
+    tissue = noisy.c_tis_block  # a view: the draw lands in noisy's vector
+    tissue += make_rng(seed).normal(0.0, delta_y / np.sqrt(tissue.size), size=tissue.shape)
+    return noisy
 
 
 def perturb_initial(
@@ -448,12 +454,10 @@ def run_campaign(spec: CampaignSpec, scenario: Scenario) -> CampaignSummary:
         starts.append(
             perturb_initial(x_true, spec.delta_x, [rep_seed, 0], settings.epsilon).flat
         )
-        data.append(add_noise(y_true, spec.delta_y, [rep_seed, 1]))
+        data.append(add_noise(y_true, spec.delta_y, [rep_seed, 1]).flat())
     records = run_irgnm(
         ParamVector(np.stack(starts), x_true.layout),
-        y_true.with_blocks(
-            np.stack([y.c_tis_block for y in data]), np.stack([y.f2_block for y in data])
-        ),
+        y_true.with_flat(np.stack(data)),
         settings,
         x_true=x_true,
     )

@@ -137,22 +137,21 @@ def pack(lam, mu, m, kinetics: Sequence[KineticParams]) -> ParamVector:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Measurement grids, blood data and (optionally) measured blocks.
+    """Measurement grids, blood data and (optionally) the measured data.
 
-    With ``c_tis_block``/``f2_block`` unset this acts as the template that
-    defines the forward operator (grids, blood values, mode);
-    filled instances additionally carry data.  ``flat()`` concatenates the
-    row-major tissue block and the blood block into the solver's data vector.
-    The blocks may carry leading batch axes, ``(..., n, T)`` and
-    ``(..., q)``: one data set per run of a batch.
+    With ``values`` unset this acts as the template that defines the
+    forward operator (grids, blood values, mode); filled instances carry
+    the solver's data vector ``values``, the row-major tissue block and then
+    the blood block, with leading batch axes allowed, ``(..., n*T + q)``:
+    one data set per run of a batch.  ``c_tis_block`` (``(..., n, T)``) and
+    ``f2_block`` (``(..., q)``) are views of it.
     """
 
     t_grid: np.ndarray
     s_grid: np.ndarray
     c_bl_values: np.ndarray
     mode: str = "full"
-    c_tis_block: np.ndarray | None = None
-    f2_block: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -174,24 +173,25 @@ class MeasurementSet:
         return self.s_grid.size
 
     def flat(self) -> np.ndarray:
-        if self.c_tis_block is None or self.f2_block is None:
-            raise ValueError("measurement blocks are not filled")
-        tissue = np.asarray(self.c_tis_block)
-        tissue = tissue.reshape(tissue.shape[:-2] + (-1,))
-        return np.concatenate([tissue, self.f2_block], axis=-1)
+        """The stored data vector, not a copy: a caller copies before writing."""
+        if self.values is None:
+            raise ValueError("measurement data are not filled")
+        return self.values
 
-    def with_blocks(self, c_tis_block, f2_block) -> "MeasurementSet":
-        return replace(
-            self,
-            c_tis_block=np.asarray(c_tis_block, dtype=float),
-            f2_block=np.asarray(f2_block, dtype=float),
-        )
+    @property
+    def c_tis_block(self) -> np.ndarray:
+        values = self.flat()
+        tissue = values[..., : values.shape[-1] - self.q]
+        return tissue.reshape(tissue.shape[:-1] + (-1, self.n_times))
+
+    @property
+    def f2_block(self) -> np.ndarray:
+        values = self.flat()
+        return values[..., values.shape[-1] - self.q :]
 
     def with_flat(self, values) -> "MeasurementSet":
-        """The inverse of :meth:`flat` for one data vector: its blocks."""
-        values = np.asarray(values, dtype=float)
-        nT = values.size - self.q
-        return self.with_blocks(values[:nT].reshape(-1, self.n_times), values[nT:])
+        """This template filled with the data vector ``values``."""
+        return replace(self, values=np.asarray(values, dtype=float))
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")

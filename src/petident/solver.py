@@ -111,9 +111,10 @@ class RunRecord:
     its normal equations are not finite or numerically singular; ``failure``
     says what broke down and at which iteration, and no usable terminal
     iterate exists then).
-    ``rho_opt``/``rho_d`` are the percent improvements over the
-    initialization at the best iterate and at the discrepancy stop, over the
-    recorded part of the run.
+    ``rho_opt``/``rho_d`` are the percent improvements in error over the
+    initialization, the projected start, at the best later iterate and at a
+    discrepancy stop; unset without the truth, from a start at it and
+    before a first step.
     """
 
     residual_norms: np.ndarray
@@ -248,7 +249,7 @@ def run_irgnm(
     step cannot be computed.  When ``x_true`` is given the relative-error
     trace and the improvement metrics are recorded.
 
-    ``x0.flat`` of shape ``(B, dim)``, with the data blocks of ``y_delta``
+    ``x0.flat`` of shape ``(B, dim)``, with the data vector of ``y_delta``
     carrying the same leading axis, makes ``B`` independent runs in one loop
     and returns their ``B`` records; a single vector is a batch of one and
     returns its record.  Each trip of the loop takes one step of every run
@@ -266,7 +267,7 @@ def run_irgnm(
         data = data[None]
     if x0.flat.ndim != 2 or data.shape[:-1] != x0.flat.shape[:1]:
         raise ValueError(
-            "a batch takes x0.flat of shape (B, dim) and data blocks with the same "
+            "a batch takes x0.flat of shape (B, dim) and a data vector with the same "
             "leading axis B"
         )
     layout = x0.layout
@@ -355,7 +356,7 @@ def run_irgnm(
 def _run_record(
     residuals, reason, k, final, failure, layout, x_true, rel_errors
 ) -> RunRecord:
-    """The record of one finished run, with its divergence verdict."""
+    """The record of one finished run, with its divergence verdict and metrics."""
     record = RunRecord(
         residual_norms=residuals,
         stop_reason=reason,
@@ -368,28 +369,10 @@ def _run_record(
         improved = k >= 1 and min(rel_errors[1:]) < rel_errors[0]
         record.diverged = reason == "failure" or (k >= 1 and not improved)
         if k >= 1:
-            record.rho_opt, record.rho_d = rho_metrics(record, x_true)
+            errors = rel_errors * float(np.linalg.norm(x_true.flat))
+            record.rho_opt = float(100.0 * (1.0 - errors[1:].min() / errors[0]))
+            if reason == "discrepancy":
+                record.rho_d = 100.0 * (1.0 - errors[-1] / errors[0])
     elif rel_errors is not None:
         record.diverged = reason == "failure"
     return record
-
-
-def rho_metrics(record: RunRecord, x_true: ParamVector) -> tuple[float, float | None]:
-    """Percent improvement over the initialization, the projected start.
-
-    ``rho_opt`` uses the best iterate after the initialization, ``rho_d`` the
-    iterate at which the discrepancy principle stopped the run (absent when
-    the run was not stopped by it, e.g. in noise-free runs).
-    """
-    if record.rel_errors is None:
-        raise ValueError("record carries no rel_errors")
-    if record.rel_errors[0] == 0.0:
-        raise ValueError("the run starts at x_true; improvement metrics are undefined")
-    errors = record.rel_errors * float(np.linalg.norm(x_true.flat))
-    rho_opt = 100.0 * (1.0 - errors[1:].min() / errors[0]) if errors.size > 1 else 0.0
-    rho_d = (
-        100.0 * (1.0 - errors[-1] / errors[0])
-        if record.stop_reason == "discrepancy"
-        else None
-    )
-    return float(rho_opt), rho_d

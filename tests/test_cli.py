@@ -47,6 +47,19 @@ class TestSimulate:
         for name in ("x_true.csv", "y_true.csv", "curves.csv"):
             assert (out_min / name).read_bytes() == (out_sec / name).read_bytes()
 
+    def test_plasma_fraction_underflow_after_the_last_blood_sample(self, tmp_path):
+        # past 30 min the dense curve grid finds C_art / f overflowing, then
+        # f underflowing to 0: c_bl reads inf, then 0, and nothing warns
+        data = scenario_to_dict(default_scenario())
+        data["grid"]["blood_times"] = [0, 1, 5, 10, 20, 30]
+        data["plasma"].update(A=0, xi1=0, xi2=-12)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("simulate", "--scenario", path, "--out", tmp_path / "sim") == 0
+        with open(tmp_path / "sim" / "curves.csv", newline="") as fh:
+            c_bl = [row["c_bl"] for row in csv.DictReader(fh)]
+        assert "inf" in c_bl and c_bl[-1] == "0"
+
     def test_invalid_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
@@ -404,6 +417,12 @@ def _spoil_growing_exponent_in_blood(data):
     data["grid"].update(times=[t for t in times if t <= 32.5], blood_times=times)
 
 
+# f(62.5 min) is about 4e-322 > 0, so C_art / f overflows in full mode only
+def _spoil_known_cart_plasma_underflow(data):
+    data["mode"] = "known_cart"
+    data["plasma"].update(A=0, xi1=0, xi2=-11.84)
+
+
 class TestScenarioValidation:
     """A scenario file with a non-finite value, a bad time grid, a plasma
     block other than the biexponential's, a plasma fraction that is not
@@ -554,6 +573,7 @@ class TestScenarioValidation:
             (_spoil_overflowing_gain, "region 2 at time 0 min gives nan"),
             (_spoil_growing_exponent, "region 1 at time 37.5 min gives inf"),
             (_spoil_growing_exponent_in_blood, "blood time 37.5 min gives nan"),
+            (_spoil_known_cart_plasma_underflow, "in full mode, blood time 62.5 min gives inf"),
         ],
         ids=lambda value: value.__name__.removeprefix("_spoil_") if callable(value) else None,
     )

@@ -10,7 +10,6 @@ from petident import (
     CampaignSpec,
     IrgnmSettings,
     ParamVector,
-    RunRecord,
     StepFailure,
     add_noise,
     default_scenario,
@@ -19,12 +18,11 @@ from petident import (
     jacobian,
     perturb_initial,
     project_to_domain,
-    rho_metrics,
     run_campaign,
     run_irgnm,
     simulate_ground_truth,
 )
-from petident.solver import _residual_norm, _solve_systems
+from petident.solver import _residual_norm, _run_record, _solve_systems
 
 from oracles import solve_tikhonov
 
@@ -105,17 +103,14 @@ class TestStep:
         x_true, y_true = ground_truth
         starts = [perturb_initial(x_true, 0.1, [seed, 0]) for seed in range(3)]
         anchors = [perturb_initial(x_true, 0.05, [seed, 1]) for seed in range(3)]
-        blocks = [y_true.c_tis_block.copy() for _ in range(3)]
-        blocks[1][0, 3] = np.nan
-        data = [y_true.with_blocks(b, y_true.f2_block) for b in blocks]
+        stacked = y_true.with_flat(np.stack([y_true.flat()] * 3))
+        stacked.c_tis_block[1, 0, 3] = np.nan
+        data = [y_true.with_flat(values) for values in stacked.flat()]
         batch = ParamVector(np.stack([x.flat for x in starts]), x_true.layout)
         stepped, failures = irgnm_step(
             batch,
             ParamVector(np.stack([x.flat for x in anchors]), x_true.layout),
-            *_linearized(
-                batch,
-                y_true.with_blocks(np.stack(blocks), np.stack([y_true.f2_block] * 3)),
-            ),
+            *_linearized(batch, stacked),
             alpha_k=0.5,
         )
         assert failures[0] is None and failures[2] is None
@@ -205,11 +200,11 @@ class TestRunIrgnm:
         # instead of stepping on from it
         x_true, y_true = ground_truth
         x0 = perturb_initial(x_true, 0.05, [1, 0])
-        block = y_true.c_tis_block.copy()
-        block[1, 7] = np.inf
+        y_delta = y_true.with_flat(y_true.flat().copy())
+        y_delta.c_tis_block[1, 7] = np.inf
         with np.errstate(over="ignore"):
             record = run_irgnm(
-                x0, y_true.with_blocks(block, y_true.f2_block),
+                x0, y_delta,
                 IrgnmSettings(max_iter=5), x_true=x_true,
             )
         assert (record.stop_reason, record.stop_iter) == ("failure", 0)
@@ -221,9 +216,8 @@ class TestRunIrgnm:
         # r . r overflows once entries pass ~1e154; the residual itself is
         # finite, so its norm is too and the run is not a failure
         x_true, y_true = ground_truth
-        block = y_true.c_tis_block.copy()
-        block[1, 7] = 1e200
-        y_delta = y_true.with_blocks(block, y_true.f2_block)
+        y_delta = y_true.with_flat(y_true.flat().copy())
+        y_delta.c_tis_block[1, 7] = 1e200
         record = run_irgnm(x_true, y_delta, IrgnmSettings(max_iter=0))
         assert (record.stop_reason, record.stop_iter) == ("max_iter", 0)
         residual = forward_vector(x_true, y_delta) - y_delta.flat()
@@ -237,10 +231,9 @@ class TestRunIrgnm:
         # of lone runs
         x_true, y_true = ground_truth
         x0 = perturb_initial(x_true, 0.05, [1, 0])
-        blocks = np.stack([y_true.c_tis_block] * 3)
-        blocks[1, 1, 7] = 1e200
-        blocks[2, 1, 7] = np.inf
-        y_delta = y_true.with_blocks(blocks, np.stack([y_true.f2_block] * 3))
+        y_delta = y_true.with_flat(np.stack([y_true.flat()] * 3))
+        y_delta.c_tis_block[1, 1, 7] = 1e200
+        y_delta.c_tis_block[2, 1, 7] = np.inf
         settings = IrgnmSettings(max_iter=3)
         records = run_irgnm(
             ParamVector(np.stack([x0.flat] * 3), x0.layout), y_delta, settings,
@@ -252,10 +245,7 @@ class TestRunIrgnm:
         assert records[2].residual_norms.tolist() == [math.inf]
         for b, record in enumerate(records):
             data = y_delta.flat()[b]
-            alone = run_irgnm(
-                x0, y_true.with_blocks(blocks[b], y_true.f2_block), settings,
-                x_true=x_true,
-            )
+            alone = run_irgnm(x0, y_true.with_flat(data), settings, x_true=x_true)
             assert (alone.stop_reason, alone.stop_iter) == stops[b]
             assert alone.residual_norms.tobytes() == record.residual_norms.tobytes()
             with np.errstate(over="ignore", invalid="ignore"):
@@ -270,21 +260,19 @@ class TestRunIrgnm:
         # every record is the lone run's
         x_true, y_true = ground_truth
         x0 = perturb_initial(x_true, 0.05, [1, 0])
-        blocks = np.stack([y_true.c_tis_block] * 3)
-        blocks[1, 1, 7] = 1.7e308
+        y_delta = y_true.with_flat(np.stack([y_true.flat()] * 3))
+        y_delta.c_tis_block[1, 1, 7] = 1.7e308
         settings = IrgnmSettings(max_iter=5)
         records = run_irgnm(
-            ParamVector(np.stack([x0.flat] * 3), x0.layout),
-            y_true.with_blocks(blocks, np.stack([y_true.f2_block] * 3)),
-            settings, x_true=x_true,
+            ParamVector(np.stack([x0.flat] * 3), x0.layout), y_delta, settings,
+            x_true=x_true,
         )
         stops = [(r.stop_reason, r.stop_iter) for r in records]
         assert stops == [("max_iter", 5), ("failure", 0), ("max_iter", 5)]
         assert "normal-equation solve failed" in records[1].failure
         for b, record in enumerate(records):
             alone = run_irgnm(
-                x0, y_true.with_blocks(blocks[b], y_true.f2_block), settings,
-                x_true=x_true,
+                x0, y_true.with_flat(y_delta.flat()[b]), settings, x_true=x_true
             )
             assert alone.residual_norms.tobytes() == record.residual_norms.tobytes()
             assert alone.final_x.flat.tobytes() == record.final_x.flat.tobytes()
@@ -292,11 +280,9 @@ class TestRunIrgnm:
 
     def test_nonfinite_residual_is_not_a_max_iter_stop(self, ground_truth):
         x_true, y_true = ground_truth
-        block = y_true.c_tis_block.copy()
-        block[0, 0] = np.nan
-        record = run_irgnm(
-            x_true, y_true.with_blocks(block, y_true.f2_block), IrgnmSettings(max_iter=0)
-        )
+        y_delta = y_true.with_flat(y_true.flat().copy())
+        y_delta.c_tis_block[0, 0] = np.nan
+        record = run_irgnm(x_true, y_delta, IrgnmSettings(max_iter=0))
         assert (record.stop_reason, record.stop_iter) == ("failure", 0)
 
     def test_batch_needs_data_per_run(self, ground_truth):
@@ -350,41 +336,37 @@ class TestRunIrgnm:
 
 
 class TestRhoMetrics:
-    def _record(self, rel_errors, stop_reason="discrepancy"):
-        return RunRecord(
-            residual_norms=np.zeros(len(rel_errors)),
-            stop_reason=stop_reason,
-            stop_iter=len(rel_errors) - 1,
-            final_x=None,
-            rel_errors=np.asarray(rel_errors, dtype=float),
+    def _record(self, x_true, rel_errors, stop_reason="discrepancy"):
+        rel_errors = np.asarray(rel_errors, dtype=float)
+        return _run_record(
+            np.zeros(rel_errors.size), stop_reason, rel_errors.size - 1, x_true.flat,
+            None, x_true.layout, x_true, rel_errors,
         )
 
     def test_synthetic_halving_history(self, ground_truth):
         x_true, _ = ground_truth
         e0 = 0.2
-        record = self._record([e0, 0.5 * e0, 0.25 * e0])
-        rho_opt, rho_d = rho_metrics(record, x_true)
-        assert rho_opt == pytest.approx(75.0, rel=1e-12)
-        assert rho_d == pytest.approx(75.0, rel=1e-12)
+        record = self._record(x_true, [e0, 0.5 * e0, 0.25 * e0])
+        assert record.rho_opt == pytest.approx(75.0, rel=1e-12)
+        assert record.rho_d == pytest.approx(75.0, rel=1e-12)
 
     def test_exact_hit_gives_100(self, ground_truth):
         x_true, _ = ground_truth
-        record = self._record([0.1, 0.05, 0.0], stop_reason="max_iter")
-        rho_opt, rho_d = rho_metrics(record, x_true)
-        assert rho_opt == 100.0
-        assert rho_d is None
+        record = self._record(x_true, [0.1, 0.05, 0.0], stop_reason="max_iter")
+        assert record.rho_opt == 100.0
+        assert record.rho_d is None
 
     def test_monotone_worsening_is_divergence(self, ground_truth):
         x_true, _ = ground_truth
-        record = self._record([0.1, 0.2, 0.4], stop_reason="max_iter")
-        rho_opt, _ = rho_metrics(record, x_true)
-        assert rho_opt <= 0.0
+        record = self._record(x_true, [0.1, 0.2, 0.4], stop_reason="max_iter")
+        assert record.rho_opt <= 0.0
+        assert record.diverged is True
 
-    def test_zero_denominator_rejected(self, ground_truth):
+    def test_zero_start_has_no_metrics(self, ground_truth):
+        # a run that starts at x_true has no error to improve on
         x_true, _ = ground_truth
-        record = self._record([0.0, 0.0])
-        with pytest.raises(ValueError):
-            rho_metrics(record, x_true)
+        record = self._record(x_true, [0.0, 0.0])
+        assert record.rho_opt is None and record.rho_d is None
 
     def test_truth_below_the_rate_floor_starts_off_it(self, scenario):
         # a truth rate below the box's floor is projected away from at the
@@ -394,8 +376,8 @@ class TestRhoMetrics:
         x_true, y_true = simulate_ground_truth(replace(scenario, kinetics=tuple(regions)))
         record = run_irgnm(x_true, y_true, IrgnmSettings(max_iter=3), x_true=x_true)
         assert record.rel_errors[0] > 0
-        assert record.rho_opt is not None
-        assert record.rho_opt == rho_metrics(record, x_true)[0]
+        errors = record.rel_errors * float(np.linalg.norm(x_true.flat))
+        assert record.rho_opt == float(100.0 * (1.0 - errors[1:].min() / errors[0]))
 
 
 class TestSolveTikhonov:
