@@ -12,9 +12,7 @@ from .kinetics import (
     DomainError,
     KineticParams,
     RegionKernel,
-    TissueCurves,
     region_kernel,
-    tissue_curves,
 )
 from .plasma import PlasmaParams, plasma_fraction
 from .forward import (

@@ -56,7 +56,7 @@ from .forward import (
     numerical_rank,
     project_to_domain,
 )
-from .kinetics import DomainError, tissue_curves
+from .kinetics import DomainError
 from .plasma import plasma_fraction
 from .polyexp import eval_polyexp, has_distinct_rate_regions, region_diversity_report
 from .solver import IrgnmSettings, is_finite, run_irgnm
@@ -161,8 +161,9 @@ def cmd_simulate(args) -> int:
     # c_bl is 0 where f underflows to 0, and inf where C_art / f overflows
     with np.errstate(over="ignore"):
         c_bl = np.divide(art, f, out=np.zeros_like(art), where=f > 0)
-    columns = [dense * SECONDS_PER_MINUTE, dense, art, f, c_bl]
-    columns += [tissue_curves(scenario.c_art, k, dense).c_tis for k in scenario.kinetics]
+    # the tissue curves through the forward map, as in y_true.csv
+    _, y_dense = simulate_ground_truth(replace(scenario, t_grid=dense))
+    columns = [dense * SECONDS_PER_MINUTE, dense, art, f, c_bl, *y_dense.c_tis_block]
     header = ["t_sec", "t_min", "c_art", "f", "c_bl"]
     header += [f"c_tis_{i + 1}" for i in range(scenario.n)]
     write_table(out / "curves.csv", header, np.column_stack(columns))

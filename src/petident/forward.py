@@ -319,11 +319,13 @@ def finite_difference_check(
 
     Entries whose quotient or analytic value exceeds ``1e-8`` in
     magnitude must agree to ``rtol`` relative, up to the per-entry roundoff
-    floor of the central quotient (``~32 eps (|F(x+h)| + |F(x-h)|) / 2h``);
-    in double precision the quotient carries that much noise regardless of
-    the Jacobian's quality, so smaller deviations on tiny entries are not
-    evidence of error.  A NaN in a resolvable entry makes ``max_rel_dev``
-    NaN, and any analytic entry that is not finite fails the check.
+    floor of the central quotient, ``32 eps S(x) / 2h``, where ``S(x)`` is
+    the magnitude of the intermediate sums behind each forward entry at
+    ``x`` (:func:`_forward_scale`); in double precision the quotient carries
+    that much noise regardless of the Jacobian's quality, so smaller
+    deviations on tiny entries are not evidence of error.  A NaN in a
+    resolvable entry makes ``max_rel_dev`` NaN, and any analytic entry that
+    is not finite fails the check.
 
     ``corrupt_entry = (row, col, amount)`` perturbs the analytic Jacobian
     before comparison; used to verify that the check has teeth.

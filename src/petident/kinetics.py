@@ -12,10 +12,11 @@ arterial input ``C_art = sum_j lambda_j e^(mu_j t)`` the solution is
 
 with ``beta = k2 + k3``, ``G1 = K1 k3 / beta`` and ``G2 = K1 k2 / beta``.
 :func:`region_kernel` is the one implementation of this closed form and of
-its exact parameter derivatives, vectorized over regions; the single-region
-curves here and the forward operator and Jacobian in :mod:`.forward` are
-views of its arrays.  The numerical routes that the tests check it against
-(quadrature and RK4) live with the tests.
+its exact parameter derivatives, vectorized over regions; the forward
+operator and Jacobian in :mod:`.forward` are views of its arrays, and every
+tissue curve the package writes comes from the forward operator.  The
+numerical routes that the tests check it against (quadrature and RK4) and
+the split into free and bound compartments live with the tests.
 
 All closed-form expressions are evaluated through the pair
 
@@ -37,7 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polyexp import PolyExp
 
 class DomainError(ValueError):
     """Raised when kinetic parameters leave the admissible domain."""
@@ -56,19 +56,6 @@ class KineticParams:
     def beta(self) -> float:
         """Total free-compartment clearance ``k2 + k3``."""
         return self.k2 + self.k3
-
-
-@dataclass(frozen=True)
-class TissueCurves:
-    """Free and bound compartment values (scalars or arrays over a time
-    grid); the tissue value is their sum."""
-
-    c_fr: float | np.ndarray
-    c_bd: float | np.ndarray
-
-    @property
-    def c_tis(self) -> float | np.ndarray:
-        return self.c_fr + self.c_bd
 
 
 # -- stable elementary pieces -------------------------------------------------
@@ -203,19 +190,3 @@ def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     d_rates[..., 1:] = cols.swapaxes(-1, -2)
     return RegionKernel(psi0, psi1, w, d_mu, d_rates)
 
-
-@np.errstate(over="ignore", invalid="ignore")
-def tissue_curves(c_art: PolyExp, k: KineticParams, t):
-    """Both compartments at scalar or array ``t``:
-    ``C_fr = K1 * lam @ psi1`` and ``C_bd = G1 * lam @ (psi0 - psi1)``."""
-    t = np.asarray(t, dtype=float)
-    lam = c_art.coefficients
-    kernel = region_kernel(
-        lam, c_art.exponents, [[k.K1, k.k2, k.k3]], np.atleast_1d(t)
-    )
-    psi1 = kernel.psi1[0]
-    fr = k.K1 * (lam @ psi1)
-    bd = (k.K1 * k.k3 / k.beta) * (lam @ (kernel.psi0 - psi1))
-    if t.ndim == 0:
-        return TissueCurves(c_fr=float(fr[0]), c_bd=float(bd[0]))
-    return TissueCurves(c_fr=fr, c_bd=bd)

@@ -82,6 +82,16 @@ class IrgnmSettings:
             raise ValueError("domain floor epsilon must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
+        # the last step takes alpha_(max_iter - 1), which must not underflow
+        try:
+            last = self.alpha(self.max_iter - 1) if self.max_iter >= 1 else self.a
+        except OverflowError:  # a max_iter beyond the float range
+            last = 0.0
+        if last == 0.0:
+            raise ValueError(
+                f"max_iter={self.max_iter} is too large for a={self.a!r}, b={self.b!r}: "
+                "alpha_k = a e^(-b k) underflows to 0 before the last step"
+            )
         if self.delta_estimate < 0:
             raise ValueError("delta_estimate must be nonnegative")
 

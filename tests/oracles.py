@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
-Two numerical routes to the tissue curves that share nothing with the
-closed form of :mod:`petident.kinetics` (adaptive quadrature of the
+The split of the closed form of :mod:`petident.kinetics` into its free and
+bound compartments, two numerical routes to the tissue curves that share
+nothing with that closed form (adaptive quadrature of the
 variation-of-constants formula and a fixed-step RK4 integration of the
 ODE pair), and a damped Gauss-Newton minimizer of the Tikhonov functional,
 which gives the consistency test a second estimator beside the IRGNM.  No
@@ -11,14 +12,46 @@ command of the package needs them, so they live with the tests.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
 from petident.forward import MeasurementSet, ParamVector, forward_vector, jacobian, project_to_domain
-from petident.kinetics import KineticParams, TissueCurves, _check_clearance
+from petident.kinetics import KineticParams, _check_clearance, region_kernel
+from petident.polyexp import PolyExp
 from petident.solver import _regularized_steps
+
+
+@dataclass(frozen=True)
+class TissueCurves:
+    """Free and bound compartment values (scalars or arrays over a time
+    grid); the tissue value is their sum."""
+
+    c_fr: float | np.ndarray
+    c_bd: float | np.ndarray
+
+    @property
+    def c_tis(self) -> float | np.ndarray:
+        return self.c_fr + self.c_bd
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def tissue_curves(c_art: PolyExp, k: KineticParams, t):
+    """Both compartments at scalar or array ``t``:
+    ``C_fr = K1 * lam @ psi1`` and ``C_bd = G1 * lam @ (psi0 - psi1)``."""
+    t = np.asarray(t, dtype=float)
+    lam = c_art.coefficients
+    kernel = region_kernel(
+        lam, c_art.exponents, [[k.K1, k.k2, k.k3]], np.atleast_1d(t)
+    )
+    psi1 = kernel.psi1[0]
+    fr = k.K1 * (lam @ psi1)
+    bd = (k.K1 * k.k3 / k.beta) * (lam @ (kernel.psi0 - psi1))
+    if t.ndim == 0:
+        return TissueCurves(c_fr=float(fr[0]), c_bd=float(bd[0]))
+    return TissueCurves(c_fr=fr, c_bd=bd)
 
 
 def tissue_concentration_quadrature(

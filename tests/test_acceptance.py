@@ -35,7 +35,12 @@ from petident import (
 from petident.cli import main as cli_main
 from petident.experiments import scenario_to_dict
 
-from oracles import integrate_compartments_rk4_grid, solve_tikhonov, tissue_concentration_quadrature
+from oracles import (
+    integrate_compartments_rk4_grid,
+    solve_tikhonov,
+    tissue_concentration_quadrature,
+    tissue_curves,
+)
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -263,8 +268,6 @@ def test_a9_invariant_suite(scenario, ground_truth, rng):
         checks.append(plasma_fraction(params, 0.0) == 1.0)
 
     # compartments empty at time zero
-    from petident import tissue_curves
-
     curves = tissue_curves(scenario.c_art, scenario.kinetics[0], 0.0)
     checks.append(abs(curves.c_fr) < 1e-15)
     checks.append(abs(curves.c_bd) < 1e-15)

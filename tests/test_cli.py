@@ -60,6 +60,31 @@ class TestSimulate:
             c_bl = [row["c_bl"] for row in csv.DictReader(fh)]
         assert "inf" in c_bl and c_bl[-1] == "0"
 
+    @pytest.mark.parametrize("form", ["reference", "known_cart", "own_blood_times"])
+    def test_curves_agree_with_y_true(self, tmp_path, form):
+        # curves.csv and y_true.csv come from one formula: at every time both
+        # files have, each region's tissue value is the same text
+        data = scenario_to_dict(default_scenario("known_cart" if form == "known_cart" else "full"))
+        if form == "own_blood_times":
+            data["grid"]["blood_times"] = [0, 0.5, 3, 10, 25, 45, 62.5]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", path, "--out", out) == 0
+        with open(out / "y_true.csv", newline="") as fh:
+            y_true = {
+                (row["t_sec"], row["region"]): row["value"]
+                for row in csv.DictReader(fh) if row["block"] == "c_tis"
+            }
+        with open(out / "curves.csv", newline="") as fh:
+            curves = {
+                (row["t_sec"], str(i)): row[f"c_tis_{i}"]
+                for row in csv.DictReader(fh) for i in (1, 2, 3)
+            }
+        shared = y_true.keys() & curves.keys()
+        assert len(shared) > 3 * 10
+        assert {key: curves[key] for key in shared} == {key: y_true[key] for key in shared}
+
     def test_invalid_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
@@ -89,6 +114,25 @@ class TestIdentify:
         )
         assert code == 0
         assert "mode: known_cart" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--max-iter", "3727"], "max_iter=3727 is too large for a=800.0, b=0.2"),
+            (["--alpha-b", "4", "--max-iter", "300"], "max_iter=300 is too large for a=800.0, b=4.0"),
+        ],
+    )
+    def test_schedule_underflow_is_usage_error(
+        self, scenario_files, tmp_path, capsys, flags, named
+    ):
+        # alpha_k = 0 before the last step: rejected before any run, not after
+        code = run_cli(
+            "identify", "--scenario", scenario_files["min"], "--synthesize",
+            *flags, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {named}")
+        assert not (tmp_path / "out").exists()
 
     def test_tau_below_one_rejected(self, scenario_files, tmp_path):
         code = run_cli(
@@ -779,6 +823,7 @@ class TestCampaignFile:
             ({"seed": -1}, "seed must be nonnegative"),
             ({"delta_y": -1}, "delta_y must be finite and nonnegative, got -1"),
             ({"delta_x": -0.1}, "delta_x must be finite and nonnegative, got -0.1"),
+            ({"max_iter": 3727}, "max_iter=3727 is too large for a=800.0, b=0.2"),
         ],
     )
     def test_rejected_before_any_run(self, tmp_path, capsys, fields, named):

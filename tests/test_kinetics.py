@@ -8,10 +8,9 @@ from petident import (
     KineticParams,
     PolyExp,
     eval_polyexp,
-    tissue_curves,
 )
 
-from oracles import integrate_compartments_rk4_grid, tissue_concentration_quadrature
+from oracles import integrate_compartments_rk4_grid, tissue_concentration_quadrature, tissue_curves
 
 ARTERIAL = PolyExp([(-5.0, -0.5), (4.0, -0.2), (1.0, -0.1)])
 REGION1 = KineticParams(0.157, 0.174, 0.118)

@@ -16,7 +16,7 @@ from petident.experiments import default_scenario, scenario_to_dict
 SIMULATE = {
     "x_true.csv": "0ae0c06e3767a072ea5661713814cc926c2f0fc4f603d26dbb55c685557dcc45",
     "y_true.csv": "743d55b14a2de413aad79cd2cac98f1084bb7359a1a66c6d9e27c3b49880d16b",
-    "curves.csv": "13fbe37ac40395a4aad107492a52f1178b088bc225ea607f6cd7bb25c3995531",
+    "curves.csv": "363044663fb5cd8e675769821d8fb72bdaa4b847f01b1ed927dd56227d88c75b",
 }
 
 #: ``reproduce --all --repetitions 1 --seed 5``; "traces" digests every

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -42,6 +43,7 @@ class TestSettings:
         "kwargs",
         [dict(a=0.0), dict(b=-1.0), dict(tau=1.0), dict(tau=0.9),
          dict(epsilon=0.0), dict(max_iter=-1), dict(max_iter=2.5), dict(max_iter=True),
+         dict(max_iter=10**400),
          dict(delta_estimate=-1e-3), dict(a=math.nan), dict(a=10**400), dict(b=math.inf),
          dict(tau=math.nan), dict(tau=math.inf), dict(epsilon=math.inf),
          dict(delta_estimate=math.nan), dict(delta_estimate=math.inf)],
@@ -49,6 +51,16 @@ class TestSettings:
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             IrgnmSettings(**kwargs)
+
+    @pytest.mark.parametrize("a, b", [(800.0, 0.2), (800.0, 4.0), (1e-300, 0.2)])
+    def test_last_weight_must_not_underflow(self, a, b):
+        # the k of the first alpha_k = a e^(-bk) that is 0 in double precision
+        first_zero = next(k for k in itertools.count() if a * math.exp(-b * k) == 0.0)
+        # max_iter steps take alpha_0 .. alpha_(max_iter - 1)
+        assert IrgnmSettings(a=a, b=b, max_iter=first_zero).alpha(first_zero - 1) > 0
+        with pytest.raises(ValueError) as excinfo:
+            IrgnmSettings(a=a, b=b, max_iter=first_zero + 1)
+        assert f"max_iter={first_zero + 1} is too large for a={a!r}, b={b!r}" in str(excinfo.value)
 
 
 def _linearized(x_k, y_delta):
@@ -65,6 +77,13 @@ class TestStep:
         )
         assert failures == [None]
         np.testing.assert_allclose(stepped.flat, x_true.flat, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha_k", [0.0, -1.0])
+    def test_nonpositive_weight_rejected(self, ground_truth, alpha_k):
+        # a library caller's own weight; IrgnmSettings keeps run_irgnm's positive
+        x_true, y_true = ground_truth
+        with pytest.raises(ValueError, match="alpha_k must be positive"):
+            irgnm_step(x_true, x_true, *_linearized(x_true, y_true), alpha_k=alpha_k)
 
     def test_dominant_regularization_pulls_to_anchor(self, ground_truth, rng):
         x_true, y_true = ground_truth
