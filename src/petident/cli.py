@@ -13,9 +13,11 @@ Subcommands and their flags (any other flag is a usage error):
 
 Exit codes: 0 success, 1 usage error (a bad flag), 2 input parse error (a
 scenario, campaign or data file that is missing, cannot be read or has a
-fault inside), 3 numerical failure.  All randomness derives from ``--seed``;
-outputs are deterministic functions of the inputs, written with 17
-significant digits so reruns are byte-identical.
+fault inside), 3 numerical failure (a ``jaccheck`` FAIL, an ``identify`` run
+stopped as ``failure``, a ``reproduce`` cell that raised).  All randomness
+derives from ``--seed``: ``identify --synthesize`` draws what repetition 0 of
+a one-cell campaign at that seed draws.  Outputs are deterministic functions
+of the inputs, written with 17 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ from .experiments import (
     _numbers,
     CampaignSpec,
     Scenario,
-    add_noise,
     default_scenario,
+    draw_inputs,
     emit_results,
     make_rng,
-    perturb_initial,
     run_campaign,
     scenario_from_dict,
     simulate_ground_truth,
@@ -56,7 +57,6 @@ from .forward import (
     numerical_rank,
     project_to_domain,
 )
-from .kinetics import DomainError
 from .plasma import plasma_fraction
 from .polyexp import eval_polyexp, has_distinct_rate_regions, region_diversity_report
 from .solver import IrgnmSettings, is_finite, run_irgnm
@@ -208,14 +208,15 @@ def cmd_identify(args) -> int:
         scenario = replace(scenario, mode=args.mode)
     settings = _settings_from_args(args, args.delta_y)
     if not args.synthesize:
-        y_delta = _read_measurements(args.data, scenario.template(), scenario.n)
+        measured = _read_measurements(args.data, scenario.template(), scenario.n)
     out = _out_dir(args.out)
     x_true, y_true = simulate_ground_truth(scenario)
-    if args.synthesize:
-        y_delta = add_noise(y_true, args.delta_y, [args.seed, 1])
-    x0 = perturb_initial(x_true, args.delta_x, [args.seed, 0], settings.epsilon)
-    # measured data have no known truth: the scenario is only the prior
-    record = run_irgnm(x0, y_delta, settings, x_true=x_true if args.synthesize else None)
+    x0, y_delta = draw_inputs(
+        x_true, y_true, args.delta_x, args.delta_y, args.seed, settings.epsilon
+    )
+    if not args.synthesize:  # no known truth: the scenario is only the prior
+        y_delta, x_true = measured, None
+    record = run_irgnm(x0, y_delta, settings, x_true=x_true)
 
     lam, mu, m = record.final_x.lam, record.final_x.mu, record.final_x.m
     print(f"mode: {scenario.mode}")
@@ -238,7 +239,7 @@ def cmd_identify(args) -> int:
     trace = out / "identify_trace.csv"
     write_trace(trace, record)
     print(f"trace written to {trace}")
-    return EXIT_OK
+    return EXIT_NUMERICAL if record.stop_reason == "failure" else EXIT_OK
 
 
 # -- check ---------------------------------------------------------------------
@@ -524,9 +525,6 @@ def main(argv=None) -> int:
     except (ParseFailure, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -378,14 +378,22 @@ def perturb_initial(
     :func:`.forward.project_to_domain`)."""
     if not (is_finite(delta_x) and delta_x >= 0):
         raise ValueError(f"delta_x must be finite and nonnegative, got {delta_x}")
-    if delta_x == 0.0:
-        return project_to_domain(x_true, epsilon, plasma_model)
     rng = make_rng(seed)
     dim = x_true.flat.size
     sign = rng.integers(0, 2, size=dim) * 2.0 - 1.0
     gamma = rng.normal(delta_x, np.sqrt(delta_x / 4.0), size=dim)
     perturbed = ParamVector(x_true.flat * (1.0 + sign * gamma), x_true.layout)
     return project_to_domain(perturbed, epsilon, plasma_model)
+
+
+def draw_inputs(x_true, y_true, delta_x, delta_y, seed, epsilon):
+    """Repetition ``seed``'s start and noisy data: the start perturbs
+    ``x_true`` by Philox stream ``[seed, 0]``, the noise on ``y_true`` comes
+    from ``[seed, 1]``."""
+    return (
+        perturb_initial(x_true, delta_x, [seed, 0], epsilon),
+        add_noise(y_true, delta_y, [seed, 1]),
+    )
 
 
 @dataclass(frozen=True)
@@ -448,16 +456,13 @@ def run_campaign(spec: CampaignSpec, scenario: Scenario) -> CampaignSummary:
     x_true, y_true = simulate_ground_truth(scenario)
     settings = spec.resolved_settings()
 
-    starts, data = [], []
-    for r in range(spec.repetitions):
-        rep_seed = spec.seed ^ r
-        starts.append(
-            perturb_initial(x_true, spec.delta_x, [rep_seed, 0], settings.epsilon).flat
-        )
-        data.append(add_noise(y_true, spec.delta_y, [rep_seed, 1]).flat())
+    draws = [
+        draw_inputs(x_true, y_true, spec.delta_x, spec.delta_y, spec.seed ^ r, settings.epsilon)
+        for r in range(spec.repetitions)
+    ]
     records = run_irgnm(
-        ParamVector(np.stack(starts), x_true.layout),
-        y_true.with_flat(np.stack(data)),
+        ParamVector(np.stack([x0.flat for x0, _ in draws]), x_true.layout),
+        y_true.with_flat(np.stack([y.flat() for _, y in draws])),
         settings,
         x_true=x_true,
     )
@@ -523,11 +528,7 @@ def summary_to_dict(summary: CampaignSummary) -> dict:
                 "final_residual": float(record.residual_norms[-1]),
                 "rho_opt": record.rho_opt,
                 "rho_d": record.rho_d,
-                "rel_error_best": (
-                    float(np.min(record.rel_errors))
-                    if record.rel_errors is not None
-                    else None
-                ),
+                "rel_error_best": float(np.min(record.rel_errors)),
                 "failure": record.failure,
             }
             for r, record in enumerate(summary.records)

@@ -72,9 +72,6 @@ def eval_polyexp(g: PolyExp, t):
     zero function (degree 0) evaluates to exactly 0.
     """
     t = np.asarray(t, dtype=float)
-    if g.degree == 0:
-        out = np.zeros_like(t)
-        return float(out) if out.ndim == 0 else out
     vals = g.coefficients @ np.exp(np.outer(g.exponents, np.atleast_1d(t)))
     return float(vals[0]) if t.ndim == 0 else vals
 

@@ -8,7 +8,10 @@ import pytest
 
 from petident import cli
 from petident.cli import _campaign_from_file, build_parser, main
-from petident.experiments import default_scenario, scenario_to_dict
+from petident.experiments import (
+    CampaignSpec, default_scenario, run_campaign, scenario_from_dict, scenario_to_dict,
+    simulate_ground_truth,
+)
 from petident.solver import IrgnmSettings
 
 
@@ -106,6 +109,54 @@ class TestIdentify:
         assert match and float(match.group(1)) < 1e-4
         trace = (tmp_path / "identify_trace.csv").read_text().splitlines()
         assert trace[0] == "iter,residual_norm,rel_error"
+
+    def test_failure_stop_exits_3_after_its_report_and_trace(
+        self, scenario_files, tmp_path, capsys
+    ):
+        # a datum whose square overflows: J^T (F - y) is not finite, so the
+        # first step fails
+        y = simulate_ground_truth(default_scenario())[1].flat()
+        y[32] = 1.7e308
+        data = tmp_path / "overflowing.json"
+        data.write_text(json.dumps({"y": y.tolist()}))
+        out = tmp_path / "out"
+        code = run_cli(
+            "identify", "--scenario", scenario_files["min"], "--data", data, "--out", out
+        )
+        assert code == 3
+        assert "stop: failure at iteration 0" in capsys.readouterr().out
+        trace = (out / "identify_trace.csv").read_text().splitlines()
+        assert trace[0] == "iter,residual_norm,rel_error" and len(trace) == 2
+
+    @pytest.mark.parametrize("delta_y, delta_x", [(1e-3, 0.1), (0.0, 0.05)])
+    @pytest.mark.parametrize("mode", ["full", "known_cart"])
+    @pytest.mark.parametrize("seed", [0, 7, 300])
+    def test_synthesize_is_repetition_0_of_a_one_cell_campaign(
+        self, scenario_files, tmp_path, monkeypatch, delta_y, delta_x, mode, seed
+    ):
+        fits = []
+
+        def keep_record(*args, **kwargs):
+            fits.append(real_run_irgnm(*args, **kwargs))
+            return fits[-1]
+
+        real_run_irgnm = cli.run_irgnm
+        monkeypatch.setattr(cli, "run_irgnm", keep_record)
+        code = run_cli(
+            "identify", "--scenario", scenario_files["min"], "--synthesize", "--mode", mode,
+            "--seed", seed, "--delta-y", delta_y, "--delta-x", delta_x, "--out", tmp_path,
+        )
+        [fit] = fits
+        assert code == (3 if fit.stop_reason == "failure" else 0)
+        scenario = scenario_from_dict(json.loads(scenario_files["min"].read_text()))
+        spec = CampaignSpec(delta_y, delta_x, repetitions=1, mode=mode, seed=seed)
+        [rep] = run_campaign(spec, scenario).records
+        for field in ("residual_norms", "rel_errors"):
+            assert np.array_equal(getattr(fit, field), getattr(rep, field), equal_nan=True)
+        assert np.array_equal(fit.final_x.flat, rep.final_x.flat, equal_nan=True)
+        assert (fit.stop_reason, fit.stop_iter, fit.rho_opt, fit.rho_d) == (
+            rep.stop_reason, rep.stop_iter, rep.rho_opt, rep.rho_d
+        )
 
     def test_known_cart_mode_reflected(self, scenario_files, tmp_path, capsys):
         code = run_cli(
@@ -355,6 +406,19 @@ def _spoil_top_level_list(data):
     return [data]
 
 
+def _spoil_regions_not_list(data):
+    data["regions"] = {"1": data["regions"][0]}
+
+
+# a declared size, or the arterial pairing, that the lists do not have
+def _spoil_declared_n(data):
+    data["n"] = 4
+
+
+def _spoil_short_mu(data):
+    data["mu"] = data["mu"][:2]
+
+
 # a required key left out, at each level
 def _spoil_missing_lambda(data):
     data.pop("lambda")
@@ -485,6 +549,7 @@ class TestScenarioValidation:
             _spoil_grid_not_object, _spoil_nested_times, _spoil_string_rate,
             _spoil_bool_rate, _spoil_fractional_p, _spoil_scalar_lambda,
             _spoil_plasma_not_object, _spoil_region_not_object, _spoil_top_level_list,
+            _spoil_regions_not_list, _spoil_declared_n, _spoil_short_mu,
         ],
     )
     @pytest.mark.parametrize(
@@ -523,6 +588,9 @@ class TestScenarioValidation:
             (_spoil_missing_lambda, "scenario is missing lambda"),
             (_spoil_missing_plasma_A, "plasma is missing A"),
             (_spoil_missing_region_K1, "region 2 is missing K1"),
+            (_spoil_regions_not_list, "regions must be a list of objects"),
+            (_spoil_declared_n, "declared n does not match the number of regions"),
+            (_spoil_short_mu, "lambda has 3 entries, mu has 2"),
         ],
         ids=lambda value: value.__name__.removeprefix("_spoil_") if callable(value) else None,
     )
@@ -899,6 +967,19 @@ class TestCheck:
         assert "VIOLATED" in out
         assert "k3 not pairwise distinct" in out
 
+    def test_equal_clearances_named_clause(self, tmp_path, capsys):
+        # k3 pairwise distinct, k2 + k3 = 0.26 in every region
+        data = scenario_to_dict(default_scenario())
+        data["regions"] = [
+            {"K1": 0.16, "k2": k2, "k3": k3} for k2, k3 in ((0.17, 0.09), (0.16, 0.1), (0.15, 0.11))
+        ]
+        path = tmp_path / "equal.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("check", "--scenario", path) == 0
+        out = capsys.readouterr().out
+        assert "VIOLATED" in out
+        assert "regions (0, 1, 2): k2+k3 not pairwise distinct" in out
+
     def test_single_time_at_zero_has_rank_0(self, tmp_path, capsys):
         # every tissue curve is zero at t = 0, so the tissue rows are zero
         data = scenario_to_dict(default_scenario())
@@ -1069,6 +1150,30 @@ class TestReproduce:
         rows = (tmp_path / "table1.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
         assert len(json.loads((tmp_path / "results.json").read_text())) == 2
+
+    def test_a_cell_that_raises_does_not_stop_the_others(self, tmp_path, capsys, monkeypatch):
+        cells = []
+
+        def fail_second_cell(spec, scenario):
+            cells.append(spec)
+            if len(cells) == 2:
+                raise ValueError("injected")
+            return real_run_campaign(spec, scenario)
+
+        real_run_campaign = cli.run_campaign
+        monkeypatch.setattr(cli, "run_campaign", fail_second_cell)
+        code = run_cli("reproduce", "--all", "--repetitions", "1", "--out", tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "delta_y=0 delta_x=0.01 mode=known_cart: FAILED (injected)" in err
+        assert "1 cell(s) failed" in err
+        kept = [(s.delta_y, s.delta_x, s.mode) for i, s in enumerate(cells) if i != 1]
+        with open(tmp_path / "table1.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["delta_y"]), float(r["delta_x"]), r["mode"]) for r in rows] == kept
+        specs = [e["spec"] for e in json.loads((tmp_path / "results.json").read_text())]
+        assert [(s["delta_y"], s["delta_x"], s["mode"]) for s in specs] == kept
+        assert len(kept) == 31
 
     def test_rerun_is_byte_identical(self, scenario_files, tmp_path):
         campaign = tmp_path / "campaign.json"

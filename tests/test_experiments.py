@@ -129,6 +129,14 @@ class TestScenario:
         with pytest.raises(ValueError, match=named):
             scenario_from_dict(data)
 
+    def test_grid_without_times_is_the_graded_grid(self, scenario):
+        data = scenario_to_dict(scenario)
+        del data["grid"]["times"]
+        loaded = scenario_from_dict(data)
+        assert loaded.t_grid.size == 25
+        assert np.array_equal(loaded.t_grid, build_time_grid() / SECONDS_PER_MINUTE)
+        assert np.array_equal(loaded.s_grid, loaded.t_grid)
+
     def test_dimension_declarations_validated(self, scenario):
         data = scenario_to_dict(scenario)
         data["p"] = 7

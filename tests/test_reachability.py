@@ -97,7 +97,7 @@ def test_every_function_is_called(tmp_path, capsys):
         codes = run_commands(tmp_path)
     finally:
         sys.setprofile(None)
-    assert codes == [0, 0, 0, 0, 0, 0, 3, 0, 1]
+    assert codes == [0, 0, 0, 3, 0, 0, 3, 0, 1]
     assert "stop: failure at iteration 0" in capsys.readouterr().out
     reached = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in called}
     assert sorted(name for key, name in defined.items() if key not in reached) == []
