@@ -25,7 +25,8 @@ report = region_diversity_report(
 )
 print(f"region diversity satisfied: {report.satisfied} (margin {report.margin:.3e})")
 for w in report.witnesses:
-    print(f"  arterial exponent {w.exponent_index + 1}: witness regions {w.regions}")
+    regions = tuple(r + 1 for r in w.regions)
+    print(f"  arterial exponent {w.exponent_index + 1}: witness regions {regions}")
 
 print(
     "sufficient condition (p + 3 pairwise-distinct regions):",

@@ -30,7 +30,7 @@ from .forward import (
 )
 from .kinetics import KineticParams
 from .plasma import PlasmaParams, plasma_fraction
-from .polyexp import EQ_TOL, PolyExp, eval_polyexp
+from .polyexp import PolyExp, eval_polyexp
 from .solver import IrgnmSettings, RunRecord, check_integer, is_finite, run_irgnm
 
 SECONDS_PER_MINUTE = 60.0
@@ -246,7 +246,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         if "blood_times" in grid
         else t_grid.copy()
     )
-    _check_scenario_values(lam, mu, t_grid, s_grid)
+    if lam.shape != mu.shape:  # zip would drop the extra entries
+        raise ValueError(f"lambda has {lam.size} entries, mu has {mu.size}")
+    c_art = PolyExp(list(zip(lam, mu)))
+    for name, grid in (("grid times", t_grid), ("blood times", s_grid)):
+        if np.any(grid < 0):
+            raise ValueError(f"{name} must be nonnegative")
+        if np.any(np.diff(grid) <= 0):
+            raise ValueError(f"{name} must be strictly increasing")
     # full-mode blood data are C_art / f, so f must be positive where sampled
     f = plasma_fraction(plasma, s_grid)
     if not np.all(f > 0):
@@ -256,7 +263,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"give plasma fraction {f[first]} at blood time {s_grid[first] * scale} {units}"
         )
     scenario = Scenario(
-        c_art=PolyExp(list(zip(lam, mu))),
+        c_art=c_art,
         plasma=plasma,
         kinetics=regions,
         t_grid=t_grid,
@@ -320,27 +327,12 @@ def _check_object(where: str, data, optional, required=()) -> dict:
     return data
 
 
-def _check_scenario_values(lam, mu, t_grid, s_grid):
-    if lam.shape != mu.shape:
-        raise ValueError(f"lambda has {lam.size} entries, mu has {mu.size}")
-    # PolyExp merges such exponents and drops such weights: the arterial
-    # model would have fewer terms than the file lists
-    if np.any(lam == 0):
-        raise ValueError(f"lambda must have no zero weight, got {lam.tolist()}")
-    if np.any(np.diff(np.sort(mu)) <= EQ_TOL):
-        raise ValueError(f"mu entries must differ by more than {EQ_TOL:g}, got {mu.tolist()}")
-    for name, grid in (("grid times", t_grid), ("blood times", s_grid)):
-        if np.any(grid < 0):
-            raise ValueError(f"{name} must be nonnegative")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError(f"{name} must be strictly increasing")
-
-
 def simulate_ground_truth(scn: Scenario) -> tuple[ParamVector, MeasurementSet]:
     """Pack the true parameters and evaluate the noise-free measurements.
 
-    The blood-coupling block of the result is exactly zero by construction
-    of the blood values.
+    The blood-coupling block of the result is zero up to rounding in
+    ``full`` mode, where the blood values ``C_art / f`` are multiplied by
+    ``f`` again, and exactly zero in ``known_cart``.
     """
     x_true, template = scn.true_vector(), scn.template()
     return x_true, template.with_flat(forward_vector(x_true, template))

@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-#: Absolute tolerance for all "equals zero" / "pairwise distinct" decisions
-#: in the diversity checks and in term canonicalization.  Exact real-number
-#: conditions are not decidable in floating point; ties closer than this are
-#: treated as equal.
+#: Absolute tolerance for all "equals zero" / "pairwise distinct" decisions,
+#: in the diversity checks and between the exponents of a sum.  Exact
+#: real-number conditions are not decidable in floating point; ties closer
+#: than this are treated as equal.
 EQ_TOL = 1e-10
 
 
@@ -27,10 +27,10 @@ EQ_TOL = 1e-10
 class PolyExp:
     """Finite weighted sum of exponentials ``t -> sum_j lambda_j * e^(mu_j t)``.
 
-    Terms are canonicalized on construction: exponents closer than
-    :data:`EQ_TOL` are merged by summing their coefficients, terms whose
-    coefficient sums to exactly zero are dropped, and the remainder is sorted
-    by exponent.  The empty sum is the zero function (degree 0).
+    The terms are sorted by exponent on construction.  A zero weight, or
+    two exponents within :data:`EQ_TOL` of each other, raises
+    ``ValueError``: the sum would have fewer terms than it lists.  The
+    empty sum is the zero function (degree 0).
 
     Parameters
     ----------
@@ -42,15 +42,13 @@ class PolyExp:
     terms: tuple[tuple[float, float], ...]
 
     def __init__(self, terms: Sequence[tuple[float, float]]):
-        raw = sorted(((float(lam), float(mu)) for lam, mu in terms), key=lambda term: term[1])
-        merged: list[list[float]] = []
-        for lam, mu in raw:
-            if merged and abs(mu - merged[-1][1]) <= EQ_TOL:
-                merged[-1][0] += lam
-            else:
-                merged.append([lam, mu])
-        cleaned = tuple((lam, mu) for lam, mu in merged if lam != 0.0)
-        object.__setattr__(self, "terms", cleaned)
+        terms = [(float(lam), float(mu)) for lam, mu in terms]
+        lam, mu = [term[0] for term in terms], [term[1] for term in terms]
+        if 0.0 in lam:
+            raise ValueError(f"lambda must have no zero weight, got {lam}")
+        if np.any(np.diff(np.sort(mu)) <= EQ_TOL):
+            raise ValueError(f"mu entries must differ by more than {EQ_TOL:g}, got {mu}")
+        object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda term: term[1])))
 
     @property
     def degree(self) -> int:
@@ -123,7 +121,7 @@ def _triple_margin(mu0, mu, lam, k2, k3, regions):
     for i, beta in zip(regions, betas):
         shift = abs(mu0 + k3[i])
         if shift <= EQ_TOL:
-            return None, f"mu + k3 vanishes in region {i}"
+            return None, f"mu + k3 vanishes in region {i + 1}"
         quantities.append(shift)
         if abs(mu0 + beta) <= EQ_TOL:
             # Resonant region: the disjunction holds through its first branch.
@@ -132,7 +130,7 @@ def _triple_margin(mu0, mu, lam, k2, k3, regions):
         keep = np.abs(denom) > EQ_TOL
         total = float(np.sum(lam[keep] / denom[keep]))
         if abs(total) <= EQ_TOL:
-            return None, f"coefficient sum vanishes in region {i}"
+            return None, f"coefficient sum vanishes in region {i + 1}"
         quantities.append(abs(total))
     return min(quantities), None
 
@@ -184,9 +182,8 @@ def region_diversity_report(
         for triple in combinations(range(n), 3):
             margin, failure = _triple_margin(mu0, mu, lam, k2, k3, triple)
             if failure is not None:
-                violations.append(
-                    f"exponent {j0}, regions {triple}: {failure}"
-                )
+                regions = tuple(r + 1 for r in triple)
+                violations.append(f"exponent {j0 + 1}, regions {regions}: {failure}")
             elif best is None or margin > best.margin:
                 best = DiversityWitness(j0, triple, margin)
         if best is None:

@@ -433,7 +433,7 @@ def _spoil_missing_region_K1(data):
 
 
 def _spoil_merged_mu(data):
-    # PolyExp would merge the two equal exponents into one term
+    # two equal exponents would make one term of the arterial sum
     data["mu"] = [-0.5, -0.2, -0.2]
 
 
@@ -443,7 +443,7 @@ def _spoil_clearance(data):
 
 
 def _spoil_zero_lambda(data):
-    # PolyExp would drop the zero-weight term
+    # a zero weight would leave the arterial sum a term short
     data["lambda"] = [-5.0, 0.0, 1.0]
 
 
@@ -978,7 +978,7 @@ class TestCheck:
         assert run_cli("check", "--scenario", path) == 0
         out = capsys.readouterr().out
         assert "VIOLATED" in out
-        assert "regions (0, 1, 2): k2+k3 not pairwise distinct" in out
+        assert "exponent 1, regions (1, 2, 3): k2+k3 not pairwise distinct" in out
 
     def test_single_time_at_zero_has_rank_0(self, tmp_path, capsys):
         # every tissue curve is zero at t = 0, so the tissue rows are zero

@@ -232,6 +232,22 @@ class TestCampaign:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             CampaignSpec(*levels)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"repetitions": 2.0}, "repetitions must be an integer, got 2.0"),
+            ({"repetitions": True}, "repetitions must be an integer, got True"),
+            ({"seed": "1"}, "seed must be an integer, got '1'"),
+            ({"mode": "bogus"}, "mode must be one of ('full', 'known_cart'), got 'bogus'"),
+            ({"repetitions": 0}, "repetitions must be >= 1"),
+            ({"seed": -1}, "seed must be nonnegative"),
+        ],
+    )
+    def test_cell_fields_checked(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            CampaignSpec(1e-3, 0.1, **fields)
+        assert str(info.value) == message
+
     def test_single_repetition(self, scenario):
         spec = CampaignSpec(delta_y=0.0, delta_x=0.05, repetitions=1, seed=11,
                             settings=IrgnmSettings(max_iter=60))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from petident import (
     DomainError,
     KineticParams,
+    MeasurementSet,
     ParamLayout,
     ParamVector,
     finite_difference_check,
@@ -113,6 +114,24 @@ class TestCodec:
             pack([1.0, 2.0], [0.1], [0.0], [KineticParams(0.1, 0.1, 0.1)])
         with pytest.raises(ValueError):
             ParamVector(np.zeros(7), ParamLayout(p=1, q_hat=1, n=2))
+
+
+class TestMeasurementSet:
+    # a MeasurementSet built in Python reaches these checks without the
+    # scenario reader or Scenario
+    def test_blood_values_match_the_blood_times(self):
+        with pytest.raises(ValueError, match="c_bl_values and s_grid must have equal length"):
+            MeasurementSet(t_grid=[0.0, 1.0], s_grid=[0.0, 1.0], c_bl_values=[1.0])
+
+    def test_mode_must_be_known(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            MeasurementSet(t_grid=[0.0], s_grid=[0.0], c_bl_values=[1.0], mode="bogus")
+
+    def test_unfilled_template_has_no_data(self, template):
+        with pytest.raises(ValueError, match="measurement data are not filled"):
+            template.flat()
+        with pytest.raises(ValueError, match="not filled"):
+            template.c_tis_block
 
 
 class TestForwardOperator:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petident import (
+    EQ_TOL,
     KineticParams,
     PolyExp,
     eval_polyexp,
@@ -46,10 +47,27 @@ class TestEvalPolyExp:
         assert PolyExp([]).degree == 0
         assert eval_polyexp(PolyExp([]), 3.0) == 0.0
 
-    def test_canonicalization_merges_and_drops(self):
-        g = PolyExp([(1.0, -0.5), (2.0, -0.5), (0.0, -0.2), (1.0, -0.1), (-1.0, -0.1)])
-        assert g.terms == ((3.0, -0.5),)
-        assert g.degree == 1
+    def test_terms_sorted_by_exponent(self):
+        g = PolyExp([(1.0, -0.1), (-5.0, -0.5), (4.0, -0.2)])
+        assert g.terms == tuple(ARTERIAL_TERMS)
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([(1.0, -0.5), (0.0, -0.2)], "lambda must have no zero weight, got [1.0, 0.0]"),
+            ([(1.0, -0.1), (-0.0, -0.2)], "lambda must have no zero weight, got [1.0, -0.0]"),
+            (
+                [(1.0, -0.1), (2.0, -0.5), (1.0, -0.5 + 1e-11)],
+                f"mu entries must differ by more than 1e-10, got {[-0.1, -0.5, -0.5 + 1e-11]}",
+            ),
+        ],
+    )
+    def test_fewer_terms_than_listed_rejected(self, terms, message):
+        # the reader's messages: a zero weight or two exponents within
+        # EQ_TOL would leave the sum with fewer terms than it lists
+        with pytest.raises(ValueError) as info:
+            PolyExp(terms)
+        assert str(info.value) == message
 
     def test_linearity_in_coefficients(self, rng):
         for _ in range(50):
@@ -98,6 +116,14 @@ class TestRegionDiversity:
         assert not report.satisfied
         assert any("k3 not pairwise distinct" in v for v in report.violations)
 
+    @pytest.mark.parametrize(
+        "mu, lam", [([], []), ([-0.5, -0.2], [1.0]), ([-0.5], [1.0, 2.0])]
+    )
+    def test_empty_or_unequal_terms_rejected(self, mu, lam):
+        kin = [KineticParams(0.1, 0.2 + 0.1 * i, 0.3 + 0.1 * i) for i in range(3)]
+        with pytest.raises(ValueError, match="nonempty and of equal length"):
+            region_diversity_report(mu, lam, kin)
+
     def test_two_regions_insufficient(self):
         kin = [KineticParams(0.1, 0.2, 0.3), KineticParams(0.2, 0.3, 0.4)]
         report = region_diversity_report([-0.5], [1.0], kin)
@@ -128,6 +154,12 @@ class TestSufficientCondition:
             scenario.c_art.exponents, scenario.c_art.coefficients, scenario.kinetics
         )
         assert report.satisfied
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_degree_below_one_rejected(self, p):
+        kin = [KineticParams(0.1, 0.2 + 0.01 * i, 0.1 * (i + 1)) for i in range(6)]
+        with pytest.raises(ValueError, match="degree p must be >= 1"):
+            has_distinct_rate_regions(kin, p)
 
     def test_duplicate_k3_among_minimal_set(self):
         kin = [KineticParams(0.1, 0.2 + 0.01 * i, 0.15) for i in range(6)]
@@ -169,8 +201,16 @@ class TestSufficientCondition:
     t=st.floats(-5, 5, allow_nan=False),
 )
 def test_polyexp_construction_invariants(terms, t):
+    # a term list is rejected, or kept whole: sorted, distinct and nonzero
+    fewer = any(lam == 0.0 for lam, _ in terms) or np.any(
+        np.diff(sorted(mu for _, mu in terms)) <= EQ_TOL
+    )
+    if fewer:
+        with pytest.raises(ValueError):
+            PolyExp(terms)
+        return
     g = PolyExp(terms)
-    exps = g.exponents
-    assert np.all(np.diff(exps) > 0)
+    assert g.terms == tuple(sorted(terms, key=lambda term: term[1]))
+    assert np.all(np.diff(g.exponents) > EQ_TOL)
     assert np.all(g.coefficients != 0.0)
     assert np.isfinite(eval_polyexp(g, t))
