@@ -221,6 +221,8 @@ def cmd_identify(args) -> int:
     lam, mu, m = record.final_x.lam, record.final_x.mu, record.final_x.m
     print(f"mode: {scenario.mode}")
     print(f"stop: {record.stop_reason} at iteration {record.stop_iter}")
+    if record.failure is not None:
+        print(f"failure: {record.failure}")
     print(f"residual: {record.residual_norms[-1]:.6e}")
     if record.rel_errors is not None:
         print(f"rel_error: {record.rel_errors[-1]:.6e}")

@@ -194,30 +194,16 @@ class MeasurementSet:
         return replace(self, values=np.asarray(values, dtype=float))
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def forward_vector(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     """Flat forward value ``(F1(x), F2(x))`` of length ``n*T + q`` (with
-    the leading axes of a batch ``x``)."""
-    kernel = _kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
-    measured = template.c_bl_values
-    if template.mode == "full":
-        measured = measured * plasma.value_and_jacobian(x.m, template.s_grid)[0]
-    return _forward_value(x, kernel, _arterial_exponentials(x, template), measured)
+    the leading axes of a batch ``x``): the value half of :func:`jacobian`."""
+    return jacobian(x, template)[1]
 
 
 def _arterial_exponentials(x: ParamVector, template: MeasurementSet):
     """``-e^(mu_j s_l)`` at the blood sample times, shape ``(..., p, q)``:
     negated once, for the blood rows that subtract the arterial curve."""
     return -np.exp(x.mu[..., :, None] * template.s_grid)
-
-
-def _forward_value(x, kernel, nes, measured):
-    """The flat forward value; ``nes`` are the negated arterial exponentials,
-    ``measured`` the blood data's arterial concentration (``C_bl f_m`` or
-    ``C_art_meas``)."""
-    tissue = term_sum(x.lam[..., None, None, :], kernel.w)
-    blood = measured + term_sum(x.lam[..., None, :], nes)
-    return np.concatenate([tissue.reshape(tissue.shape[:-2] + (-1,)), blood], axis=-1)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -236,7 +222,7 @@ def jacobian(x: ParamVector, template: MeasurementSet):
     s = template.s_grid
     T = template.n_times
     nT = n * T
-    kernel = _kernel(lam, mu, x.kinetic_block, template.t_grid, derivatives=True)
+    kernel = _kernel(lam, mu, x.kinetic_block, template.t_grid)
 
     J = np.zeros(lead + (nT + template.q, layout.dim))
     # tissue rows: region i owns rows i*T .. (i+1)*T and its three rate columns
@@ -255,7 +241,11 @@ def jacobian(x: ParamVector, template: MeasurementSet):
         fraction, d_fraction = plasma.value_and_jacobian(x.m, s)
         J[..., nT:, layout.m_slice()] = (measured * d_fraction).swapaxes(-1, -2)
         measured = measured * fraction
-    return J, _forward_value(x, kernel, nes, measured)
+    # the value: the tissue curves, then the blood data's arterial
+    # concentration (C_bl f_m or C_art_meas) minus the arterial curve
+    curves = term_sum(lam[..., None, None, :], kernel.w)
+    blood = measured + term_sum(lam[..., None, :], nes)
+    return J, np.concatenate([curves.reshape(lead + (-1,)), blood], axis=-1)
 
 
 def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,

@@ -121,23 +121,23 @@ class RegionKernel(NamedTuple):
     ``psi0[j, l] = psi0(mu_j, t_l)`` and
     ``psi1[i, j, l] = e^(-beta_i t_l) psi0(beta_i + mu_j, t_l)``, so that
     ``w = G1 psi0 + G2 psi1`` holds the per-term tissue contributions and
-    ``lam @ w`` the tissue curves ``(n, T)``.  With derivatives requested,
-    ``d_mu[i, j, l]`` is the derivative of ``lam @ w`` with respect to
-    ``mu_j`` and ``d_rates[i, l]`` the derivatives with respect to
-    ``(K1, k2, k3)`` of region ``i``.  A batch of parameter points prefixes
-    every array with its leading axes.
+    ``lam @ w`` the tissue curves ``(n, T)``; ``d_mu[i, j, l]`` is the
+    derivative of ``lam @ w`` with respect to ``mu_j`` and ``d_rates[i, l]``
+    the derivatives with respect to ``(K1, k2, k3)`` of region ``i``.  A
+    batch of parameter points prefixes every array with its leading axes.
     """
 
     psi0: np.ndarray
     psi1: np.ndarray
     w: np.ndarray
-    d_mu: np.ndarray | None = None
-    d_rates: np.ndarray | None = None
+    d_mu: np.ndarray
+    d_rates: np.ndarray
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
-    """Evaluate the closed form for all regions at once.
+def region_kernel(lam, mu, rates, t) -> RegionKernel:
+    """Evaluate the closed form and its parameter derivatives for all
+    regions at once.
 
     ``lam`` and ``mu`` are ``(..., p)`` arrays, ``rates`` an ``(..., n, 3)``
     array of rows ``(K1, k2, k3)`` and ``t`` a 1-d time grid; leading axes
@@ -167,9 +167,6 @@ def region_kernel(lam, mu, rates, t, derivatives: bool = False) -> RegionKernel:
     terms0 = psi[..., :1, :, :]
     psi1 = eb * psi[..., 1:, :, :]
     w = g1 * terms0 + g2 * psi1
-    if not derivatives:
-        return RegionKernel(psi0, psi1, w)
-
     dpsid = dpsi[..., 1:, :, :]
     d_mu = lam[..., None, :, None] * (g1 * dpsi[..., :1, :, :] + g2 * eb * dpsid)
     # the four weighted term sums behind the rate derivatives, one matmul

@@ -97,10 +97,12 @@ class IrgnmSettings:
 
     @classmethod
     def for_noise(cls, delta_y: float, **overrides) -> "IrgnmSettings":
-        """Defaults for data at noise level ``delta_y``: 300 iterations for
-        noise-free data, 200 otherwise, with the noise level as discrepancy
-        estimate.  Keyword arguments replace any field."""
-        fields = dict(max_iter=300 if delta_y == 0 else 200, delta_estimate=delta_y)
+        """Defaults for data at noise level ``delta_y``: the field default
+        of ``max_iter`` (300) for noise-free data, 200 iterations otherwise,
+        with the noise level as discrepancy estimate.  Keyword arguments
+        replace any field."""
+        # on the class, cls.max_iter is that field default
+        fields = dict(max_iter=cls.max_iter if delta_y == 0 else 200, delta_estimate=delta_y)
         fields.update(overrides)
         return cls(**fields)
 
@@ -265,10 +267,11 @@ def run_irgnm(
     returns its record.  Each trip of the loop takes one step of every run
     still going and evaluates their Jacobians and forward values in one
     call; the next step reuses that linearization, and after the trip that
-    reaches ``max_iter`` only the forward values are evaluated.  A run of
+    reaches ``max_iter`` only the forward values are read.  A run of
     ``k > 0`` iterations so costs ``k + 1`` Jacobians and one forward
     evaluation, or ``k`` Jacobians and two forward evaluations when ``k``
-    is ``max_iter``.
+    is ``max_iter``; a forward evaluation is a Jacobian call whose matrix
+    goes unread (:func:`.forward.forward_vector`).
     """
     single = x0.flat.ndim == 1
     data = y_delta.flat()  # rows follow x; sliced whenever runs leave

@@ -107,26 +107,44 @@ class TestIdentify:
         out = capsys.readouterr().out
         match = re.search(r"rel_error: ([0-9.e+-]+)", out)
         assert match and float(match.group(1)) < 1e-4
+        assert "failure:" not in out
         trace = (tmp_path / "identify_trace.csv").read_text().splitlines()
         assert trace[0] == "iter,residual_norm,rel_error"
 
+    @pytest.mark.parametrize(
+        "spoil, flags, stop, failure",
+        [
+            # a datum whose square overflows: J^T (F - y) is not finite, so
+            # the first step fails
+            ("overflowing", [], 0,
+             "normal-equation solve failed at alpha=8.000e+02 (cond~inf) at iteration 0"),
+            # data 1e20 times the truth's: the first step leaves the float range
+            ("scaled", ["--delta-x", "0", "--max-iter", "1"], 1,
+             "residual norm is nan at iteration 1"),
+        ],
+        ids=["overflowing", "scaled"],
+    )
     def test_failure_stop_exits_3_after_its_report_and_trace(
-        self, scenario_files, tmp_path, capsys
+        self, scenario_files, tmp_path, capsys, spoil, flags, stop, failure
     ):
-        # a datum whose square overflows: J^T (F - y) is not finite, so the
-        # first step fails
         y = simulate_ground_truth(default_scenario())[1].flat()
-        y[32] = 1.7e308
-        data = tmp_path / "overflowing.json"
+        if spoil == "overflowing":
+            y[32] = 1.7e308
+        else:
+            y *= 1e20
+        data = tmp_path / "data.json"
         data.write_text(json.dumps({"y": y.tolist()}))
         out = tmp_path / "out"
         code = run_cli(
-            "identify", "--scenario", scenario_files["min"], "--data", data, "--out", out
+            "identify", "--scenario", scenario_files["min"], "--data", data, *flags,
+            "--out", out,
         )
         assert code == 3
-        assert "stop: failure at iteration 0" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[1:3] == [
+            f"stop: failure at iteration {stop}", f"failure: {failure}"
+        ]
         trace = (out / "identify_trace.csv").read_text().splitlines()
-        assert trace[0] == "iter,residual_norm,rel_error" and len(trace) == 2
+        assert trace[0] == "iter,residual_norm,rel_error" and len(trace) == stop + 2
 
     @pytest.mark.parametrize("delta_y, delta_x", [(1e-3, 0.1), (0.0, 0.05)])
     @pytest.mark.parametrize("mode", ["full", "known_cart"])

@@ -45,7 +45,7 @@ def _psi0_dz_reference(z, t):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def region_kernel_reference(lam, mu, rates, t, derivatives=False):
+def region_kernel_reference(lam, mu, rates, t):
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)[..., :, None]
     t = np.asarray(t, dtype=float)
@@ -60,8 +60,6 @@ def region_kernel_reference(lam, mu, rates, t, derivatives=False):
     terms0 = psi0[..., None, :, :]
     psi1 = eb * _psi0_reference(beta + mu[..., None, :, :], t)
     w = g1 * terms0 + g2 * psi1
-    if not derivatives:
-        return psi0, psi1, w
     dpsid = _psi0_dz_reference(beta + mu[..., None, :, :], t)
     d_mu = lam[..., None, :, None] * (
         g1 * _psi0_dz_reference(mu, t)[..., None, :, :] + g2 * eb * dpsid
@@ -115,15 +113,11 @@ class TestFusedKernel:
                 mu[b, j] = -beta + ulps * np.spacing(beta)
         lead = data.draw(st.sampled_from([True, False]), label="batched")
         args = (lam, mu, rates) if lead else (lam[0], mu[0], rates[0])
-        for derivatives in (False, True):
-            kernel = region_kernel(*args, T_GRID, derivatives=derivatives)
-            fields = (kernel.psi0, kernel.psi1, kernel.w)
-            if derivatives:
-                fields += (kernel.d_mu, kernel.d_rates)
-            reference = region_kernel_reference(*args, T_GRID, derivatives)
-            assert len(fields) == len(reference)
-            for got, want in zip(fields, reference):
-                assert same_bits(got, want)
+        kernel = region_kernel(*args, T_GRID)
+        reference = region_kernel_reference(*args, T_GRID)
+        assert len(kernel) == len(reference) == 5
+        for got, want in zip(kernel, reference):
+            assert same_bits(got, want)
 
     def test_direct_calls_raise_no_warning(self):
         # the 0/0 quotients at z = 0 and below the series switch are
@@ -133,8 +127,7 @@ class TestFusedKernel:
             warnings.simplefilter("error")
             _psi_pair(z, T_GRID)
             region_kernel(
-                [1.0, -0.5], [0.0, -0.2], [[0.1, 0.1, 0.1], [0.2, 0.05, 0.15]], T_GRID,
-                derivatives=True,
+                [1.0, -0.5], [0.0, -0.2], [[0.1, 0.1, 0.1], [0.2, 0.05, 0.15]], T_GRID
             )
 
     def test_pair_equals_separate_functions(self):
@@ -259,9 +252,7 @@ class TestRateBlocks:
         flat = np.stack([x_true.flat, 1.1 * x_true.flat]) if batch else x_true.flat
         x = forward.ParamVector(flat, x_true.layout)
         J, _ = forward.jacobian(x, y_true)
-        d_rates = region_kernel(
-            x.lam, x.mu, x.kinetic_block, y_true.t_grid, derivatives=True
-        ).d_rates
+        d_rates = region_kernel(x.lam, x.mu, x.kinetic_block, y_true.t_grid).d_rates
         # tissue row 26 (region 2) holds its rates in columns 12, 13 and 14
         assert np.array_equal(J[..., 26, 12:15], d_rates[..., 1, 1, :])
         expected = np.zeros(J.shape[:-2] + (75, 9))
