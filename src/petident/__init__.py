@@ -29,7 +29,6 @@ from .forward import (
 from .solver import (
     IrgnmSettings,
     RunRecord,
-    StepFailure,
     irgnm_step,
     run_irgnm,
 )

@@ -499,16 +499,8 @@ def write_trace(path, record: RunRecord) -> None:
 
 def summary_to_dict(summary: CampaignSummary) -> dict:
     spec = summary.spec
-    settings = spec.resolved_settings()
     return {
-        "spec": {
-            "delta_y": spec.delta_y,
-            "delta_x": spec.delta_x,
-            "repetitions": spec.repetitions,
-            "mode": spec.mode,
-            "seed": spec.seed,
-            "settings": asdict(settings),
-        },
+        "spec": {**asdict(spec), "settings": asdict(spec.resolved_settings())},
         "diverged_count": summary.diverged_count,
         "median_run": summary.median_run,
         "runs": [

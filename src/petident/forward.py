@@ -41,7 +41,7 @@ import numpy as np
 from . import plasma
 from .kinetics import KineticParams, region_kernel, term_sum
 
-_kernel = region_kernel.__wrapped__  # unguarded: the callers below hold its guard
+_kernel = region_kernel.__wrapped__  # unguarded: jacobian, its one caller, holds its guard
 
 MODES = ("full", "known_cart")
 
@@ -200,12 +200,6 @@ def forward_vector(x: ParamVector, template: MeasurementSet) -> np.ndarray:
     return jacobian(x, template)[1]
 
 
-def _arterial_exponentials(x: ParamVector, template: MeasurementSet):
-    """``-e^(mu_j s_l)`` at the blood sample times, shape ``(..., p, q)``:
-    negated once, for the blood rows that subtract the arterial curve."""
-    return -np.exp(x.mu[..., :, None] * template.s_grid)
-
-
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def jacobian(x: ParamVector, template: MeasurementSet):
     """Analytic Jacobian of the flat forward map, shape ``(n*T + q, dim)``
@@ -233,7 +227,9 @@ def jacobian(x: ParamVector, template: MeasurementSet):
     blocks = tissue[..., layout.kinetic_slice()].reshape(lead + (n, T, n, 3))
     np.einsum("...itic->...itc", blocks)[...] = kernel.d_rates
 
-    nes = _arterial_exponentials(x, template)
+    # -e^(mu_j s_l), (..., p, q): negated once, for the blood rows that
+    # subtract the arterial curve
+    nes = -np.exp(mu[..., :, None] * s)
     J[..., nT:, :p] = nes.swapaxes(-1, -2)
     J[..., nT:, p : 2 * p] = (lam[..., :, None] * s * nes).swapaxes(-1, -2)
     measured = template.c_bl_values
@@ -264,19 +260,25 @@ def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,
     return ParamVector._adopt(flat, x.layout)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _forward_scale(x: ParamVector, template: MeasurementSet) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")
+def _forward_scale(x: ParamVector, template: MeasurementSet, J: np.ndarray) -> np.ndarray:
     """Magnitude of the intermediate sums behind every forward entry
     (the forward map with all additive pieces replaced by absolute values).
     Rounding in the forward value is proportional to this, not to the
-    possibly cancellation-small value itself."""
-    lam, s = np.abs(x.lam), template.s_grid
-    kernel = _kernel(x.lam, x.mu, x.kinetic_block, template.t_grid)
-    art = -(lam @ _arterial_exponentials(x, template))
+    possibly cancellation-small value itself.
+
+    The per-term tissue values and the blood exponentials are ``x``'s
+    Jacobian ``J``'s lambda columns, copied into the kernel's contiguous
+    ``(n, p, T)`` and ``(p, q)`` layouts so that the weighted sums round as
+    they would on the kernel's own arrays."""
+    p, n, T = x.layout.p, x.layout.n, template.n_times
+    lam = np.abs(x.lam)
+    w = np.ascontiguousarray(J[: n * T, :p].reshape(n, T, p).swapaxes(-1, -2))
+    art = -(lam @ np.ascontiguousarray(J[n * T :, :p].T))
     blood = np.abs(template.c_bl_values)
     if template.mode == "full":
-        blood = blood * plasma.magnitude(x.m, s)
-    return np.concatenate([(lam @ np.abs(kernel.w)).ravel(), blood + art])
+        blood = blood * plasma.magnitude(x.m, template.s_grid)
+    return np.concatenate([(lam @ np.abs(w)).ravel(), blood + art])
 
 
 @dataclass(frozen=True)
@@ -293,7 +295,6 @@ class JacobianCheck:
 
     max_rel_dev: float
     worst_entry: tuple[int, int]
-    n_checked: int
     n_noise_limited: int
     passed: bool
 
@@ -317,23 +318,27 @@ def finite_difference_check(
     resolvable entry makes ``max_rel_dev`` NaN, and any analytic entry that
     is not finite fails the check.
 
+    ``J``, the shifted values and ``S(x)`` all come from one :func:`jacobian`
+    call over ``x`` and its ``2·dim`` shifted points (the shifted points'
+    matrices go unread).
+
     ``corrupt_entry = (row, col, amount)`` perturbs the analytic Jacobian
     before comparison; used to verify that the check has teeth.
     """
-    J, _ = jacobian(x, template)
+    dim = x.layout.dim
+    h = 1e-6 * (1.0 + np.abs(x.flat))
+    # one batch: x, then the 2*dim shifted points x + h_i e_i and x - h_i e_i
+    points = np.tile(x.flat, (1 + 2 * dim, 1))
+    diag = np.arange(dim)
+    points[1 + diag, diag] += h
+    points[1 + dim + diag, diag] -= h
+    jacobians, values = jacobian(ParamVector._adopt(points, x.layout), template)
+    J = jacobians[0]
+    noise = (32.0 * np.finfo(float).eps * _forward_scale(x, template, J))[:, None] / (2.0 * h)
     if corrupt_entry is not None:
         row, col, amount = corrupt_entry
         J[row, col] += amount
-    dim = x.layout.dim
-    h = 1e-6 * (1.0 + np.abs(x.flat))
-    # one batch of the 2*dim shifted points: x + h_i e_i, then x - h_i e_i
-    points = np.tile(x.flat, (2 * dim, 1))
-    diag = np.arange(dim)
-    points[diag, diag] += h
-    points[dim + diag, diag] -= h
-    values = forward_vector(ParamVector(points, x.layout), template)
-    quotient = (values[:dim] - values[dim:]).T / (2.0 * h)
-    noise = (32.0 * np.finfo(float).eps * _forward_scale(x, template))[:, None] / (2.0 * h)
+    quotient = (values[1 : dim + 1] - values[dim + 1 :]).T / (2.0 * h)
     deviation = np.abs(J - quotient)
     # an entry the quotient misses but the analytic Jacobian shows counts too
     consider = (np.abs(quotient) > 1e-8) | (np.abs(J) > 1e-8)
@@ -356,7 +361,6 @@ def finite_difference_check(
     return JacobianCheck(
         max_rel_dev=max_rel,
         worst_entry=(row, col),
-        n_checked=int(np.count_nonzero(resolvable)),
         n_noise_limited=int(np.count_nonzero(noise_limited)),
         passed=passed,
     )

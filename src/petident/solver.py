@@ -140,18 +140,6 @@ class RunRecord:
     failure: str | None = None
 
 
-class StepFailure(RuntimeError):
-    """Normal-equation solve failed; carries the regularization weight and a
-    condition estimate of the offending matrix."""
-
-    def __init__(self, alpha: float, cond: float):
-        super().__init__(
-            f"normal-equation solve failed at alpha={alpha:.3e} (cond~{cond:.3e})"
-        )
-        self.alpha = alpha
-        self.cond = cond
-
-
 #: LAPACK's Cholesky solve: the ``potrf`` + ``potrs`` pair behind scipy's
 #: ``cho_factor``/``cho_solve`` in one call, without their per-call argument
 #: handling, which costs more than the factorization of these small systems.
@@ -163,25 +151,28 @@ _POSV = None
 def _solve_systems(gram: np.ndarray, rhs: np.ndarray, alpha: float):
     """Solve a ``(B, dim, dim)`` stack of normal equations one system at a
     time by Cholesky, testing each for finiteness only when the stack's sum
-    is not finite.  Returns the ``(B, dim)`` solutions and per system the
-    :class:`StepFailure` or ``None``: a system that is not finite or whose
-    factorization fails has failed, and its row is zero."""
+    is not finite.  Returns the ``(B, dim)`` solutions and per system
+    ``None`` or the failure text, which names the regularization weight and
+    a condition estimate: a system that is not finite or whose factorization
+    fails has failed, and its row is zero."""
     global _POSV
     if _POSV is None:  # an import statement per call costs about 2 % of a trip
         from scipy.linalg.lapack import dposv as _POSV
 
     stack_finite = math.isfinite(gram.sum() + rhs.sum())
     steps = np.zeros(rhs.shape)
-    failures: list[StepFailure | None] = [None] * len(rhs)
+    failures: list[str | None] = [None] * len(rhs)
     for b, (A, y) in enumerate(zip(gram, rhs)):
-        if not (stack_finite or np.isfinite(A).all() and np.isfinite(y).all()):
-            failures[b] = StepFailure(alpha, math.inf)
-            continue
-        _, step, info = _POSV(A, y, lower=False)
-        if info == 0:
-            steps[b] = step
-        else:  # J^T J + alpha I is SPD in exact arithmetic: A is numerically singular
-            failures[b] = StepFailure(alpha, float(np.linalg.cond(A)))
+        if stack_finite or np.isfinite(A).all() and np.isfinite(y).all():
+            _, step, info = _POSV(A, y, lower=False)
+            if info == 0:
+                steps[b] = step
+                continue
+            # J^T J + alpha I is SPD in exact arithmetic: A is numerically singular
+            cond = float(np.linalg.cond(A))
+        else:
+            cond = math.inf
+        failures[b] = f"normal-equation solve failed at alpha={alpha:.3e} (cond~{cond:.3e})"
     return steps, failures
 
 
@@ -201,7 +192,7 @@ def _regularized_steps(x_k, x0, alpha_k, J, misfit):
     ``(J^T J + alpha_k I) step = alpha_k (x0 - x_k) - J^T (F(x_k) - y)`` at
     the Jacobian ``J`` and the misfit ``F(x_k) - y``, shaped like
     ``x_k.flat``, and the failures as :func:`_solve_systems` returns them.
-    Nonfinite products surface as :class:`StepFailure`, not as warnings."""
+    Nonfinite products surface as failures, not as warnings."""
     dim = x_k.layout.dim
     # the matmul forms give each run of a batch the products of a lone run
     # bit for bit
@@ -231,7 +222,7 @@ def irgnm_step(
     shape ``(B, dim)``, ``J`` and ``misfit`` with the same leading axis; a
     single vector is a batch of one).  Each run's normal equations are
     solved on their own.  Returns ``(stepped, failures)``: ``failures[b]``
-    is the :class:`StepFailure` of run ``b`` or ``None`` (one entry for a
+    is the failure text of run ``b`` or ``None`` (one entry for a
     single vector), and the row of a failed run in ``stepped`` is not a
     step.
     """
@@ -342,12 +333,12 @@ def run_irgnm(
             J, _ = jacobian(x, y_delta)
 
         stepped, failures = irgnm_step(x, anchor, J, misfit, settings.alpha(k), settings.epsilon)
-        for i, exc in enumerate(failures):
-            if exc is not None:
+        for i, failure in enumerate(failures):
+            if failure is not None:
                 # numerical breakdown (a system that is not finite or is
                 # numerically singular); close the record on the last
                 # iterate, and the next check passes the run by
-                stops[active[i]] = ("failure", k, x.flat[i], f"{exc} at iteration {k}")
+                stops[active[i]] = ("failure", k, x.flat[i], f"{failure} at iteration {k}")
         x = stepped
         k += 1
         if k < settings.max_iter:

@@ -190,7 +190,7 @@ def solve_tikhonov(
         J, value = jacobian(x, y_delta)
         step, [failure] = _regularized_steps(x, x_bar, alpha, J, value - y_delta.flat())
         if failure is not None:
-            raise failure
+            raise RuntimeError(failure)
         current = tikhonov_objective(x, x_bar, y_delta, alpha)
         damping = 1.0
         accepted = None

@@ -11,7 +11,6 @@ from petident import (
     CampaignSpec,
     IrgnmSettings,
     ParamVector,
-    StepFailure,
     add_noise,
     default_scenario,
     forward_vector,
@@ -132,8 +131,9 @@ class TestStep:
             *_linearized(batch, stacked),
             alpha_k=0.5,
         )
-        assert failures[0] is None and failures[2] is None
-        assert isinstance(failures[1], StepFailure)
+        # the NaN datum leaves the Gram finite and its right-hand side not
+        nan_data = "normal-equation solve failed at alpha=5.000e-01 (cond~inf)"
+        assert failures == [None, nan_data, None]
         for b in (0, 2):
             alone, alone_failures = irgnm_step(
                 starts[b], anchors[b], *_linearized(starts[b], data[b]), 0.5
@@ -143,7 +143,7 @@ class TestStep:
         _, [failure] = irgnm_step(
             starts[1], anchors[1], *_linearized(starts[1], data[1]), 0.5
         )
-        assert isinstance(failure, StepFailure)
+        assert failure == nan_data
 
 
 class TestSolveSystems:
@@ -169,14 +169,17 @@ class TestSolveSystems:
         potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
         assert potrf(indefinite, lower=False)[1] > 0
         assert failures[0] is None
-        assert isinstance(failures[1], StepFailure) and failures[1].alpha == alpha
-        assert isinstance(failures[2], StepFailure) and failures[2].cond > 1e12
-        assert isinstance(failures[3], StepFailure) and failures[3].cond == math.inf
+        conds = []
+        for failure in failures[1:]:
+            head, cond = failure.split(" (cond~")
+            assert head == "normal-equation solve failed at alpha=7.000e-01"
+            conds.append(float(cond.removesuffix(")")))
+        assert conds[1] > 1e12 and conds[2] == math.inf
         assert not steps[1:].any()
         for b in range(4):
             alone, [failure] = _solve_systems(gram[b : b + 1], rhs[b : b + 1], alpha)
             assert alone[0].tobytes() == steps[b].tobytes()
-            assert str(failure) == str(failures[b])
+            assert failure == failures[b]
         factor, info = potrf(spd, lower=False, clean=False)
         assert info == 0
         assert steps[0].tobytes() == potrs(factor, rhs[0], lower=False)[0].tobytes()
