@@ -17,7 +17,8 @@ fault inside), 3 numerical failure (a ``jaccheck`` FAIL, an ``identify`` run
 stopped as ``failure``, a ``reproduce`` cell that raised).  All randomness
 derives from ``--seed``: ``identify --synthesize`` draws what repetition 0 of
 a one-cell campaign at that seed draws.  Outputs are deterministic functions
-of the inputs, written with 17 significant digits so reruns are byte-identical.
+of the inputs, so reruns are byte-identical: CSVs carry 17 significant digits,
+``results.json`` is strict JSON.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .experiments import (
     write_trace,
 )
 from .forward import (
+    MODES,
     MeasurementSet,
     ParamVector,
     finite_difference_check,
@@ -104,17 +106,15 @@ def _scenario(args) -> Scenario:
     return _read_file("scenario", args.scenario, scenario_from_dict)
 
 
-def _settings_from_args(args, delta_y: float) -> IrgnmSettings:
-    flags = dict(
-        max_iter=args.max_iter, tau=args.tau, a=args.alpha_a, b=args.alpha_b,
-        epsilon=args.epsilon,
-    )
-    try:
-        return IrgnmSettings.for_noise(
-            delta_y, **{key: v for key, v in flags.items() if v is not None}
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+#: The solver settings that ``identify``'s flags and a campaign file set,
+#: and the cell fields that ``reproduce``'s flags and a campaign file set.
+SETTINGS_KEYS = ("a", "b", "tau", "epsilon", "max_iter")
+CELL_KEYS = ("repetitions", "mode", "seed")
+
+
+def _given(args, keys) -> dict:
+    """The fields among ``keys`` given on the command line."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _out_dir(path: str) -> Path:
@@ -182,10 +182,11 @@ def _csv_values(fh) -> list[float]:
     return [float(row["value"]) for row in reader]
 
 
-def _read_measurements(path: str, template: MeasurementSet, n: int) -> MeasurementSet:
+def _read_measurements(path: str, like: MeasurementSet) -> MeasurementSet:
     """The ``--data`` file: a CSV ``value`` column, or a JSON list, bare or
-    as the only key ``"y"`` of an object, of finite numbers."""
-    expected = n * template.n_times + template.q
+    as the only key ``"y"`` of an object, of finite numbers, as many as
+    ``like`` holds."""
+    expected = like.flat().size
 
     def build(payload) -> MeasurementSet:
         if type(payload) is dict:
@@ -193,7 +194,7 @@ def _read_measurements(path: str, template: MeasurementSet, n: int) -> Measureme
         values = _numbers("y", payload)
         if values.size != expected:
             raise ValueError(f"{values.size} values, scenario requires {expected}")
-        return template.with_flat(values)
+        return like.with_flat(values)
 
     parse = json.load if Path(path).suffix == ".json" else _csv_values
     return _read_file("data", path, build, parse)
@@ -206,11 +207,14 @@ def cmd_identify(args) -> int:
     scenario = _scenario(args)
     if args.mode is not None:
         scenario = replace(scenario, mode=args.mode)
-    settings = _settings_from_args(args, args.delta_y)
-    if not args.synthesize:
-        measured = _read_measurements(args.data, scenario.template(), scenario.n)
-    out = _out_dir(args.out)
+    try:
+        settings = IrgnmSettings.for_noise(args.delta_y, **_given(args, SETTINGS_KEYS))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     x_true, y_true = simulate_ground_truth(scenario)
+    if not args.synthesize:
+        measured = _read_measurements(args.data, y_true)
+    out = _out_dir(args.out)
     x0, y_delta = draw_inputs(
         x_true, y_true, args.delta_x, args.delta_y, args.seed, settings.epsilon
     )
@@ -290,17 +294,6 @@ def cmd_check(args) -> int:
 # -- reproduce -------------------------------------------------------------------
 
 
-def _cell_overrides(args) -> dict:
-    """The campaign fields given on the command line."""
-    given = dict(repetitions=args.repetitions, mode=args.mode, seed=args.seed)
-    return {key: value for key, value in given.items() if value is not None}
-
-
-#: Campaign-file keys besides the two levels: cell fields, solver settings.
-CELL_KEYS = ("repetitions", "mode", "seed")
-SETTINGS_KEYS = ("a", "b", "tau", "epsilon", "max_iter")
-
-
 def _campaign_from_file(path: str, args) -> CampaignSpec:
     """The cell of a campaign file, checked as written, with the command-line
     overrides, which are checked already."""
@@ -318,7 +311,7 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
         settings = IrgnmSettings.for_noise(
             data["delta_y"], **{key: data[key] for key in SETTINGS_KEYS if key in data}
         )
-        return replace(cell, settings=settings, **_cell_overrides(args))
+        return replace(cell, settings=settings, **_given(args, CELL_KEYS))
 
     return _read_file("campaign", path, build)
 
@@ -331,10 +324,10 @@ def cmd_reproduce(args) -> int:
     scenario = _scenario(args)
     if args.all:
         specs = [
-            CampaignSpec(delta_y=dy, delta_x=dx, mode=mode, **_cell_overrides(args))
+            CampaignSpec(delta_y=dy, delta_x=dx, mode=mode, **_given(args, CELL_KEYS))
             for dy in DELTA_Y_GRID
             for dx in DELTA_X_GRID
-            for mode in ("full", "known_cart")
+            for mode in MODES
         ]
     else:
         specs = [_campaign_from_file(args.campaign, args)]
@@ -381,9 +374,10 @@ def run_jaccheck(
     corrupt_entry: tuple[int, int, float] | None = None,
 ):
     """Compare the analytic Jacobian with central finite differences at
-    random admissible points around the scenario truth.  Returns the worst
-    check result.  ``corrupt_entry`` injects an error into the analytic
-    Jacobian of the first trial (self-test of the comparison)."""
+    random admissible points around the scenario truth.  Runs every trial
+    and returns the first failing check, else the one of largest deviation.
+    ``corrupt_entry`` injects an error into the analytic Jacobian of the
+    first trial (self-test of the comparison)."""
     template = scenario.template()
     x_true = scenario.true_vector()
     rng = make_rng([seed, 2])
@@ -397,10 +391,8 @@ def run_jaccheck(
             rtol=tolerance,
             corrupt_entry=corrupt_entry if trial == 0 else None,
         )
-        if worst is None or check.max_rel_dev > worst.max_rel_dev or not check.passed:
+        if worst is None or worst.passed and (not check.passed or check.max_rel_dev > worst.max_rel_dev):
             worst = check
-        if not check.passed:
-            break
     return worst
 
 
@@ -479,10 +471,10 @@ def build_parser() -> CliParser:
         help="noise level: the discrepancy-stop estimate (0: no such stop, default --max-iter "
         "300, else 200); with --synthesize also the noise added to the data",
     )
-    p.add_argument("--mode", choices=("full", "known_cart"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--alpha-a", type=float, default=None)
-    p.add_argument("--alpha-b", type=float, default=None)
+    p.add_argument("--alpha-a", dest="a", metavar="ALPHA_A", type=float, default=None)
+    p.add_argument("--alpha-b", dest="b", metavar="ALPHA_B", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
 
@@ -498,7 +490,7 @@ def build_parser() -> CliParser:
         "--all", action="store_true", help="run the full noise x perturbation x mode grid"
     )
     p.add_argument("--repetitions", type=int, default=None)
-    p.add_argument("--mode", choices=("full", "known_cart"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     # without --seed, a campaign file's own seed applies
     p.set_defaults(seed=None)
 

@@ -348,11 +348,10 @@ def add_noise(y_true: MeasurementSet, delta_y: float, seed) -> MeasurementSet:
     """Add independent zero-mean Gaussian noise with variance
     ``delta_y^2 / (n T)`` to every tissue entry, so the expected squared
     perturbation of the whole vector is ``delta_y^2``.  The blood-coupling
-    block (zero for consistent data) is left untouched."""
+    block (zero for consistent data) is left untouched.  The result is a
+    copy, also at ``delta_y = 0``, where the draw is exact zeros."""
     if not (is_finite(delta_y) and delta_y >= 0):
         raise ValueError(f"delta_y must be finite and nonnegative, got {delta_y}")
-    if delta_y == 0.0:
-        return y_true
     noisy = y_true.with_flat(y_true.flat().copy())
     tissue = noisy.c_tis_block  # a view: the draw lands in noisy's vector
     tissue += make_rng(seed).normal(0.0, delta_y / np.sqrt(tissue.size), size=tissue.shape)
@@ -497,6 +496,12 @@ def write_trace(path, record: RunRecord) -> None:
     write_table(path, ["iter", "residual_norm", "rel_error"], rows)
 
 
+def _json_number(value) -> float | None:
+    """``value`` as a JSON number, or ``None`` (``null``) where it is
+    missing or not finite: strict JSON has no NaN or infinity."""
+    return float(value) if value is not None and is_finite(value) else None
+
+
 def summary_to_dict(summary: CampaignSummary) -> dict:
     spec = summary.spec
     return {
@@ -509,10 +514,10 @@ def summary_to_dict(summary: CampaignSummary) -> dict:
                 "diverged": bool(record.diverged),
                 "stop_reason": record.stop_reason,
                 "stop_iter": record.stop_iter,
-                "final_residual": float(record.residual_norms[-1]),
-                "rho_opt": record.rho_opt,
-                "rho_d": record.rho_d,
-                "rel_error_best": float(np.min(record.rel_errors)),
+                "final_residual": _json_number(record.residual_norms[-1]),
+                "rho_opt": _json_number(record.rho_opt),
+                "rho_d": _json_number(record.rho_d),
+                "rel_error_best": _json_number(np.min(record.rel_errors)),
                 "failure": record.failure,
             }
             for r, record in enumerate(summary.records)
@@ -549,6 +554,6 @@ def emit_results(summaries: list[CampaignSummary], out_dir) -> list[Path]:
 
     results = out / "results.json"
     with open(results, "w") as fh:
-        json.dump([summary_to_dict(summary) for summary in summaries], fh, indent=1)
+        json.dump([summary_to_dict(summary) for summary in summaries], fh, indent=1, allow_nan=False)
     written.append(results)
     return written

@@ -95,7 +95,7 @@ def _check_clearance(beta):
         index = tuple(np.argwhere(bad)[0])
         raise DomainError(
             f"k2 + k3 must be positive in every region "
-            f"(region {index[-1]}: {beta[index]})"
+            f"(region {index[-1] + 1}: {beta[index]})"
         )
 
 

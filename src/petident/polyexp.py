@@ -212,8 +212,6 @@ def has_distinct_rate_regions(kinetics: Sequence, p: int) -> bool:
     if p < 1:
         raise ValueError("polyexponential degree p must be >= 1")
     need = p + 3
-    if len(kinetics) < need:
-        return False
     k3 = np.array([k.k3 for k in kinetics], dtype=float)
     beta = np.array([k.k2 + k.k3 for k in kinetics], dtype=float)
 

@@ -12,6 +12,7 @@ from petident.experiments import (
     CampaignSpec, default_scenario, run_campaign, scenario_from_dict, scenario_to_dict,
     simulate_ground_truth,
 )
+from petident.forward import MODES
 from petident.solver import IrgnmSettings
 
 
@@ -853,6 +854,25 @@ class TestFlagsAreRead:
         assert captured.out == "" and not (tmp_path / "out").exists()
 
 
+class TestOneNamePerField:
+    """A flag stores to the name of the field it sets, which a campaign file
+    uses as its key, and both ``--mode`` flags offer the forward modes."""
+
+    @staticmethod
+    def options(command) -> dict:
+        return {a.dest: a for a in build_parser().commands[command]._actions}
+
+    def test_identify_flags_are_the_settings_keys(self):
+        assert set(cli.SETTINGS_KEYS) <= set(self.options("identify"))
+
+    def test_reproduce_flags_are_the_cell_keys(self):
+        assert set(cli.CELL_KEYS) <= set(self.options("reproduce"))
+
+    @pytest.mark.parametrize("command", ["identify", "reproduce"])
+    def test_mode_choices_are_the_modes(self, command):
+        assert tuple(self.options(command)["mode"].choices) == MODES
+
+
 class TestNegativeSeed:
     """Philox takes nonnegative seeds only: a negative ``--seed`` is a usage
     error before any run starts (a negative seed in a campaign file is an
@@ -1059,6 +1079,21 @@ class TestJaccheck:
         assert run_cli("jaccheck", "--trials", "1", "--corrupt", "74", "0", "nan") == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_a_failing_trial_does_not_end_the_run(self, capsys, monkeypatch):
+        checks = []
+
+        def count(*args, **kwargs):
+            checks.append(real_check(*args, **kwargs))
+            return checks[-1]
+
+        real_check = cli.finite_difference_check
+        monkeypatch.setattr(cli, "finite_difference_check", count)
+        assert run_cli("jaccheck", "--trials", "3", "--corrupt", "74", "0", "0.01") == 3
+        out = capsys.readouterr().out
+        assert len(checks) == 3 and [c.passed for c in checks] == [False, True, True]
+        assert f"FAIL (worst entry {checks[0].worst_entry})" in out
+        assert f"{checks[0].max_rel_dev:.3e} over 3 trials" in out
+
 
 class TestReproduce:
     def test_campaign_file(self, scenario_files, tmp_path, capsys):
@@ -1192,6 +1227,22 @@ class TestReproduce:
         specs = [e["spec"] for e in json.loads((tmp_path / "results.json").read_text())]
         assert [(s["delta_y"], s["delta_x"], s["mode"]) for s in specs] == kept
         assert len(kept) == 31
+
+    def test_results_are_strict_json(self, tmp_path):
+        # every run breaks down with a NaN residual, which is written as null
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(
+            json.dumps({"delta_y": 0.001, "delta_x": 100, "repetitions": 4, "seed": 0})
+        )
+        assert run_cli("reproduce", "--campaign", campaign, "--out", tmp_path / "rep") == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        with open(tmp_path / "rep" / "results.json") as fh:
+            [entry] = json.load(fh, parse_constant=reject)
+        assert [run["final_residual"] for run in entry["runs"]] == [None] * 4
+        assert all(run["failure"].startswith("residual norm is nan") for run in entry["runs"])
 
     def test_rerun_is_byte_identical(self, scenario_files, tmp_path):
         campaign = tmp_path / "campaign.json"

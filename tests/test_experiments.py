@@ -152,10 +152,12 @@ class TestSimulateGroundTruth:
 
 
 class TestNoise:
-    def test_zero_level_is_identity(self, ground_truth):
+    def test_zero_level_is_a_bitwise_copy(self, ground_truth):
+        # the general path draws exact zeros at delta_y = 0
         _, y_true = ground_truth
         noisy = add_noise(y_true, 0.0, seed=1)
-        assert np.array_equal(noisy.flat(), y_true.flat())
+        assert noisy.flat().tobytes() == y_true.flat().tobytes()
+        assert not np.shares_memory(noisy.flat(), y_true.flat())
 
     def test_blood_block_untouched(self, ground_truth):
         _, y_true = ground_truth

@@ -9,6 +9,7 @@ from petident import (
     PolyExp,
     eval_polyexp,
 )
+from petident.kinetics import region_kernel
 
 from oracles import integrate_compartments_rk4_grid, tissue_concentration_quadrature, tissue_curves
 
@@ -67,6 +68,11 @@ class TestClosedForm:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             tissue_curves(ARTERIAL, KineticParams(0.1, -0.2, 0.1), 1.0)
+
+    def test_domain_error_numbers_regions_from_one(self):
+        rates = [[0.1, 0.1, 0.1], [0.1, 0.0, 0.0]]
+        with pytest.raises(DomainError, match=r"\(region 2: 0\.0\)"):
+            region_kernel([1.0], [-0.5], rates, [1.0])
 
     def test_linearity_in_influx_exact(self):
         # doubling K1 scales by a power of two: bit-identical result
