@@ -15,7 +15,7 @@ scenario = default_scenario()
 check = run_jaccheck(scenario, trials=10, tolerance=1e-5, seed=0)
 print("clean Jacobian, 10 random points:")
 print(f"  max relative deviation: {check.max_rel_dev:.3e}")
-print(f"  entries below the quotient noise floor: {check.n_noise_limited}")
+print(f"  entries below the quotient noise floor, all 10 points: {check.n_noise_limited}")
 print(f"  verdict: {'PASS' if check.passed else 'FAIL'}")
 
 check = run_jaccheck(scenario, trials=1, tolerance=1e-5, seed=0,

@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Subcommands and their flags (any other flag is a usage error):
+Subcommands and their flags (any other flag is a usage error; without
+``--scenario``, each runs the built-in reference scenario):
 
-* ``simulate --scenario [--out]`` -- a scenario's ground-truth curves and measurements
-* ``identify --scenario (--data | --synthesize) [--out --seed --delta-x --delta-y
+* ``simulate [--scenario --out]`` -- a scenario's ground-truth curves and measurements
+* ``identify (--data | --synthesize) [--scenario --out --seed --delta-x --delta-y
   --mode --tau --alpha-a --alpha-b --epsilon --max-iter]`` -- fit kinetic parameters
-* ``check --scenario`` -- identifiability diagnostics for a scenario
+* ``check [--scenario]`` -- identifiability diagnostics for a scenario
 * ``reproduce (--campaign | --all) [--scenario --out --seed --repetitions --mode]``
   -- repeated-campaign tables and median-run traces
 * ``jaccheck [--scenario --seed --trials --tolerance --corrupt]`` -- verify the
@@ -52,6 +53,7 @@ from .experiments import (
 )
 from .forward import (
     MODES,
+    JacobianCheck,
     MeasurementSet,
     ParamVector,
     finite_difference_check,
@@ -281,11 +283,11 @@ def cmd_check(args) -> int:
     else:
         print(f"time samples: warning T={T} < {needed}")
     # the local picture: the rank of the Jacobian at the truth
-    x_true = scenario.true_vector()
-    J, _ = jacobian(x_true, scenario.template())
+    x_true, y_true = simulate_ground_truth(scenario)
+    J, _ = jacobian(x_true, y_true)
     dim = x_true.layout.dim
     print(f"jacobian at the truth ({scenario.mode} mode, {dim} parameters):")
-    for rows, block in (("tissue rows", J[: scenario.n * T]), ("all rows", J)):
+    for rows, block in (("tissue rows", J[: y_true.c_tis_block.size]), ("all rows", J)):
         rank, ratio = numerical_rank(block)
         print(f"  {rows}: rank {rank}, nullity {dim - rank}, sigma_min/sigma_max {ratio:.3e}")
     return EXIT_OK
@@ -294,9 +296,10 @@ def cmd_check(args) -> int:
 # -- reproduce -------------------------------------------------------------------
 
 
-def _campaign_from_file(path: str, args) -> CampaignSpec:
-    """The cell of a campaign file, checked as written, with the command-line
-    overrides, which are checked already."""
+def _campaign_from_file(path: str, mode: str, args) -> CampaignSpec:
+    """The cell of a campaign file, checked as written, in ``mode`` (the
+    scenario's) unless the file names one, with the command-line overrides,
+    which are checked already."""
 
     def build(data) -> CampaignSpec:
         _check_object("campaign", data, CELL_KEYS + SETTINGS_KEYS, ("delta_y", "delta_x"))
@@ -306,7 +309,7 @@ def _campaign_from_file(path: str, args) -> CampaignSpec:
             _number(key, data.get(key, 0.0))
         cell = CampaignSpec(
             data["delta_y"], data["delta_x"],
-            **{key: data[key] for key in CELL_KEYS if key in data},
+            **{"mode": mode, **{key: data[key] for key in CELL_KEYS if key in data}},
         )
         settings = IrgnmSettings.for_noise(
             data["delta_y"], **{key: data[key] for key in SETTINGS_KEYS if key in data}
@@ -330,7 +333,7 @@ def cmd_reproduce(args) -> int:
             for mode in MODES
         ]
     else:
-        specs = [_campaign_from_file(args.campaign, args)]
+        specs = [_campaign_from_file(args.campaign, scenario.mode, args)]
     # every input is read before the outputs of an earlier run go
     out = _out_dir(args.out)
     for stale in [out / "table1.csv", out / "results.json", *out.glob("trace_*.csv")]:
@@ -372,28 +375,29 @@ def run_jaccheck(
     tolerance: float,
     seed: int = 0,
     corrupt_entry: tuple[int, int, float] | None = None,
-):
+) -> JacobianCheck:
     """Compare the analytic Jacobian with central finite differences at
     random admissible points around the scenario truth.  Runs every trial
-    and returns the first failing check, else the one of largest deviation.
-    ``corrupt_entry`` injects an error into the analytic Jacobian of the
-    first trial (self-test of the comparison)."""
-    template = scenario.template()
-    x_true = scenario.true_vector()
+    and returns one check over all of them: the largest deviation (NaN if
+    any is NaN) and the summed noise-floor count, with the verdict and the
+    entry of the first failing trial, else of the trial of largest
+    deviation.  ``corrupt_entry`` injects an error into the analytic
+    Jacobian of the first trial (self-test of the comparison)."""
+    x_true, y_true = simulate_ground_truth(scenario)
     rng = make_rng([seed, 2])
-    worst = None
+    checks = []
     for trial in range(trials):
         flat = x_true.flat * (1.0 + 0.3 * rng.standard_normal(x_true.flat.size))
         x = project_to_domain(ParamVector(flat, x_true.layout))
-        check = finite_difference_check(
-            x,
-            template,
-            rtol=tolerance,
-            corrupt_entry=corrupt_entry if trial == 0 else None,
-        )
-        if worst is None or worst.passed and (not check.passed or check.max_rel_dev > worst.max_rel_dev):
-            worst = check
-    return worst
+        corrupt = corrupt_entry if trial == 0 else None
+        checks.append(finite_difference_check(x, y_true, tolerance, corrupt))
+    deviations = [check.max_rel_dev for check in checks]
+    failed = [check for check in checks if not check.passed]
+    return replace(
+        failed[0] if failed else checks[int(np.argmax(deviations))],
+        max_rel_dev=float(np.max(deviations)),
+        n_noise_limited=sum(check.n_noise_limited for check in checks),
+    )
 
 
 def _corrupt_entry(fields, scenario: Scenario) -> tuple[int, int, float]:
@@ -403,8 +407,8 @@ def _corrupt_entry(fields, scenario: Scenario) -> tuple[int, int, float]:
         row, col, amount = int(fields[0]), int(fields[1]), float(fields[2])
     except ValueError as exc:
         raise UsageError(f"--corrupt takes integers ROW COL and a float AMOUNT: {exc}") from exc
-    rows = scenario.n * scenario.t_grid.size + scenario.s_grid.size
-    for name, index, size in (("ROW", row, rows), ("COL", col, scenario.true_vector().layout.dim)):
+    x_true, y_true = simulate_ground_truth(scenario)
+    for name, index, size in (("ROW", row, y_true.flat().size), ("COL", col, x_true.layout.dim)):
         if not 0 <= index < size:
             raise UsageError(f"--corrupt {name} must be in 0..{size - 1}, got {index}")
     return row, col, amount
@@ -444,14 +448,10 @@ def build_parser() -> CliParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def subcommand(name, func, help, *flags, scenario_required=True):
+    def subcommand(name, func, help, *flags):
         # of --out and --seed, a subcommand takes only those its command reads
         p = sub.add_parser(name, help=help)
-        p.add_argument(
-            "--scenario",
-            required=scenario_required,
-            help="scenario JSON file" + ("" if scenario_required else " (default: built-in)"),
-        )
+        p.add_argument("--scenario", help="scenario JSON file (default: built-in)")
         if "out" in flags:
             p.add_argument("--out", default="out", help="output directory")
         if "seed" in flags:
@@ -480,10 +480,7 @@ def build_parser() -> CliParser:
 
     subcommand("check", cmd_check, "identifiability diagnostics")
 
-    p = subcommand(
-        "reproduce", cmd_reproduce, "repeated campaigns and tables", "out", "seed",
-        scenario_required=False,
-    )
+    p = subcommand("reproduce", cmd_reproduce, "repeated campaigns and tables", "out", "seed")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--campaign", help="campaign JSON file")
     source.add_argument(
@@ -494,10 +491,7 @@ def build_parser() -> CliParser:
     # without --seed, a campaign file's own seed applies
     p.set_defaults(seed=None)
 
-    p = subcommand(
-        "jaccheck", cmd_jaccheck, "finite-difference Jacobian verification", "seed",
-        scenario_required=False,
-    )
+    p = subcommand("jaccheck", cmd_jaccheck, "finite-difference Jacobian verification", "seed")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--corrupt", nargs=3, metavar=("ROW", "COL", "AMOUNT"), default=None,

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1094,6 +1095,50 @@ class TestJaccheck:
         assert f"FAIL (worst entry {checks[0].worst_entry})" in out
         assert f"{checks[0].max_rel_dev:.3e} over 3 trials" in out
 
+    def test_report_covers_every_trial(self, capsys, monkeypatch):
+        checks = []
+
+        def keep(*args, **kwargs):
+            checks.append(real_check(*args, **kwargs))
+            return checks[-1]
+
+        real_check = cli.finite_difference_check
+        monkeypatch.setattr(cli, "finite_difference_check", keep)
+        # the NaN at (0, 0) fails trial 0 below the noise floor, outside its
+        # deviation, so a passing trial deviates more
+        assert run_cli("jaccheck", "--trials", "20", "--corrupt", "0", "0", "nan") == 3
+        out = capsys.readouterr().out
+        largest = max(check.max_rel_dev for check in checks)
+        assert largest > checks[0].max_rel_dev
+        below = sum(check.n_noise_limited for check in checks)
+        assert f"max relative deviation {largest:.3e} over 20 trials ({below} entries" in out
+        assert "FAIL (worst entry (0, 0))" in out
+
+
+class TestBuiltInScenario:
+    """Without ``--scenario`` every subcommand runs the built-in reference
+    scenario, so it writes what it writes given that scenario's file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--out", "out"], ["identify", "--synthesize", "--delta-y", "1e-3",
+         "--out", "out"], ["check"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_same_bytes_as_the_reference_file(
+        self, scenario_files, tmp_path, monkeypatch, capsys, argv
+    ):
+        outputs = []
+        for where, flag in (("built_in", []), ("file", ["--scenario", scenario_files["min"]])):
+            (tmp_path / where).mkdir()
+            monkeypatch.chdir(tmp_path / where)
+            assert run_cli(*argv, *flag) == 0
+            written = {p.name: p.read_bytes() for p in Path("out").glob("*")}
+            outputs.append((capsys.readouterr().out, written))
+        assert outputs[0] == outputs[1]
+        for name, parser in build_parser().commands.items():
+            assert f"usage: petident {name} [-h] [--scenario SCENARIO]" in parser.format_usage()
+
 
 class TestReproduce:
     def test_campaign_file(self, scenario_files, tmp_path, capsys):
@@ -1121,10 +1166,28 @@ class TestReproduce:
         campaign = tmp_path / "campaign.json"
         campaign.write_text(json.dumps({**fields, "delta_x": 0.1}))
         args = build_parser().parse_args(["reproduce", "--campaign", str(campaign)])
-        assert _campaign_from_file(str(campaign), args).settings == IrgnmSettings(
+        assert _campaign_from_file(str(campaign), "full", args).settings == IrgnmSettings(
             a=800.0, b=0.2, tau=1.1, epsilon=1e-3, max_iter=max_iter,
             delta_estimate=fields["delta_y"],
         )
+
+    @pytest.mark.parametrize(
+        "file_mode, flag_mode, mode",
+        [(None, None, "known_cart"), ("full", None, "full"), (None, "full", "full"),
+         ("full", "known_cart", "known_cart")],
+    )
+    def test_campaign_mode_is_the_flag_then_the_file_then_the_scenario(
+        self, tmp_path, file_mode, flag_mode, mode
+    ):
+        scenario = tmp_path / "known_cart.json"
+        scenario.write_text(json.dumps(scenario_to_dict(default_scenario("known_cart"))))
+        fields = {"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 1, "max_iter": 1}
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({**fields, **({"mode": file_mode} if file_mode else {})}))
+        argv = ["reproduce", "--campaign", campaign, "--scenario", scenario, "--out", tmp_path]
+        assert run_cli(*argv, *(["--mode", flag_mode] if flag_mode else [])) == 0
+        [entry] = json.loads((tmp_path / "results.json").read_text())
+        assert entry["spec"]["mode"] == mode
 
     @pytest.mark.parametrize("flag_seed, seed", [(None, 7), (3, 3)])
     def test_campaign_file_seed_unless_flag(self, tmp_path, flag_seed, seed):

@@ -15,7 +15,6 @@ import petident
 
 DEFAULTED = {
     "cli._read_file: parse",
-    "cli.build_parser.subcommand: scenario_required",
     "cli.main: argv",
     "cli.run_jaccheck: corrupt_entry",
     "cli.run_jaccheck: seed",

@@ -22,6 +22,8 @@ from petident import (
 )
 from petident.experiments import SECONDS_PER_MINUTE, summary_to_dict
 
+from numeric_platform import pin_message
+
 
 class TestTimeGrid:
     def test_length_and_endpoints(self):
@@ -361,7 +363,9 @@ class TestBatchedCampaign:
             (rec.stop_reason, rec.stop_iter, format(float(rec.residual_norms[-1]), ".12g"))
             for rec in summary.records
         ]
-        assert stops == self.GOLDEN[cell]
+        # the batched runs equal the lone ones anywhere; the golden stops
+        # hold on the platform they were recorded on
+        assert stops == self.GOLDEN[cell], pin_message()
 
 
 class TestEmitResults:

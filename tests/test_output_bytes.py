@@ -2,7 +2,8 @@
 
 A refactor of the writers or of the solver that claims to keep every output
 byte must keep these digests.  They follow the last bits of the solver, so
-a NumPy or BLAS build that rounds differently changes them as well.
+a NumPy or BLAS build that rounds differently changes them as well: each
+digest that fails names the platform it was recorded on and this one.
 """
 
 import hashlib
@@ -12,6 +13,8 @@ import pytest
 
 from petident.cli import main
 from petident.experiments import default_scenario, scenario_to_dict
+
+from numeric_platform import pin_message
 
 SIMULATE = {
     "x_true.csv": "0ae0c06e3767a072ea5661713814cc926c2f0fc4f603d26dbb55c685557dcc45",
@@ -32,7 +35,7 @@ REPRODUCE = {
 #: identify line also digests ``identify_trace.csv``
 STDOUT = {
     "check": "86941969ed2aa4b31f8a0e95de9053cab6558db473420bc798ea859ad48b2e80",
-    "jaccheck": "0149bdc8d84601c5bb9cd9aec3477a96a083430c26145a5b7fd1279dca8f71e3",
+    "jaccheck": "1e61c90f56e0aaf6a4d33b5a0d7896d50e23b74758d69a0a07708ed2fc2dbe7c",
     "identify": "b4da05fc42668f6d4b87d02396cd29a05fd2cdd6072351a075bb8980a3d06cc5",
 }
 IDENTIFY_TRACE = "9f33441cad7d349a09830a8f2ecee02f3a9fe49c13320a04fcb375aa5bee8ec9"
@@ -47,7 +50,8 @@ def test_simulate_bytes(tmp_path):
     scenario.write_text(json.dumps(scenario_to_dict(default_scenario())))
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
-    assert {name: sha256((out / name).read_bytes()) for name in SIMULATE} == SIMULATE
+    digests = {name: sha256((out / name).read_bytes()) for name in SIMULATE}
+    assert digests == SIMULATE, pin_message()
 
 
 def test_reproduce_all_bytes(tmp_path):
@@ -59,7 +63,7 @@ def test_reproduce_all_bytes(tmp_path):
         name: sha256((tmp_path / name).read_bytes()) for name in ("table1.csv", "results.json")
     }
     digests["traces"] = sha256(b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in traces))
-    assert digests == REPRODUCE
+    assert digests == REPRODUCE, pin_message()
 
 
 @pytest.mark.parametrize(
@@ -76,6 +80,7 @@ def test_stdout_bytes(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "reference.json").write_text(json.dumps(scenario_to_dict(default_scenario())))
     assert main(argv) == 0
-    assert sha256(capsys.readouterr().out.encode()) == STDOUT[argv[0]]
+    assert sha256(capsys.readouterr().out.encode()) == STDOUT[argv[0]], pin_message()
     if argv[0] == "identify":
-        assert sha256((tmp_path / "out" / "identify_trace.csv").read_bytes()) == IDENTIFY_TRACE
+        trace = tmp_path / "out" / "identify_trace.csv"
+        assert sha256(trace.read_bytes()) == IDENTIFY_TRACE, pin_message()

@@ -24,6 +24,7 @@ from petident import (
 )
 from petident.solver import _residual_norm, _run_record, _solve_systems
 
+from numeric_platform import pin_message
 from oracles import solve_tikhonov
 
 
@@ -473,9 +474,9 @@ def _records_digest() -> str:
 
 
 def test_results_are_bit_pinned():
-    # the solver's speed-ups must not move a single result bit; the digest
-    # was recorded with NumPy 2.4 on OpenBLAS, and another BLAS or libm may
-    # legitimately change the last bits, which calls for recording it anew
+    # the solver's speed-ups must not move a single result bit; another
+    # NumPy SIMD loop or BLAS kernel may legitimately change the last bits,
+    # which calls for recording the digest anew
     assert _records_digest() == (
         "92a4bd87ea09771c319abf0c410d79efaa52c51e01556023bfa8efa38b29a067"
-    )
+    ), pin_message()
