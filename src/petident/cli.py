@@ -129,15 +129,6 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _param_names(layout) -> list[str]:
-    names = [f"lambda{j + 1}" for j in range(layout.p)]
-    names += [f"mu{j + 1}" for j in range(layout.p)]
-    names += [f"m{j + 1}" for j in range(layout.q_hat)]
-    for i in range(layout.n):
-        names += [f"K1_{i + 1}", f"k2_{i + 1}", f"k3_{i + 1}"]
-    return names
-
-
 # -- simulate ------------------------------------------------------------------
 
 
@@ -146,7 +137,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args.out)
     x_true, y_true = simulate_ground_truth(scenario)
 
-    names = _param_names(x_true.layout)
+    names = x_true.layout.names()
     write_table(out / "x_true.csv", ["component", "value"], zip(names, x_true.flat))
     t_sec, s_sec = scenario.t_grid * SECONDS_PER_MINUTE, scenario.s_grid * SECONDS_PER_MINUTE
     rows = [
@@ -218,7 +209,7 @@ def cmd_identify(args) -> int:
         measured = _read_measurements(args.data, y_true)
     out = _out_dir(args.out)
     x0, y_delta = draw_inputs(
-        x_true, y_true, args.delta_x, args.delta_y, args.seed, settings.epsilon
+        x_true, y_true, args.delta_x, args.delta_y, args.seed, 0, settings.epsilon
     )
     if not args.synthesize:  # no known truth: the scenario is only the prior
         y_delta, x_true = measured, None

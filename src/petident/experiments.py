@@ -377,22 +377,22 @@ def perturb_initial(
     return project_to_domain(perturbed, epsilon, plasma_model)
 
 
-def draw_inputs(x_true, y_true, delta_x, delta_y, seed, epsilon):
-    """Repetition ``seed``'s start and noisy data: the start perturbs
-    ``x_true`` by Philox stream ``[seed, 0]``, the noise on ``y_true`` comes
-    from ``[seed, 1]``."""
+def draw_inputs(x_true, y_true, delta_x, delta_y, seed, r, epsilon):
+    """Repetition ``r``'s start and noisy data at base seed ``seed``, keyed
+    here only: the start perturbs ``x_true`` by Philox stream ``[seed ^ r, 0]``,
+    the noise on ``y_true`` comes from ``[seed ^ r, 1]``."""
     return (
-        perturb_initial(x_true, delta_x, [seed, 0], epsilon),
-        add_noise(y_true, delta_y, [seed, 1]),
+        perturb_initial(x_true, delta_x, [seed ^ r, 0], epsilon),
+        add_noise(y_true, delta_y, [seed ^ r, 1]),
     )
 
 
 @dataclass(frozen=True)
 class CampaignSpec:
     """One experiment cell: noise level, initialization level, mode,
-    repetition count and base seed.  Per-repetition streams are derived as
-    ``base_seed XOR r`` with separate substreams for the initialization draw
-    and the noise draw, so repetitions are order-independent."""
+    repetition count and base seed.  Repetition ``r`` draws its inputs by
+    :func:`draw_inputs` from ``(seed, r)`` alone, so repetitions are
+    order-independent."""
 
     delta_y: float
     delta_x: float
@@ -448,7 +448,7 @@ def run_campaign(spec: CampaignSpec, scenario: Scenario) -> CampaignSummary:
     settings = spec.resolved_settings()
 
     draws = [
-        draw_inputs(x_true, y_true, spec.delta_x, spec.delta_y, spec.seed ^ r, settings.epsilon)
+        draw_inputs(x_true, y_true, spec.delta_x, spec.delta_y, spec.seed, r, settings.epsilon)
         for r in range(spec.repetitions)
     ]
     records = run_irgnm(

@@ -63,15 +63,21 @@ class ParamLayout:
         return 2 * self.p + self.q_hat + 3 * self.n
 
     @cached_property
-    def _slices(self) -> tuple[slice, slice]:
-        start = 2 * self.p + self.q_hat
-        return slice(2 * self.p, start), slice(start, self.dim)
-
-    def kinetic_slice(self) -> slice:
-        return self._slices[1]
-
     def m_slice(self) -> slice:
-        return self._slices[0]
+        return slice(2 * self.p, 2 * self.p + self.q_hat)
+
+    @cached_property
+    def kinetic_slice(self) -> slice:
+        return slice(2 * self.p + self.q_hat, self.dim)
+
+    def names(self) -> list[str]:
+        """The components' names, in the order of the flat vector."""
+        names = [f"lambda{j + 1}" for j in range(self.p)]
+        names += [f"mu{j + 1}" for j in range(self.p)]
+        names += [f"m{j + 1}" for j in range(self.q_hat)]
+        for i in range(self.n):
+            names += [f"K1_{i + 1}", f"k2_{i + 1}", f"k3_{i + 1}"]
+        return names
 
 
 @dataclass(frozen=True)
@@ -112,12 +118,12 @@ class ParamVector:
 
     @property
     def m(self) -> np.ndarray:
-        return self.flat[..., self.layout.m_slice()]
+        return self.flat[..., self.layout.m_slice]
 
     @property
     def kinetic_block(self) -> np.ndarray:
         """Per-region rates as an (..., n, 3) array of rows (K1, k2, k3)."""
-        return self.flat[..., self.layout.kinetic_slice()].reshape(
+        return self.flat[..., self.layout.kinetic_slice].reshape(
             self.flat.shape[:-1] + (self.layout.n, 3)
         )
 
@@ -224,7 +230,7 @@ def jacobian(x: ParamVector, template: MeasurementSet):
     tissue[..., :p] = kernel.w.swapaxes(-1, -2)
     tissue[..., p : 2 * p] = kernel.d_mu.swapaxes(-1, -2)
     # the diagonal blocks of the rate columns, a writeable view of J
-    blocks = tissue[..., layout.kinetic_slice()].reshape(lead + (n, T, n, 3))
+    blocks = tissue[..., layout.kinetic_slice].reshape(lead + (n, T, n, 3))
     np.einsum("...itic->...itc", blocks)[...] = kernel.d_rates
 
     # -e^(mu_j s_l), (..., p, q): negated once, for the blood rows that
@@ -235,7 +241,7 @@ def jacobian(x: ParamVector, template: MeasurementSet):
     measured = template.c_bl_values
     if template.mode == "full":
         fraction, d_fraction = plasma.value_and_jacobian(x.m, s)
-        J[..., nT:, layout.m_slice()] = (measured * d_fraction).swapaxes(-1, -2)
+        J[..., nT:, layout.m_slice] = (measured * d_fraction).swapaxes(-1, -2)
         measured = measured * fraction
     # the value: the tissue curves, then the blood data's arterial
     # concentration (C_bl f_m or C_art_meas) minus the arterial curve
@@ -253,10 +259,10 @@ def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,
     biexponential family."""
     plasma.check_model(plasma_model)
     flat = x.flat.copy()  # the one copy, clamped in place
-    rates = flat[..., x.layout.kinetic_slice()]
+    rates = flat[..., x.layout.kinetic_slice]
     np.maximum(rates, eps, out=rates)
     if x.layout.q_hat:
-        plasma.project_in_place(flat[..., x.layout.m_slice()])
+        plasma.project_in_place(flat[..., x.layout.m_slice])
     return ParamVector._adopt(flat, x.layout)
 
 

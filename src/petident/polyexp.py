@@ -219,8 +219,16 @@ def has_distinct_rate_regions(kinetics: Sequence, p: int) -> bool:
         srt = np.sort(values)
         return bool(np.all(np.diff(srt) > EQ_TOL))
 
-    for subset in combinations(range(len(kinetics)), need):
-        idx = list(subset)
-        if pairwise_distinct(k3[idx]) and pairwise_distinct(beta[idx]):
-            return True
-    return False
+    def most_distinct(values) -> int:
+        # a largest pairwise-distinct subset's size, taken greedily from below
+        count, last = 0, -np.inf
+        for value in np.sort(values):
+            if value - last > EQ_TOL:
+                count, last = count + 1, value
+        return count
+
+    # a subset distinct in both rates is no larger than either rate allows alone
+    return min(most_distinct(k3), most_distinct(beta)) >= need and any(
+        pairwise_distinct(k3[list(subset)]) and pairwise_distinct(beta[list(subset)])
+        for subset in combinations(range(len(kinetics)), need)
+    )

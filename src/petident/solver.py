@@ -349,7 +349,7 @@ def run_irgnm(
 
     records = [
         _run_record(
-            np.array(residuals[b]), *stops[b], layout, x_true,
+            np.array(residuals[b]), *stops[b], layout, truth_norm,
             np.sqrt(error_squares[b]) / truth_norm if error_squares is not None else None,
         )
         for b in range(B)
@@ -358,9 +358,9 @@ def run_irgnm(
 
 
 def _run_record(
-    residuals, reason, k, final, failure, layout, x_true, rel_errors
+    residuals, reason, k, final, failure, layout, truth_norm, rel_errors
 ) -> RunRecord:
-    """The record of one finished run, with its divergence verdict and metrics."""
+    """One finished run's record, verdict and metrics (``truth_norm``: ``|x_true|``)."""
     record = RunRecord(
         residual_norms=residuals,
         stop_reason=reason,
@@ -373,7 +373,7 @@ def _run_record(
         improved = k >= 1 and min(rel_errors[1:]) < rel_errors[0]
         record.diverged = reason == "failure" or (k >= 1 and not improved)
         if k >= 1:
-            errors = rel_errors * float(np.linalg.norm(x_true.flat))
+            errors = rel_errors * truth_norm
             record.rho_opt = float(100.0 * (1.0 - errors[1:].min() / errors[0]))
             if reason == "discrepancy":
                 record.rho_d = 100.0 * (1.0 - errors[-1] / errors[0])

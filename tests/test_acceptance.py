@@ -399,7 +399,7 @@ def test_a12_local_identifiability_at_the_truth(capsys, tmp_path):
         nullities[mode] = (dim - tissue_rank, dim - rank)
         common = np.zeros(dim)
         common[: scenario.p] = x_true.lam
-        common[x_true.layout.kinetic_slice()][::3] = -x_true.kinetic_block[:, 0]
+        common[x_true.layout.kinetic_slice][::3] = -x_true.kinetic_block[:, 0]
         null_basis = np.linalg.svd(tissue)[2][tissue_rank:]
         projected = null_basis.T @ (null_basis @ common)
         outside[mode] = np.linalg.norm(common - projected) / np.linalg.norm(common)

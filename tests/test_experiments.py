@@ -20,7 +20,7 @@ from petident import (
     scenario_to_dict,
     simulate_ground_truth,
 )
-from petident.experiments import SECONDS_PER_MINUTE, summary_to_dict
+from petident.experiments import SECONDS_PER_MINUTE, draw_inputs, summary_to_dict
 
 from numeric_platform import pin_message
 
@@ -299,6 +299,26 @@ class TestCampaign:
         assert abs(chosen.rho_opt - median) == pytest.approx(
             np.min(np.abs(rho - median)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_record_r_is_a_lone_run_on_repetition_r_draws(self, scenario, seed):
+        spec = CampaignSpec(delta_y=1e-3, delta_x=0.1, repetitions=4, seed=seed)
+        summary = run_campaign(spec, scenario)
+        x_true, y_true = simulate_ground_truth(scenario)
+        settings = spec.resolved_settings()
+        for r in (0, 3):
+            x0, y_delta = draw_inputs(
+                x_true, y_true, spec.delta_x, spec.delta_y, seed, r, settings.epsilon
+            )
+            alone = run_irgnm(x0, y_delta, settings, x_true=x_true)
+            record = summary.records[r]
+            assert (record.stop_reason, record.stop_iter) == (alone.stop_reason, alone.stop_iter)
+            assert np.array_equal(record.residual_norms, alone.residual_norms)
+            assert np.array_equal(record.rel_errors, alone.rel_errors)
+            assert np.array_equal(record.final_x.flat, alone.final_x.flat)
+            assert (record.diverged, record.rho_opt, record.rho_d) == (
+                alone.diverged, alone.rho_opt, alone.rho_d
+            )
 
     def test_known_cart_no_worse_than_full_on_matched_seeds(self, scenario):
         specs = {

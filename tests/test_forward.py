@@ -122,6 +122,15 @@ class TestCodec:
         values = rng.normal(size=y_true.flat().size)
         assert np.array_equal(y_true.with_flat(values).flat(), values)
 
+    @pytest.mark.parametrize("p, q_hat, n", [(3, 3, 3), (2, 0, 12), (1, 3, 1)])
+    def test_names_follow_the_blocks(self, p, q_hat, n):
+        layout = ParamLayout(p=p, q_hat=q_hat, n=n)
+        names = layout.names()
+        assert len(names) == layout.dim
+        assert names[layout.kinetic_slice][:3] == ["K1_1", "k2_1", "k3_1"]
+        assert names[layout.kinetic_slice][-1] == f"k3_{n}"
+        assert names[layout.m_slice] == [f"m{j + 1}" for j in range(q_hat)]
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pack([1.0, 2.0], [0.1], [0.0], [KineticParams(0.1, 0.1, 0.1)])
@@ -343,7 +352,7 @@ class TestBatch:
                 # mu_j = -(k2 + k3)
                 j = data.draw(st.integers(0, layout.p - 1))
                 i = data.draw(st.integers(0, n - 1))
-                k2, k3 = flat[layout.kinetic_slice()][3 * i + 1 : 3 * i + 3]
+                k2, k3 = flat[layout.kinetic_slice][3 * i + 1 : 3 * i + 3]
                 offset = data.draw(st.sampled_from([0.0, 1e-13, -1e-10, 1e-6, -1e-3]))
                 flat[layout.p + j] = -(k2 + k3) * (1.0 + offset)
             rows.append(flat)

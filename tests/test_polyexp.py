@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from petident import (
     has_distinct_rate_regions,
     region_diversity_report,
 )
+from petident import polyexp
 
 ARTERIAL_TERMS = [(-5.0, -0.5), (4.0, -0.2), (1.0, -0.1)]
 
@@ -167,6 +170,37 @@ class TestSufficientCondition:
             KineticParams(0.1, 0.2 + 0.03 * i, 0.2 + 0.05 * i) for i in range(4)
         ]
         assert not has_distinct_rate_regions(kin, p=3)
+
+    def test_many_tiled_regions_skip_the_subset_search(self, scenario, monkeypatch):
+        # 60 regions of three rate triples: 3 distinct values < p + 3 rule
+        # out all C(60, 6) = 50,063,860 subsets before any is formed
+        def no_search(*args):
+            raise AssertionError("the subsets were searched")
+
+        monkeypatch.setattr(polyexp, "combinations", no_search)
+        kin = [scenario.kinetics[i % 3] for i in range(60)]
+        assert not has_distinct_rate_regions(kin, scenario.p)
+
+    def test_agrees_with_the_full_search_at_near_ties(self, rng):
+        def full_search(kin, p):
+            k3 = np.array([k.k3 for k in kin])
+            beta = np.array([k.k2 + k.k3 for k in kin])
+            def distinct(values):
+                return bool(np.all(np.diff(np.sort(values)) > EQ_TOL))
+
+            return any(
+                distinct(k3[list(s)]) and distinct(beta[list(s)])
+                for s in combinations(range(len(kin)), p + 3)
+            )
+
+        # rates from a few levels, moved by offsets around EQ_TOL
+        offsets = np.array([0.0, 0.6, 1.0, 1.4, 1e7]) * EQ_TOL
+        for _ in range(400):
+            n, p = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+            rates = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], size=(n, 2))
+            rates += rng.choice(offsets, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2))
+            kin = [KineticParams(0.1, k2, k3) for k2, k3 in rates]
+            assert has_distinct_rate_regions(kin, p) == full_search(kin, p)
 
     def test_sufficient_implies_diverse(self, rng):
         # random scenarios with p + 3 separated regions always pass both checks

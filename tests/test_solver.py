@@ -363,7 +363,7 @@ class TestRhoMetrics:
         rel_errors = np.asarray(rel_errors, dtype=float)
         return _run_record(
             np.zeros(rel_errors.size), stop_reason, rel_errors.size - 1, x_true.flat,
-            None, x_true.layout, x_true, rel_errors,
+            None, x_true.layout, float(np.linalg.norm(x_true.flat)), rel_errors,
         )
 
     def test_synthetic_halving_history(self, ground_truth):
