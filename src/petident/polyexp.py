@@ -11,7 +11,7 @@ to pin down the model parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -99,40 +99,15 @@ class DiversityReport:
     margin: float = float("inf")
 
 
-def _triple_margin(mu0, mu, lam, k2, k3, regions):
-    """Return the margin of the diversity clauses for one region triple.
-
-    The margin is the minimum over all quantities required to be nonzero;
-    a value at or below :data:`EQ_TOL` means the corresponding clause
-    fails, and the name of the first failing clause is returned alongside.
-    """
-    quantities: list[float] = []
-    k3s = [k3[i] for i in regions]
-    betas = [k2[i] + k3[i] for i in regions]
-    for a, b in combinations(range(3), 2):
-        gap = abs(k3s[a] - k3s[b])
-        if gap <= EQ_TOL:
-            return None, "k3 not pairwise distinct"
-        quantities.append(gap)
-        gap = abs(betas[a] - betas[b])
-        if gap <= EQ_TOL:
-            return None, "k2+k3 not pairwise distinct"
-        quantities.append(gap)
-    for i, beta in zip(regions, betas):
-        shift = abs(mu0 + k3[i])
-        if shift <= EQ_TOL:
-            return None, f"mu + k3 vanishes in region {i + 1}"
-        quantities.append(shift)
-        if abs(mu0 + beta) <= EQ_TOL:
-            # Resonant region: the disjunction holds through its first branch.
-            continue
-        denom = beta + mu
-        keep = np.abs(denom) > EQ_TOL
-        total = float(np.sum(lam[keep] / denom[keep]))
-        if abs(total) <= EQ_TOL:
-            return None, f"coefficient sum vanishes in region {i + 1}"
-        quantities.append(abs(total))
-    return min(quantities), None
+#: The failure text of each clause of a region triple, in the order they are
+#: decided: the ``k3`` and ``k2 + k3`` gaps of its pairs (0, 1), (0, 2) and
+#: (1, 2), then ``mu + k3`` and the coefficient sum in each of its regions
+#: ``{0}``, ``{1}`` and ``{2}``.
+_CLAUSE_FAILURES = ("k3 not pairwise distinct", "k2+k3 not pairwise distinct") * 3 + (
+    "mu + k3 vanishes in region {0}", "coefficient sum vanishes in region {0}",
+    "mu + k3 vanishes in region {1}", "coefficient sum vanishes in region {1}",
+    "mu + k3 vanishes in region {2}", "coefficient sum vanishes in region {2}",
+)
 
 
 def region_diversity_report(
@@ -174,31 +149,46 @@ def region_diversity_report(
         )
     k2 = np.array([k.k2 for k in kinetics], dtype=float)
     k3 = np.array([k.k3 for k in kinetics], dtype=float)
+    beta = k2 + k3
+    # the coefficient sum over non-resonant terms does not depend on mu_j0
+    sums = np.empty(n)
+    for i, b in enumerate(beta):
+        denom = b + mu
+        keep = np.abs(denom) > EQ_TOL
+        sums[i] = abs(np.sum(lam[keep] / denom[keep]))
+    # every clause is decided at once for all C(n, 3) triples, in combinations order
+    triples = np.fromiter(combinations(range(n), 3), dtype=(np.intp, 3))
+    columns = triples.T
 
-    witnesses = []
-    violations = []
+    witnesses, failed_at = [], []
     for j0, mu0 in enumerate(mu):
-        best = None
-        for triple in combinations(range(n), 3):
-            margin, failure = _triple_margin(mu0, mu, lam, k2, k3, triple)
-            if failure is not None:
-                regions = tuple(r + 1 for r in triple)
-                violations.append(f"exponent {j0 + 1}, regions {regions}: {failure}")
-            elif best is None or margin > best.margin:
-                best = DiversityWitness(j0, triple, margin)
-        if best is None:
-            return DiversityReport(
-                satisfied=False,
-                witnesses=tuple(witnesses),
-                violations=tuple(violations),
-                margin=0.0,
+        shift = np.abs(mu0 + k3)
+        # a resonant region satisfies the disjunction through its first branch
+        coefficient = np.where(np.abs(mu0 + beta) <= EQ_TOL, np.inf, sums)
+        clauses = chain(
+            (np.abs(rate[a] - rate[b]) for a, b in combinations(columns, 2) for rate in (k3, beta)),
+            (values[column] for column in columns for values in (shift, coefficient)),
+        )
+        # a triple's margin is its running minimum, and the number of clauses
+        # it passes before that minimum first falls to EQ_TOL is the index
+        # of its first failing clause
+        margin = np.full(len(triples), np.inf)
+        passed = np.zeros(len(triples), dtype=np.intp)
+        for values in clauses:
+            np.fmin(margin, values, out=margin)
+            passed += margin > EQ_TOL
+        failed_at.append(passed)
+        best = int(np.argmax(margin))
+        if passed[best] < len(_CLAUSE_FAILURES):
+            violations = (
+                f"exponent {j + 1}, regions {regions}: {_CLAUSE_FAILURES[k].format(*regions)}"
+                for j, clauses_passed in enumerate(failed_at)
+                for regions, k in zip(map(tuple, (triples + 1).tolist()), clauses_passed.tolist())
+                if k < len(_CLAUSE_FAILURES)
             )
-        witnesses.append(best)
-    return DiversityReport(
-        satisfied=True,
-        witnesses=tuple(witnesses),
-        margin=min(w.margin for w in witnesses),
-    )
+            return DiversityReport(False, tuple(witnesses), tuple(violations), margin=0.0)
+        witnesses.append(DiversityWitness(j0, tuple(triples[best].tolist()), float(margin[best])))
+    return DiversityReport(True, tuple(witnesses), margin=min(w.margin for w in witnesses))
 
 
 def has_distinct_rate_regions(kinetics: Sequence, p: int) -> bool:

@@ -4,8 +4,9 @@ The split of the closed form of :mod:`petident.kinetics` into its free and
 bound compartments, two numerical routes to the tissue curves that share
 nothing with that closed form (adaptive quadrature of the
 variation-of-constants formula and a fixed-step RK4 integration of the
-ODE pair), and a damped Gauss-Newton minimizer of the Tikhonov functional,
-which gives the consistency test a second estimator beside the IRGNM.  No
+ODE pair), a damped Gauss-Newton minimizer of the Tikhonov functional,
+which gives the consistency test a second estimator beside the IRGNM, and
+the region-diversity report decided one region triple at a time.  No
 command of the package needs them, so they live with the tests.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -20,7 +22,7 @@ from scipy.integrate import quad
 
 from petident.forward import MeasurementSet, ParamVector, forward_vector, jacobian, project_to_domain
 from petident.kinetics import KineticParams, _check_clearance, region_kernel
-from petident.polyexp import PolyExp
+from petident.polyexp import EQ_TOL, DiversityReport, DiversityWitness, PolyExp
 from petident.solver import _regularized_steps
 
 
@@ -207,3 +209,81 @@ def solve_tikhonov(
         if moved < 1e-10:
             return x
     return x
+
+
+def _triple_margin(mu0, mu, lam, k2, k3, regions):
+    """Return the margin of the diversity clauses for one region triple.
+
+    The margin is the minimum over all quantities required to be nonzero;
+    a value at or below :data:`EQ_TOL` means the corresponding clause
+    fails, and the name of the first failing clause is returned alongside.
+    """
+    quantities: list[float] = []
+    k3s = [k3[i] for i in regions]
+    betas = [k2[i] + k3[i] for i in regions]
+    for a, b in combinations(range(3), 2):
+        gap = abs(k3s[a] - k3s[b])
+        if gap <= EQ_TOL:
+            return None, "k3 not pairwise distinct"
+        quantities.append(gap)
+        gap = abs(betas[a] - betas[b])
+        if gap <= EQ_TOL:
+            return None, "k2+k3 not pairwise distinct"
+        quantities.append(gap)
+    for i, beta in zip(regions, betas):
+        shift = abs(mu0 + k3[i])
+        if shift <= EQ_TOL:
+            return None, f"mu + k3 vanishes in region {i + 1}"
+        quantities.append(shift)
+        if abs(mu0 + beta) <= EQ_TOL:
+            # Resonant region: the disjunction holds through its first branch.
+            continue
+        denom = beta + mu
+        keep = np.abs(denom) > EQ_TOL
+        total = float(np.sum(lam[keep] / denom[keep]))
+        if abs(total) <= EQ_TOL:
+            return None, f"coefficient sum vanishes in region {i + 1}"
+        quantities.append(abs(total))
+    return min(quantities), None
+
+
+def region_diversity_report_by_triple(mu, lam, kinetics) -> DiversityReport:
+    """:func:`petident.polyexp.region_diversity_report`, deciding the
+    clauses of one region triple and one arterial exponent per call of
+    :func:`_triple_margin`."""
+    mu = np.asarray(mu, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if mu.size == 0 or lam.size != mu.size:
+        raise ValueError("mu and lambda must be nonempty and of equal length")
+    n = len(kinetics)
+    if n < 3:
+        return DiversityReport(
+            satisfied=False, violations=(f"n < 3 (only {n} regions)",), margin=0.0
+        )
+    k2 = np.array([k.k2 for k in kinetics], dtype=float)
+    k3 = np.array([k.k3 for k in kinetics], dtype=float)
+
+    witnesses = []
+    violations = []
+    for j0, mu0 in enumerate(mu):
+        best = None
+        for triple in combinations(range(n), 3):
+            margin, failure = _triple_margin(mu0, mu, lam, k2, k3, triple)
+            if failure is not None:
+                regions = tuple(r + 1 for r in triple)
+                violations.append(f"exponent {j0 + 1}, regions {regions}: {failure}")
+            elif best is None or margin > best.margin:
+                best = DiversityWitness(j0, triple, margin)
+        if best is None:
+            return DiversityReport(
+                satisfied=False,
+                witnesses=tuple(witnesses),
+                violations=tuple(violations),
+                margin=0.0,
+            )
+        witnesses.append(best)
+    return DiversityReport(
+        satisfied=True,
+        witnesses=tuple(witnesses),
+        margin=min(w.margin for w in witnesses),
+    )

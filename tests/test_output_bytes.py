@@ -4,10 +4,20 @@ A refactor of the writers or of the solver that claims to keep every output
 byte must keep these digests.  They follow the last bits of the solver, so
 a NumPy or BLAS build that rounds differently changes them as well: each
 digest that fails names the platform it was recorded on and this one.
+
+Beside the pins, a portable check holds on any platform: each run of
+``reproduce --all --repetitions 1 --seed 5`` stops as recorded in
+``reproduce_all_seed5.json``, and its values are within a stated tolerance
+of the recorded ones.  It runs here and under OpenBLAS's Haswell kernels
+with NumPy's AVX-512 loops off, a platform whose last bits differ.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +50,20 @@ STDOUT = {
 }
 IDENTIFY_TRACE = "9f33441cad7d349a09830a8f2ecee02f3a9fe49c13320a04fcb375aa5bee8ec9"
 
+ROOT = Path(__file__).resolve().parent.parent
+#: each run of ``reproduce --all --repetitions 1 --seed 5``, in cell order, as
+#: :func:`portable_rows` reads it from ``results.json``
+PORTABLE = ROOT / "tests" / "reproduce_all_seed5.json"
+STOP_KEYS = ("stop_reason", "stop_iter", "diverged")
+VALUE_KEYS = ("final_residual", "rho_opt", "rho_d", "rel_error_best")
+
+#: environment of a platform that rounds the exponentials and the Gram
+#: differently from an AVX-512 machine, and that any AVX2 machine can run
+AVX2_PLATFORM = {
+    "OPENBLAS_CORETYPE": "Haswell",
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -64,6 +88,50 @@ def test_reproduce_all_bytes(tmp_path):
     }
     digests["traces"] = sha256(b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in traces))
     assert digests == REPRODUCE, pin_message()
+
+
+def portable_rows(results: list) -> list:
+    """The cell, the stop and the values of each run of a ``results.json``."""
+    return [
+        {
+            **{key: cell["spec"][key] for key in ("mode", "delta_y", "delta_x")},
+            **{key: run[key] for key in STOP_KEYS + VALUE_KEYS},
+        }
+        for cell in results
+        for run in cell["runs"]
+    ]
+
+
+def close(value, recorded) -> bool:
+    """``value`` is within ``1e-12 + 1e-8 |recorded|`` of ``recorded``, or
+    both are ``null``."""
+    if value is None or recorded is None:
+        return value is recorded
+    return abs(value - recorded) <= 1e-12 + 1e-8 * abs(recorded)
+
+
+@pytest.mark.parametrize("platform", [None, AVX2_PLATFORM], ids=["in_process", "avx2"])
+def test_reproduce_all_runs_as_recorded(tmp_path, platform):
+    argv = ["reproduce", "--all", "--repetitions", "1", "--seed", "5", "--out", str(tmp_path)]
+    if platform is None:
+        assert main(argv) == 0
+    else:
+        env = dict(os.environ, **platform)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "petident.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+    rows = portable_rows(json.loads((tmp_path / "results.json").read_text()))
+    recorded = json.loads(PORTABLE.read_text())
+    assert len(rows) == len(recorded) == 32
+    for row, want in zip(rows, recorded):
+        assert {key: row[key] for key in STOP_KEYS} == {key: want[key] for key in STOP_KEYS}, want
+        far = {key: (row[key], want[key]) for key in VALUE_KEYS if not close(row[key], want[key])}
+        assert not far, (want, far)
 
 
 @pytest.mark.parametrize(

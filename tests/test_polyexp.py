@@ -15,6 +15,7 @@ from petident import (
     region_diversity_report,
 )
 from petident import polyexp
+from oracles import region_diversity_report_by_triple
 
 ARTERIAL_TERMS = [(-5.0, -0.5), (4.0, -0.2), (1.0, -0.1)]
 
@@ -142,6 +143,41 @@ class TestRegionDiversity:
         ]
         report = region_diversity_report([-0.5], [1.0], kin)
         assert report.satisfied
+
+    def test_equals_the_report_decided_triple_by_triple(self, scenario, rng):
+        # rates from a few levels, moved by offsets around EQ_TOL, that meet the
+        # exponents in mu + k3 = 0 and in resonances mu + k2 + k3 = 0; a third
+        # of the weight vectors make the coefficient sum of one region vanish
+        offsets = np.array([0.0, 0.6, 1.0, 1.4]) * EQ_TOL
+        failures = set()
+        for _ in range(1000):
+            n, p = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            mu = -rng.choice([0.1, 0.2, 0.3, 0.5], size=p, replace=False)
+            lam = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=p)
+            rates = rng.choice([0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6], size=(n, 2))
+            rates += rng.choice(offsets, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2))
+            denom = rates[rng.integers(n), 1] + mu
+            if p > 1 and rng.random() < 1 / 3 and np.all(np.abs(denom) > EQ_TOL):
+                lam[-1] = -np.sum(lam[:-1] / denom[:-1]) * denom[-1]
+            kin = [KineticParams(0.1, beta - k3, k3) for k3, beta in rates]
+            report = region_diversity_report(mu, lam, kin)
+            assert report == region_diversity_report_by_triple(mu, lam, kin)
+            failures.update(v.split(": ")[-1].split(" in region")[0] for v in report.violations)
+        assert failures == {
+            "k3 not pairwise distinct",
+            "k2+k3 not pairwise distinct",
+            "mu + k3 vanishes",
+            "coefficient sum vanishes",
+            "n < 3 (only 2 regions)",
+        }
+        # 25 regions tiled from the reference rates, as they are and scaled
+        # by factors drawn from [0.7, 1.3]
+        base = np.resize([[k.K1, k.k2, k.k3] for k in scenario.kinetics], (25, 3))
+        scale = np.random.Generator(np.random.Philox([11, 25])).uniform(0.7, 1.3, (25, 3))
+        args = scenario.c_art.exponents, scenario.c_art.coefficients
+        for rates in (base, base * scale):
+            kin = [KineticParams(*row) for row in rates]
+            assert region_diversity_report(*args, kin) == region_diversity_report_by_triple(*args, kin)
 
 
 class TestSufficientCondition:
