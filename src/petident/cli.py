@@ -221,6 +221,16 @@ def cmd_identify(args) -> int:
     if record.failure is not None:
         print(f"failure: {record.failure}")
     print(f"residual: {record.residual_norms[-1]:.6e}")
+    # the local uniqueness of the answer: the rank of the Jacobian at it,
+    # without the plasma columns that known_cart mode zeroes
+    J, _ = jacobian(record.final_x, y_true)
+    if scenario.mode == "known_cart":
+        J = np.delete(J, record.final_x.layout.m_slice, axis=1)
+    if np.all(np.isfinite(J)):
+        rank, ratio = numerical_rank(J)
+        print(f"answer: rank {rank} of {J.shape[1]}, sigma_min/sigma_max {ratio:.3e}")
+    else:
+        print("answer: jacobian not finite at the final iterate")
     if record.rel_errors is not None:
         print(f"rel_error: {record.rel_errors[-1]:.6e}")
     if record.rho_opt is not None:

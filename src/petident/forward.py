@@ -308,7 +308,7 @@ class JacobianCheck:
 def finite_difference_check(
     x: ParamVector,
     template: MeasurementSet,
-    rtol: float = 1e-5,
+    rtol: float,
     corrupt_entry: tuple[int, int, float] | None = None,
 ) -> JacobianCheck:
     """Compare the analytic Jacobian against central finite differences with

@@ -191,34 +191,37 @@ def region_diversity_report(
     return DiversityReport(True, tuple(witnesses), margin=min(w.margin for w in witnesses))
 
 
+@np.errstate(invalid="ignore")  # equal infinities differ by nan: not distinct
 def has_distinct_rate_regions(kinetics: Sequence, p: int) -> bool:
     """Sufficient diversity test: is there a subset of ``p + 3`` regions whose
     ``k3`` values are pairwise distinct and whose ``k2 + k3`` values are
     pairwise distinct, by more than :data:`EQ_TOL`?
 
     This implies the condition checked by :func:`region_diversity_report`
-    but is not necessary for it.
+    but is not necessary for it.  The subsets are searched depth first.
     """
     if p < 1:
         raise ValueError("polyexponential degree p must be >= 1")
     need = p + 3
-    k3 = np.array([k.k3 for k in kinetics], dtype=float)
-    beta = np.array([k.k2 + k.k3 for k in kinetics], dtype=float)
-
-    def pairwise_distinct(values) -> bool:
-        srt = np.sort(values)
-        return bool(np.all(np.diff(srt) > EQ_TOL))
+    # equal rate pairs conflict, and either stands in for the other: one is kept
+    rates = np.unique(np.reshape([(k.k3, k.k2 + k.k3) for k in kinetics], (-1, 2)), axis=0)
 
     def most_distinct(values) -> int:
         # a largest pairwise-distinct subset's size, taken greedily from below
-        count, last = 0, -np.inf
+        count, last = 0, None
         for value in np.sort(values):
-            if value - last > EQ_TOL:
+            if last is None or value - last > EQ_TOL:
                 count, last = count + 1, value
         return count
 
-    # a subset distinct in both rates is no larger than either rate allows alone
-    return min(most_distinct(k3), most_distinct(beta)) >= need and any(
-        pairwise_distinct(k3[list(subset)]) and pairwise_distinct(beta[list(subset)])
-        for subset in combinations(range(len(kinetics)), need)
-    )
+    def search(chosen: int, pairs) -> bool:
+        # `pairs`: the later regions distinct in both rates from every `chosen` one;
+        # no more of them can join than either rate has distinct values among them
+        if chosen + min(map(most_distinct, pairs.T)) >= need:
+            for i, pair in enumerate(pairs):
+                later = pairs[i + 1 :][np.all(np.abs(pairs[i + 1 :] - pair) > EQ_TOL, axis=1)]
+                if chosen + 1 == need or search(chosen + 1, later):
+                    return True
+        return False
+
+    return search(0, rates)

@@ -212,7 +212,7 @@ def irgnm_step(
     J: np.ndarray,
     misfit: np.ndarray,
     alpha_k: float,
-    epsilon: float = DEFAULT_EPSILON,
+    epsilon: float,
 ):
     """One regularized Gauss-Newton step at the linearization of ``x_k``,
     the Jacobian ``J`` and the misfit ``F(x_k) - y``, followed by the box
@@ -240,7 +240,7 @@ def irgnm_step(
 def run_irgnm(
     x0: ParamVector,
     y_delta: MeasurementSet,
-    settings: IrgnmSettings = IrgnmSettings(),
+    settings: IrgnmSettings,
     x_true: ParamVector | None = None,
 ):
     """Run the projected IRGNM iteration from ``x0`` on data ``y_delta``.

@@ -114,20 +114,22 @@ class TestIdentify:
         assert trace[0] == "iter,residual_norm,rel_error"
 
     @pytest.mark.parametrize(
-        "spoil, flags, stop, failure",
+        "spoil, flags, stop, failure, answer",
         [
             # a datum whose square overflows: J^T (F - y) is not finite, so
-            # the first step fails
+            # the first step fails, on a start where J is finite
             ("overflowing", [], 0,
-             "normal-equation solve failed at alpha=8.000e+02 (cond~inf) at iteration 0"),
+             "normal-equation solve failed at alpha=8.000e+02 (cond~inf) at iteration 0",
+             "answer: rank 18 of 18, "),
             # data 1e20 times the truth's: the first step leaves the float range
             ("scaled", ["--delta-x", "0", "--max-iter", "1"], 1,
-             "residual norm is nan at iteration 1"),
+             "residual norm is nan at iteration 1",
+             "answer: jacobian not finite at the final iterate"),
         ],
         ids=["overflowing", "scaled"],
     )
     def test_failure_stop_exits_3_after_its_report_and_trace(
-        self, scenario_files, tmp_path, capsys, spoil, flags, stop, failure
+        self, scenario_files, tmp_path, capsys, spoil, flags, stop, failure, answer
     ):
         y = simulate_ground_truth(default_scenario())[1].flat()
         if spoil == "overflowing":
@@ -142,9 +144,9 @@ class TestIdentify:
             "--out", out,
         )
         assert code == 3
-        assert capsys.readouterr().out.splitlines()[1:3] == [
-            f"stop: failure at iteration {stop}", f"failure: {failure}"
-        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == [f"stop: failure at iteration {stop}", f"failure: {failure}"]
+        assert lines[3].startswith("residual: ") and lines[4].startswith(answer)
         trace = (out / "identify_trace.csv").read_text().splitlines()
         assert trace[0] == "iter,residual_norm,rel_error" and len(trace) == stop + 2
 
@@ -177,6 +179,31 @@ class TestIdentify:
         assert (fit.stop_reason, fit.stop_iter, fit.rho_opt, fit.rho_d) == (
             rep.stop_reason, rep.stop_iter, rep.rho_opt, rep.rho_d
         )
+
+    @pytest.mark.parametrize(
+        "mode, answer",
+        [
+            ("full", "answer: rank 18 of 18, sigma_min/sigma_max 7.295e-05"),
+            # without the three plasma columns, which known_cart mode zeroes
+            ("known_cart", "answer: rank 15 of 15, sigma_min/sigma_max 1.402e-04"),
+        ],
+    )
+    def test_answer_certificate_follows_the_residual(
+        self, scenario_files, tmp_path, capsys, mode, answer
+    ):
+        # the noise-free data of the scenario, synthesized or read from the
+        # full-mode file that simulate writes, give the same fit and answer line
+        run_cli("simulate", "--scenario", scenario_files["min"], "--out", tmp_path / "sim")
+        sources = [["--synthesize"], ["--data", tmp_path / "sim" / "y_true.csv"]]
+        for source in sources if mode == "full" else sources[:1]:
+            capsys.readouterr()
+            code = run_cli(
+                "identify", "--scenario", scenario_files["min"], *source, "--mode", mode,
+                "--out", tmp_path,
+            )
+            assert code == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[2].startswith("residual: ") and lines[3] == answer
 
     def test_known_cart_mode_reflected(self, scenario_files, tmp_path, capsys):
         code = run_cli(

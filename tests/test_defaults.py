@@ -26,11 +26,8 @@ DEFAULTED = {
     "experiments.perturb_initial: plasma_model",
     "experiments.scenario_to_dict: units",
     "forward.finite_difference_check: corrupt_entry",
-    "forward.finite_difference_check: rtol",
     "forward.project_to_domain: eps",
     "forward.project_to_domain: plasma_model",
-    "solver.irgnm_step: epsilon",
-    "solver.run_irgnm: settings",
     "solver.run_irgnm: x_true",
 }
 

@@ -367,8 +367,9 @@ class TestBatchedCampaign:
         x_true, y_true = simulate_ground_truth(scenario)
         settings = spec.resolved_settings()
         for r, record in enumerate(summary.records):
-            x0 = perturb_initial(x_true, delta_x, [spec.seed ^ r, 0], settings.epsilon)
-            y_delta = add_noise(y_true, delta_y, [spec.seed ^ r, 1])
+            x0, y_delta = draw_inputs(
+                x_true, y_true, delta_x, delta_y, spec.seed, r, settings.epsilon
+            )
             with np.errstate(over="ignore"):
                 alone = run_irgnm(x0, y_delta, settings, x_true=x_true)
             assert (record.stop_reason, record.stop_iter) == (alone.stop_reason, alone.stop_iter)

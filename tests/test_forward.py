@@ -240,7 +240,7 @@ class TestJacobian:
         for x_true, tmpl, points in cases:
             for _ in range(points):
                 x = random_in_domain(x_true, rng)
-                check = finite_difference_check(x, tmpl)
+                check = finite_difference_check(x, tmpl, 1e-5)
                 assert check.passed, check
                 assert check.max_rel_dev <= 1e-5
 
@@ -255,7 +255,7 @@ class TestJacobian:
 
     def test_corrupted_jacobian_detected(self, ground_truth, template):
         x_true, _ = ground_truth
-        check = finite_difference_check(x_true, template, corrupt_entry=(74, 0, 1e-2))
+        check = finite_difference_check(x_true, template, 1e-5, corrupt_entry=(74, 0, 1e-2))
         assert not check.passed
 
     def test_wrong_entry_of_tiny_true_value_detected(self, ground_truth, template):
@@ -263,12 +263,12 @@ class TestJacobian:
         x_true, _ = ground_truth
         J, _ = jacobian(x_true, template)
         assert abs(J[99, 0]) < 1e-12
-        check = finite_difference_check(x_true, template, corrupt_entry=(99, 0, 0.5))
+        check = finite_difference_check(x_true, template, 1e-5, corrupt_entry=(99, 0, 0.5))
         assert not check.passed
 
     def test_nan_entry_fails_the_check(self, ground_truth, template):
         x_true, _ = ground_truth
-        check = finite_difference_check(x_true, template, corrupt_entry=(74, 0, np.nan))
+        check = finite_difference_check(x_true, template, 1e-5, corrupt_entry=(74, 0, np.nan))
         assert not check.passed
         assert check.worst_entry == (74, 0)
 
@@ -314,7 +314,7 @@ class TestJacobian:
                 return _inner(*args)
 
             monkeypatch.setattr(forward, name, counted)
-        assert finite_difference_check(ground_truth[0], template).passed
+        assert finite_difference_check(ground_truth[0], template, 1e-5).passed
         assert calls == {"jacobian": 1, "_kernel": 1}
 
 

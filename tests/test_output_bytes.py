@@ -46,7 +46,7 @@ REPRODUCE = {
 STDOUT = {
     "check": "86941969ed2aa4b31f8a0e95de9053cab6558db473420bc798ea859ad48b2e80",
     "jaccheck": "1e61c90f56e0aaf6a4d33b5a0d7896d50e23b74758d69a0a07708ed2fc2dbe7c",
-    "identify": "b4da05fc42668f6d4b87d02396cd29a05fd2cdd6072351a075bb8980a3d06cc5",
+    "identify": "5b0d255cd022feeb3967b85f5195ac24aa5a9867b80528344818705b4698bb0a",
 }
 IDENTIFY_TRACE = "9f33441cad7d349a09830a8f2ecee02f3a9fe49c13320a04fcb375aa5bee8ec9"
 

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import mpmath
@@ -208,14 +209,31 @@ class TestSufficientCondition:
         assert not has_distinct_rate_regions(kin, p=3)
 
     def test_many_tiled_regions_skip_the_subset_search(self, scenario, monkeypatch):
-        # 60 regions of three rate triples: 3 distinct values < p + 3 rule
-        # out all C(60, 6) = 50,063,860 subsets before any is formed
+        # 60 regions of three rate triples are three rate pairs, whose 3
+        # distinct values < p + 3 end the search at its root; no subset of
+        # the C(60, 6) = 50,063,860 is enumerated
         def no_search(*args):
             raise AssertionError("the subsets were searched")
 
         monkeypatch.setattr(polyexp, "combinations", no_search)
         kin = [scenario.kinetics[i % 3] for i in range(60)]
         assert not has_distinct_rate_regions(kin, scenario.p)
+
+    def test_many_regions_of_few_levels_take_no_exponential_search(self, monkeypatch):
+        # six k3 levels at one k2 + k3 level and five k2 + k3 levels at one
+        # k3 level, tiled: each rate has p + 3 = 6 distinct values, but no 6
+        # regions are distinct in both, which C(30, 6) = 593,775 subsets took
+        # seconds to show
+        def no_search(*args):
+            raise AssertionError("the subsets were searched")
+
+        monkeypatch.setattr(polyexp, "combinations", no_search)
+        pairs = [(0.1 + 0.05 * i, 0.5) for i in range(6)] + [(0.05, 0.6 + 0.05 * i) for i in range(5)]
+        for n in (30, 60):
+            kin = [KineticParams(0.1, beta - k3, k3) for k3, beta in (pairs[i % 11] for i in range(n))]
+            start = time.perf_counter()
+            assert not has_distinct_rate_regions(kin, p=3)
+            assert time.perf_counter() - start < 1.0
 
     def test_agrees_with_the_full_search_at_near_ties(self, rng):
         def full_search(kin, p):
@@ -229,14 +247,22 @@ class TestSufficientCondition:
                 for s in combinations(range(len(kin)), p + 3)
             )
 
-        # rates from a few levels, moved by offsets around EQ_TOL
+        # rates from a few levels, nan and infinities among them, moved by
+        # offsets around EQ_TOL; half the inputs repeat one region exactly
+        levels = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, np.nan, np.inf, -np.inf]
+        weights = [0.13] * 6 + [0.06, 0.08, 0.08]
         offsets = np.array([0.0, 0.6, 1.0, 1.4, 1e7]) * EQ_TOL
-        for _ in range(400):
-            n, p = int(rng.integers(1, 10)), int(rng.integers(1, 4))
-            rates = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], size=(n, 2))
+        for _ in range(600):
+            n, p = int(rng.integers(0, 12)), int(rng.integers(1, 4))
+            rates = rng.choice(levels, p=weights, size=(n, 2))
             rates += rng.choice(offsets, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2))
-            kin = [KineticParams(0.1, k2, k3) for k2, k3 in rates]
-            assert has_distinct_rate_regions(kin, p) == full_search(kin, p)
+            if n > 1 and rng.random() < 0.5:
+                rates[rng.integers(n)] = rates[rng.integers(n)]
+            kin = [KineticParams(0.1, k2, k3) for k2, k3 in rates.tolist()]
+            # inf - inf is nan, which is never distinct
+            with np.errstate(invalid="ignore"):
+                expected = full_search(kin, p)
+            assert has_distinct_rate_regions(kin, p) == expected
 
     def test_sufficient_implies_diverse(self, rng):
         # random scenarios with p + 3 separated regions always pass both checks

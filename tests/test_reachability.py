@@ -3,7 +3,9 @@
 The subcommands run in-process under ``sys.settrace`` on small inputs that
 still take each line's path, all written before tracing starts: a
 six-region scenario of pairwise distinct rates, a six-region scenario that
-fails every clause of the diversity condition on a short grid, two regions
+fails every clause of the diversity condition on a short grid, eleven
+regions whose rates have six distinct values each but no six regions
+distinct in both, two regions
 with their own blood times, data whose square overflows, data whose fit
 leaves the float range, a discrepancy stop, a start at the truth, a
 corrupted Jacobian, a campaign whose runs break down, ``reproduce --all``
@@ -167,6 +169,17 @@ def violating_scenario() -> dict:
     return data
 
 
+def few_levels_scenario() -> dict:
+    """Eleven regions: six k3 levels at k2 + k3 = 0.5 and five k2 + k3
+    levels at k3 = 0.05.  Each rate has p + 3 = 6 distinct values, so the
+    search for six regions distinct in both starts, and ends without one."""
+    data = scenario_to_dict(default_scenario())
+    pairs = [(0.1 + 0.05 * i, 0.5) for i in range(6)] + [(0.05, 0.6 + 0.05 * i) for i in range(5)]
+    data["regions"] = [{"K1": 0.1, "k2": beta - k3, "k3": k3} for k3, beta in pairs]
+    data["n"] = 11
+    return data
+
+
 def two_region_scenario() -> dict:
     """The first two reference regions, on the default grid with six blood
     samples of their own."""
@@ -188,6 +201,7 @@ def write_inputs(root: Path) -> dict:
         "reference.json": scenario_to_dict(default_scenario(), "s"),
         "six.json": six_region_scenario(),
         "violating.json": violating_scenario(),
+        "few_levels.json": few_levels_scenario(),
         "two.json": two_region_scenario(),
         "overflowing.json": {"y": overflowing.tolist()},
         # data 1e20 times the truth's: the first step leaves the float range
@@ -214,6 +228,7 @@ def run_commands(f: dict, out: Path) -> list:
     commands = [
         ["check", "--scenario", f["six.json"]],
         ["check", "--scenario", f["violating.json"]],
+        ["check", "--scenario", f["few_levels.json"]],
         ["check", "--scenario", f["two.json"]],
         ["simulate", "--scenario", f["reference.json"], "--out", out],
         ["identify", "--scenario", f["reference.json"], "--data", out / "y_true.csv",
@@ -276,8 +291,10 @@ def traced(tmp_path_factory):
 
 def test_commands_take_their_paths(traced):
     codes, output, _ = traced
-    assert codes == [0, 0, 0, 0, 0, 3, 3, 0, 0, 1, 0, 3, 0, 0, 2, 1]
+    assert codes == [0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 1, 0, 3, 0, 0, 2, 1]
     assert "exponent 1, regions (1, 2, 3): k3 not pairwise distinct" in output
+    assert "sufficient condition (6 regions with distinct rates): satisfied" in output
+    assert "exponent 1, regions (6, 7, 8): k3 not pairwise distinct" in output
     assert "stop: failure at iteration 0" in output
     assert "stop: failure at iteration 1" in output
     assert "stop: discrepancy" in output

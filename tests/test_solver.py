@@ -22,6 +22,7 @@ from petident import (
     run_irgnm,
     simulate_ground_truth,
 )
+from petident.forward import DEFAULT_EPSILON
 from petident.solver import _residual_norm, _run_record, _solve_systems
 
 from numeric_platform import pin_message
@@ -73,7 +74,7 @@ class TestStep:
     def test_fixed_point_at_consistent_anchor(self, ground_truth):
         x_true, y_true = ground_truth
         stepped, failures = irgnm_step(
-            x_true, x_true, *_linearized(x_true, y_true), alpha_k=5.0
+            x_true, x_true, *_linearized(x_true, y_true), alpha_k=5.0, epsilon=DEFAULT_EPSILON
         )
         assert failures == [None]
         np.testing.assert_allclose(stepped.flat, x_true.flat, atol=1e-12)
@@ -83,13 +84,15 @@ class TestStep:
         # a library caller's own weight; IrgnmSettings keeps run_irgnm's positive
         x_true, y_true = ground_truth
         with pytest.raises(ValueError, match="alpha_k must be positive"):
-            irgnm_step(x_true, x_true, *_linearized(x_true, y_true), alpha_k=alpha_k)
+            irgnm_step(
+                x_true, x_true, *_linearized(x_true, y_true), alpha_k, DEFAULT_EPSILON
+            )
 
     def test_dominant_regularization_pulls_to_anchor(self, ground_truth, rng):
         x_true, y_true = ground_truth
         x0 = perturb_initial(x_true, 0.05, [7, 0])
         x_k = perturb_initial(x_true, 0.1, [8, 0])
-        stepped, _ = irgnm_step(x_k, x0, *_linearized(x_k, y_true), alpha_k=1e12)
+        stepped, _ = irgnm_step(x_k, x0, *_linearized(x_k, y_true), 1e12, DEFAULT_EPSILON)
         expected = x0.flat  # step ~ x0 - x_k
         np.testing.assert_allclose(stepped.flat, expected, rtol=1e-3)
 
@@ -105,7 +108,7 @@ class TestStep:
         stacked = np.vstack([J, math.sqrt(alpha) * np.eye(18)])
         rhs = np.concatenate([r, math.sqrt(alpha) * (x0.flat - x_k.flat)])
         expected_step, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        stepped, _ = irgnm_step(x_k, x0, *_linearized(x_k, y_true), alpha)
+        stepped, _ = irgnm_step(x_k, x0, *_linearized(x_k, y_true), alpha, DEFAULT_EPSILON)
         projected = project_to_domain(
             ParamVector(x_k.flat + expected_step, x_k.layout)
         )
@@ -114,7 +117,7 @@ class TestStep:
     def test_rejects_nonpositive_alpha(self, ground_truth):
         x_true, y_true = ground_truth
         with pytest.raises(ValueError):
-            irgnm_step(x_true, x_true, *_linearized(x_true, y_true), 0.0)
+            irgnm_step(x_true, x_true, *_linearized(x_true, y_true), 0.0, DEFAULT_EPSILON)
 
     def test_batch_steps_each_run_alone(self, ground_truth):
         # rows of a batch step as lone runs do; a run whose normal equations
@@ -131,18 +134,19 @@ class TestStep:
             ParamVector(np.stack([x.flat for x in anchors]), x_true.layout),
             *_linearized(batch, stacked),
             alpha_k=0.5,
+            epsilon=DEFAULT_EPSILON,
         )
         # the NaN datum leaves the Gram finite and its right-hand side not
         nan_data = "normal-equation solve failed at alpha=5.000e-01 (cond~inf)"
         assert failures == [None, nan_data, None]
         for b in (0, 2):
             alone, alone_failures = irgnm_step(
-                starts[b], anchors[b], *_linearized(starts[b], data[b]), 0.5
+                starts[b], anchors[b], *_linearized(starts[b], data[b]), 0.5, DEFAULT_EPSILON
             )
             assert np.array_equal(stepped.flat[b], alone.flat)
             assert alone_failures == [None]
         _, [failure] = irgnm_step(
-            starts[1], anchors[1], *_linearized(starts[1], data[1]), 0.5
+            starts[1], anchors[1], *_linearized(starts[1], data[1]), 0.5, DEFAULT_EPSILON
         )
         assert failure == nan_data
 
@@ -312,7 +316,9 @@ class TestRunIrgnm:
         # shared data would be sliced along its region axis as runs finish
         x_true, y_true = ground_truth
         with pytest.raises(ValueError, match="leading axis"):
-            run_irgnm(ParamVector(np.stack([x_true.flat] * 3), x_true.layout), y_true)
+            run_irgnm(
+                ParamVector(np.stack([x_true.flat] * 3), x_true.layout), y_true, IrgnmSettings()
+            )
 
     def test_iterates_stay_in_domain(self, ground_truth):
         # the run cut at max_iter=k ends on iterate k of the longest run
