@@ -116,19 +116,18 @@ def term_sum(lam_row, terms):
 
 class RegionKernel(NamedTuple):
     """Closed-form pieces of the tissue curves of ``n`` regions driven by a
-    ``p``-term arterial input, on ``T`` time points.
+    ``p``-term arterial input, on ``T`` time points: the three arrays of
+    the Jacobian.
 
-    ``psi0[j, l] = psi0(mu_j, t_l)`` and
-    ``psi1[i, j, l] = e^(-beta_i t_l) psi0(beta_i + mu_j, t_l)``, so that
-    ``w = G1 psi0 + G2 psi1`` holds the per-term tissue contributions and
-    ``lam @ w`` the tissue curves ``(n, T)``; ``d_mu[i, j, l]`` is the
-    derivative of ``lam @ w`` with respect to ``mu_j`` and ``d_rates[i, l]``
-    the derivatives with respect to ``(K1, k2, k3)`` of region ``i``.  A
-    batch of parameter points prefixes every array with its leading axes.
+    ``w = G1 psi0 + G2 psi1``, with ``psi0[j, l] = psi0(mu_j, t_l)`` and
+    ``psi1[i, j, l] = e^(-beta_i t_l) psi0(beta_i + mu_j, t_l)``, holds the
+    per-term tissue contributions and ``lam @ w`` the tissue curves
+    ``(n, T)``; ``d_mu[i, j, l]`` is the derivative of ``lam @ w`` with
+    respect to ``mu_j`` and ``d_rates[i, l]`` the derivatives with respect
+    to ``(K1, k2, k3)`` of region ``i``.  A batch of parameter points
+    prefixes every array with its leading axes.
     """
 
-    psi0: np.ndarray
-    psi1: np.ndarray
     w: np.ndarray
     d_mu: np.ndarray
     d_rates: np.ndarray
@@ -163,7 +162,6 @@ def region_kernel(lam, mu, rates, t) -> RegionKernel:
     # region), from one array: (..., 1 + n, p, T); _psi_pair's body runs
     # under this function's guard
     psi, dpsi = _psi_pair.__wrapped__(np.concatenate([mu, beta + mu], axis=-3), t)
-    psi0 = psi[..., 0, :, :]
     terms0 = psi[..., :1, :, :]
     psi1 = eb * psi[..., 1:, :, :]
     w = g1 * terms0 + g2 * psi1
@@ -185,5 +183,5 @@ def region_kernel(lam, mu, rates, t) -> RegionKernel:
     d_rates = np.empty(sums.shape[:-2] + (sums.shape[-1], 3))
     d_rates[..., 0] = sums[..., 0, :]
     d_rates[..., 1:] = cols.swapaxes(-1, -2)
-    return RegionKernel(psi0, psi1, w, d_mu, d_rates)
+    return RegionKernel(w, d_mu, d_rates)
 

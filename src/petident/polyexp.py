@@ -206,18 +206,46 @@ def has_distinct_rate_regions(kinetics: Sequence, p: int) -> bool:
     # equal rate pairs conflict, and either stands in for the other: one is kept
     rates = np.unique(np.reshape([(k.k3, k.k2 + k.k3) for k in kinetics], (-1, 2)), axis=0)
 
-    def most_distinct(values) -> int:
-        # a largest pairwise-distinct subset's size, taken greedily from below
-        count, last = 0, None
-        for value in np.sort(values):
-            if last is None or value - last > EQ_TOL:
-                count, last = count + 1, value
-        return count
+    def bins(values) -> list:
+        # greedy bins from below, each opened by the first value more than
+        # EQ_TOL above the last opener: two values in one bin conflict (a nan
+        # sorts last and conflicts with every value)
+        found, count, last = [0] * len(values), -1, None
+        for i in np.argsort(values).tolist():
+            if last is None or values[i] - last > EQ_TOL:
+                count, last = count + 1, values[i]
+            found[i] = count
+        return found
+
+    def matches(pairs, size: int) -> bool:
+        # regions distinct in both rates hold distinct bins of each: is there
+        # a matching of `size` edges between the k3 and the k2 + k3 bins?
+        # The bins a failed augmenting search saw stay seen until one succeeds
+        edges = {}
+        for a, b in zip(*map(bins, pairs.T)):
+            edges.setdefault(a, []).append(b)
+        owner, seen = {}, set()
+
+        def augment(a) -> bool:
+            for b in edges[a]:
+                if b not in seen:
+                    seen.add(b)
+                    if b not in owner or augment(owner[b]):
+                        owner[b] = a
+                        return True
+            return False
+
+        for a in edges:
+            if augment(a):
+                if len(owner) == size:
+                    return True
+                seen.clear()
+        return False
 
     def search(chosen: int, pairs) -> bool:
         # `pairs`: the later regions distinct in both rates from every `chosen` one;
-        # no more of them can join than either rate has distinct values among them
-        if chosen + min(map(most_distinct, pairs.T)) >= need:
+        # no more of them can join than a largest matching of their bins
+        if matches(pairs, need - chosen):
             for i, pair in enumerate(pairs):
                 later = pairs[i + 1 :][np.all(np.abs(pairs[i + 1 :] - pair) > EQ_TOL, axis=1)]
                 if chosen + 1 == need or search(chosen + 1, later):

@@ -186,26 +186,6 @@ def _residual_norm(r: np.ndarray) -> float:
     return norm
 
 
-@np.errstate(invalid="ignore", over="ignore")
-def _regularized_steps(x_k, x0, alpha_k, J, misfit):
-    """The unprojected steps of the regularized normal equations
-    ``(J^T J + alpha_k I) step = alpha_k (x0 - x_k) - J^T (F(x_k) - y)`` at
-    the Jacobian ``J`` and the misfit ``F(x_k) - y``, shaped like
-    ``x_k.flat``, and the failures as :func:`_solve_systems` returns them.
-    Nonfinite products surface as failures, not as warnings."""
-    dim = x_k.layout.dim
-    # the matmul forms give each run of a batch the products of a lone run
-    # bit for bit
-    Jt = J.swapaxes(-1, -2)
-    gram = Jt @ J
-    np.einsum("...ii->...i", gram)[...] += alpha_k
-    rhs = alpha_k * (x0.flat - x_k.flat) - (Jt @ misfit[..., None])[..., 0]
-    steps, failures = _solve_systems(
-        gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k
-    )
-    return steps.reshape(rhs.shape), failures
-
-
 def irgnm_step(
     x_k: ParamVector,
     x0: ParamVector,
@@ -215,8 +195,9 @@ def irgnm_step(
     epsilon: float,
 ):
     """One regularized Gauss-Newton step at the linearization of ``x_k``,
-    the Jacobian ``J`` and the misfit ``F(x_k) - y``, followed by the box
-    projection.
+    the Jacobian ``J`` and the misfit ``F(x_k) - y``: the solution of
+    ``(J^T J + alpha_k I) step = alpha_k (x0 - x_k) - J^T (F(x_k) - y)``,
+    added to ``x_k`` and projected onto the box.
 
     ``x_k`` is a single vector or a batch (``x_k.flat`` and ``x0.flat`` of
     shape ``(B, dim)``, ``J`` and ``misfit`` with the same leading axis; a
@@ -228,9 +209,22 @@ def irgnm_step(
     """
     if alpha_k <= 0:
         raise ValueError("alpha_k must be positive")
-    steps, failures = _regularized_steps(x_k, x0, alpha_k, J, misfit)
+    dim = x_k.layout.dim
+    # nonfinite products surface as failures, not as warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        # the matmul forms give each run of a batch the products of a lone
+        # run bit for bit
+        Jt = J.swapaxes(-1, -2)
+        gram = Jt @ J
+        np.einsum("...ii->...i", gram)[...] += alpha_k
+        rhs = alpha_k * (x0.flat - x_k.flat) - (Jt @ misfit[..., None])[..., 0]
+        steps, failures = _solve_systems(
+            gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k
+        )
     # a fresh sum: project_to_domain's copy is its only one
-    stepped = project_to_domain(ParamVector._adopt(x_k.flat + steps, x_k.layout), epsilon)
+    stepped = project_to_domain(
+        ParamVector._adopt(x_k.flat + steps.reshape(rhs.shape), x_k.layout), epsilon
+    )
     return stepped, failures
 
 

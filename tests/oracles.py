@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
-The split of the closed form of :mod:`petident.kinetics` into its free and
-bound compartments, two numerical routes to the tissue curves that share
-nothing with that closed form (adaptive quadrature of the
+The free and bound compartments of the closed form of
+:mod:`petident.kinetics`, from its elementary function ``psi0``, two
+numerical routes to the tissue curves that share nothing with that closed
+form (adaptive quadrature of the
 variation-of-constants formula and a fixed-step RK4 integration of the
 ODE pair), a damped Gauss-Newton minimizer of the Tikhonov functional,
 which gives the consistency test a second estimator beside the IRGNM, and
@@ -21,9 +22,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from petident.forward import MeasurementSet, ParamVector, forward_vector, jacobian, project_to_domain
-from petident.kinetics import KineticParams, _check_clearance, region_kernel
+from petident.kinetics import KineticParams, _check_clearance, _psi_pair
 from petident.polyexp import EQ_TOL, DiversityReport, DiversityWitness, PolyExp
-from petident.solver import _regularized_steps
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,16 @@ class TissueCurves:
 @np.errstate(over="ignore", invalid="ignore")
 def tissue_curves(c_art: PolyExp, k: KineticParams, t):
     """Both compartments at scalar or array ``t``:
-    ``C_fr = K1 * lam @ psi1`` and ``C_bd = G1 * lam @ (psi0 - psi1)``."""
+    ``C_fr = K1 * lam @ psi1`` and ``C_bd = G1 * lam @ (psi0 - psi1)``, with
+    ``psi0[j] = psi0(mu_j, t)`` and ``psi1[j] = e^(-beta t) psi0(beta + mu_j, t)``."""
+    _check_clearance(np.array([k.beta]))
     t = np.asarray(t, dtype=float)
-    lam = c_art.coefficients
-    kernel = region_kernel(
-        lam, c_art.exponents, [[k.K1, k.k2, k.k3]], np.atleast_1d(t)
-    )
-    psi1 = kernel.psi1[0]
+    grid = np.atleast_1d(t)
+    lam, mu = c_art.coefficients, c_art.exponents[:, None]
+    psi0 = _psi_pair(mu, grid)[0]
+    psi1 = np.exp(-k.beta * grid) * _psi_pair(k.beta + mu, grid)[0]
     fr = k.K1 * (lam @ psi1)
-    bd = (k.K1 * k.k3 / k.beta) * (lam @ (kernel.psi0 - psi1))
+    bd = (k.K1 * k.k3 / k.beta) * (lam @ (psi0 - psi1))
     if t.ndim == 0:
         return TissueCurves(c_fr=float(fr[0]), c_bd=float(bd[0]))
     return TissueCurves(c_fr=fr, c_bd=bd)
@@ -190,9 +191,9 @@ def solve_tikhonov(
         # the Gauss-Newton step of the stacked residual is the IRGNM step
         # anchored at x_bar
         J, value = jacobian(x, y_delta)
-        step, [failure] = _regularized_steps(x, x_bar, alpha, J, value - y_delta.flat())
-        if failure is not None:
-            raise RuntimeError(failure)
+        gram = J.T @ J + alpha * np.eye(x.layout.dim)
+        rhs = alpha * (x_bar.flat - x.flat) - J.T @ (value - y_delta.flat())
+        step = np.linalg.solve(gram, rhs)
         current = tikhonov_objective(x, x_bar, y_delta, alpha)
         damping = 1.0
         accepted = None

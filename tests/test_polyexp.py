@@ -223,17 +223,24 @@ class TestSufficientCondition:
         # six k3 levels at one k2 + k3 level and five k2 + k3 levels at one
         # k3 level, tiled: each rate has p + 3 = 6 distinct values, but no 6
         # regions are distinct in both, which C(30, 6) = 593,775 subsets took
-        # seconds to show
+        # seconds to show; and four k3 levels of 29 own k2 + k3 values each
+        # with one k2 + k3 level of 30 own k3 values, 146 pairs of which at
+        # most 5 are distinct in both, which the distinct counts of each rate
+        # alone took 1.6 million nodes to show
         def no_search(*args):
             raise AssertionError("the subsets were searched")
 
         monkeypatch.setattr(polyexp, "combinations", no_search)
         pairs = [(0.1 + 0.05 * i, 0.5) for i in range(6)] + [(0.05, 0.6 + 0.05 * i) for i in range(5)]
-        for n in (30, 60):
-            kin = [KineticParams(0.1, beta - k3, k3) for k3, beta in (pairs[i % 11] for i in range(n))]
+        own = [(0.05 * (a + 1), 1.0 + 0.01 * (29 * a + j)) for a in range(4) for j in range(29)]
+        own += [(2.0 + 0.01 * j, 0.5) for j in range(30)]
+        for rates in ([pairs[i % 11] for i in range(30)], [pairs[i % 11] for i in range(60)], own):
+            kin = [KineticParams(0.1, beta - k3, k3) for k3, beta in rates]
             start = time.perf_counter()
             assert not has_distinct_rate_regions(kin, p=3)
             assert time.perf_counter() - start < 1.0
+        # one region off every level makes six
+        assert has_distinct_rate_regions(kin + [KineticParams(0.1, 4.0, 3.0)], p=3)
 
     def test_agrees_with_the_full_search_at_near_ties(self, rng):
         def full_search(kin, p):

@@ -3,9 +3,9 @@
 The subcommands run in-process under ``sys.settrace`` on small inputs that
 still take each line's path, all written before tracing starts: a
 six-region scenario of pairwise distinct rates, a six-region scenario that
-fails every clause of the diversity condition on a short grid, eleven
-regions whose rates have six distinct values each but no six regions
-distinct in both, two regions
+fails every clause of the diversity condition on a short grid, twelve
+regions whose rates have six or more distinct values each but no three
+regions distinct in both, two regions
 with their own blood times, data whose square overflows, data whose fit
 leaves the float range, a discrepancy stop, a start at the truth, a
 corrupted Jacobian, a campaign whose runs break down, ``reproduce --all``
@@ -170,13 +170,16 @@ def violating_scenario() -> dict:
 
 
 def few_levels_scenario() -> dict:
-    """Eleven regions: six k3 levels at k2 + k3 = 0.5 and five k2 + k3
-    levels at k3 = 0.05.  Each rate has p + 3 = 6 distinct values, so the
-    search for six regions distinct in both starts, and ends without one."""
+    """Twelve regions: six k3 levels at k2 + k3 = 0.5, five k2 + k3 levels
+    at k3 = 0.05 and the region where the two levels cross.  Each rate has
+    p + 3 = 6 or more distinct values, but no three regions are distinct in
+    both; the crossing region first takes k2 + k3 = 0.5 in the matching
+    bound, and gives it up on an augmenting path."""
     data = scenario_to_dict(default_scenario())
     pairs = [(0.1 + 0.05 * i, 0.5) for i in range(6)] + [(0.05, 0.6 + 0.05 * i) for i in range(5)]
+    pairs.append((0.05, 0.5))
     data["regions"] = [{"K1": 0.1, "k2": beta - k3, "k3": k3} for k3, beta in pairs]
-    data["n"] = 11
+    data["n"] = 12
     return data
 
 

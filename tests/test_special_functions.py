@@ -74,7 +74,7 @@ def region_kernel_reference(lam, mu, rates, t):
         ],
         axis=-1,
     )
-    return psi0, psi1, w, d_mu, d_rates
+    return w, d_mu, d_rates
 
 
 def same_bits(a, b) -> bool:
@@ -115,7 +115,7 @@ class TestFusedKernel:
         args = (lam, mu, rates) if lead else (lam[0], mu[0], rates[0])
         kernel = region_kernel(*args, T_GRID)
         reference = region_kernel_reference(*args, T_GRID)
-        assert len(kernel) == len(reference) == 5
+        assert len(kernel) == len(reference) == 3
         for got, want in zip(kernel, reference):
             assert same_bits(got, want)
 
