@@ -8,7 +8,8 @@ Subcommands and their flags (any other flag is a usage error; without
   --mode --tau --alpha-a --alpha-b --epsilon --max-iter]`` -- fit kinetic parameters
 * ``check [--scenario]`` -- identifiability diagnostics for a scenario
 * ``reproduce (--campaign | --all) [--scenario --out --seed --repetitions --mode]``
-  -- repeated-campaign tables and median-run traces
+  -- repeated-campaign tables and median-run traces of the cells of a campaign
+  file (one cell or a list of cells), or of the built-in list of 32 cells
 * ``jaccheck [--scenario --seed --trials --tolerance --corrupt]`` -- verify the
   analytic Jacobian against finite differences
 
@@ -29,6 +30,8 @@ import csv
 import json
 import sys
 from dataclasses import replace
+from functools import partial
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +73,9 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 
-DELTA_Y_GRID = (0.0, 1e-4, 1e-3, 1e-2)
-DELTA_X_GRID = (0.01, 0.05, 0.1, 0.15)
+#: The built-in campaign of ``reproduce --all``: the cells of the paper's Table 1.
+ALL_CELLS = list(map(dict, map(zip, repeat(("delta_y", "delta_x", "mode")), product(
+    (0.0, 1e-4, 1e-3, 1e-2), (0.01, 0.05, 0.1, 0.15), MODES))))
 
 
 class UsageError(Exception):
@@ -297,27 +301,45 @@ def cmd_check(args) -> int:
 # -- reproduce -------------------------------------------------------------------
 
 
-def _campaign_from_file(path: str, mode: str, args) -> CampaignSpec:
-    """The cell of a campaign file, checked as written, in ``mode`` (the
-    scenario's) unless the file names one, with the command-line overrides,
-    which are checked already."""
+def _cell(data, mode: str, args) -> CampaignSpec:
+    """A campaign cell, checked as written, in ``mode`` (the scenario's) unless
+    it names one, with the solver defaults for its noise level unless it names
+    a setting, and with the command-line overrides, which are checked already."""
+    _check_object("campaign", data, CELL_KEYS + SETTINGS_KEYS, ("delta_y", "delta_x"))
+    # the integers and the mode are checked by CampaignSpec and IrgnmSettings,
+    # the levels by CampaignSpec before they become solver settings
+    for key in ("delta_y", "delta_x", "a", "b", "tau", "epsilon"):
+        _number(key, data.get(key, 0.0))
+    cell = CampaignSpec(
+        data["delta_y"], data["delta_x"],
+        **{"mode": mode, **{key: data[key] for key in CELL_KEYS if key in data}},
+    )
+    given = {key: data[key] for key in SETTINGS_KEYS if key in data}
+    settings = IrgnmSettings.for_noise(data["delta_y"], **given) if given else None
+    return replace(cell, settings=settings, **_given(args, CELL_KEYS))
 
-    def build(data) -> CampaignSpec:
-        _check_object("campaign", data, CELL_KEYS + SETTINGS_KEYS, ("delta_y", "delta_x"))
-        # the integers and the mode are checked by CampaignSpec and IrgnmSettings,
-        # the levels by CampaignSpec before they become solver settings
-        for key in ("delta_y", "delta_x", "a", "b", "tau", "epsilon"):
-            _number(key, data.get(key, 0.0))
-        cell = CampaignSpec(
-            data["delta_y"], data["delta_x"],
-            **{"mode": mode, **{key: data[key] for key in CELL_KEYS if key in data}},
-        )
-        settings = IrgnmSettings.for_noise(
-            data["delta_y"], **{key: data[key] for key in SETTINGS_KEYS if key in data}
-        )
-        return replace(cell, settings=settings, **_given(args, CELL_KEYS))
 
-    return _read_file("campaign", path, build)
+def _label(spec: CampaignSpec) -> str:
+    return f"delta_y={spec.delta_y:g} delta_x={spec.delta_x:g} mode={spec.mode}"
+
+
+def _cells(data, mode: str, args) -> list[CampaignSpec]:
+    """A campaign's cells: one object, or a nonempty list of them whose faults
+    name the cell by number, as does a label (so a trace name) seen before."""
+    if type(data) is not list:
+        return [_cell(data, mode, args)]
+    if not data:
+        raise ValueError("campaign list must not be empty")
+    specs, first = [], {}
+    for number, cell in enumerate(data, start=1):
+        try:
+            specs.append(_cell(cell, mode, args))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"cell {number}: {exc}") from exc
+        label = _label(specs[-1])
+        if first.setdefault(label, number) != number:
+            raise ValueError(f"cell {number}: {label} repeats cell {first[label]}")
+    return specs
 
 
 def cmd_reproduce(args) -> int:
@@ -326,15 +348,8 @@ def cmd_reproduce(args) -> int:
     if args.repetitions is not None and args.repetitions < 1:
         raise UsageError("--repetitions must be >= 1")
     scenario = _scenario(args)
-    if args.all:
-        specs = [
-            CampaignSpec(delta_y=dy, delta_x=dx, mode=mode, **_given(args, CELL_KEYS))
-            for dy in DELTA_Y_GRID
-            for dx in DELTA_X_GRID
-            for mode in MODES
-        ]
-    else:
-        specs = [_campaign_from_file(args.campaign, scenario.mode, args)]
+    cells = partial(_cells, mode=scenario.mode, args=args)
+    specs = cells(ALL_CELLS) if args.all else _read_file("campaign", args.campaign, cells)
     # every input is read before the outputs of an earlier run go
     out = _out_dir(args.out)
     for stale in [out / "table1.csv", out / "results.json", *out.glob("trace_*.csv")]:
@@ -344,7 +359,7 @@ def cmd_reproduce(args) -> int:
     summaries = []
     try:
         for spec in specs:
-            label = f"delta_y={spec.delta_y:g} delta_x={spec.delta_x:g} mode={spec.mode}"
+            label = _label(spec)
             try:
                 summary = run_campaign(spec, scenario)
             except Exception as exc:  # keep remaining cells running
@@ -483,7 +498,7 @@ def build_parser() -> CliParser:
 
     p = subcommand("reproduce", cmd_reproduce, "repeated campaigns and tables", "out", "seed")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--campaign", help="campaign JSON file")
+    source.add_argument("--campaign", help="campaign JSON file: one cell or a list of cells")
     source.add_argument(
         "--all", action="store_true", help="run the full noise x perturbation x mode grid"
     )

@@ -186,6 +186,8 @@ def _residual_norm(r: np.ndarray) -> float:
     return norm
 
 
+# nonfinite products surface as failures, not as warnings
+@np.errstate(invalid="ignore", over="ignore")
 def irgnm_step(
     x_k: ParamVector,
     x0: ParamVector,
@@ -210,17 +212,13 @@ def irgnm_step(
     if alpha_k <= 0:
         raise ValueError("alpha_k must be positive")
     dim = x_k.layout.dim
-    # nonfinite products surface as failures, not as warnings
-    with np.errstate(invalid="ignore", over="ignore"):
-        # the matmul forms give each run of a batch the products of a lone
-        # run bit for bit
-        Jt = J.swapaxes(-1, -2)
-        gram = Jt @ J
-        np.einsum("...ii->...i", gram)[...] += alpha_k
-        rhs = alpha_k * (x0.flat - x_k.flat) - (Jt @ misfit[..., None])[..., 0]
-        steps, failures = _solve_systems(
-            gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k
-        )
+    # the matmul forms give each run of a batch the products of a lone run
+    # bit for bit
+    Jt = J.swapaxes(-1, -2)
+    gram = Jt @ J
+    np.einsum("...ii->...i", gram)[...] += alpha_k
+    rhs = alpha_k * (x0.flat - x_k.flat) - (Jt @ misfit[..., None])[..., 0]
+    steps, failures = _solve_systems(gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k)
     # a fresh sum: project_to_domain's copy is its only one
     stepped = project_to_domain(
         ParamVector._adopt(x_k.flat + steps.reshape(rhs.shape), x_k.layout), epsilon

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from petident import cli
-from petident.cli import _campaign_from_file, build_parser, main
+from petident.cli import _cells, build_parser, main
 from petident.experiments import (
     CampaignSpec, default_scenario, run_campaign, scenario_from_dict, scenario_to_dict,
     simulate_ground_truth,
 )
 from petident.forward import MODES
 from petident.solver import IrgnmSettings
+
+from numeric_platform import pin_message
+from test_output_bytes import REPRODUCE, reproduce_digests
 
 
 @pytest.fixture(scope="module")
@@ -1007,6 +1010,100 @@ class TestCampaignFile:
         assert str(campaign) in err and named in err
 
 
+class TestCampaignList:
+    """A campaign file may list its cells: each is read as a one-cell file
+    is, a fault names the cell by its number, and the cells run in order
+    into one set of outputs, as ``--all`` runs its built-in list."""
+
+    CELLS = [
+        {"delta_y": 1e-3, "delta_x": 0.1, "repetitions": 2, "seed": 4},
+        {"delta_y": 0, "delta_x": 0.05, "repetitions": 1, "mode": "known_cart", "max_iter": 20},
+    ]
+
+    def test_the_built_in_list_as_a_file_writes_the_all_bytes(self, tmp_path):
+        cells = [
+            {"delta_y": dy, "delta_x": dx, "mode": mode}
+            for dy in (0.0, 1e-4, 1e-3, 1e-2)
+            for dx in (0.01, 0.05, 0.1, 0.15)
+            for mode in ("full", "known_cart")
+        ]
+        assert cells == cli.ALL_CELLS
+        campaign = tmp_path / "all.json"
+        campaign.write_text(json.dumps(cells))
+        out = tmp_path / "rep"
+        argv = ["--repetitions", "1", "--seed", "5", "--out", out]
+        assert run_cli("reproduce", "--campaign", campaign, *argv) == 0
+        assert reproduce_digests(out) == REPRODUCE, pin_message()
+
+    def test_a_list_writes_what_its_cells_write_one_at_a_time(self, tmp_path, capsys):
+        campaign = tmp_path / "list.json"
+        campaign.write_text(json.dumps(self.CELLS))
+        assert run_cli("reproduce", "--campaign", campaign, "--out", tmp_path / "list") == 0
+        listed = capsys.readouterr().out.splitlines()[:2]
+        rows, entries, lines = [], [], []
+        for number, cell in enumerate(self.CELLS):
+            campaign = tmp_path / f"cell{number}.json"
+            campaign.write_text(json.dumps(cell))
+            out = tmp_path / f"cell{number}"
+            assert run_cli("reproduce", "--campaign", campaign, "--out", out) == 0
+            lines += capsys.readouterr().out.splitlines()[:1]
+            rows += (out / "table1.csv").read_text().splitlines()[1:]
+            entries += json.loads((out / "results.json").read_text())
+        assert (tmp_path / "list" / "table1.csv").read_text().splitlines()[1:] == rows
+        assert json.loads((tmp_path / "list" / "results.json").read_text()) == entries
+        assert listed == lines
+        assert [e["spec"]["mode"] for e in entries] == ["full", "known_cart"]
+
+    @pytest.mark.parametrize(
+        "cells, flag, named",
+        [
+            ([CELLS[0], {**CELLS[1], "bogus": 1}], [], "cell 2: unknown campaign keys ['bogus']"),
+            ([CELLS[0], 5], [], "cell 2: campaign must be an object, got int"),
+            ([CELLS[0], {"delta_y": 1e-3}], [], "cell 2: campaign is missing delta_x"),
+            ([{**CELLS[0], "seed": -1}, CELLS[1]], [], "cell 1: seed must be nonnegative"),
+            ([], [], "campaign list must not be empty"),
+            (
+                [CELLS[0], {**CELLS[0], "delta_y": 0.001, "mode": "known_cart"}],
+                ["--mode", "full"],
+                "cell 2: delta_y=0.001 delta_x=0.1 mode=full repeats cell 1",
+            ),
+        ],
+        ids=["unknown-key", "not-an-object", "missing-level", "seed", "empty", "repeated-label"],
+    )
+    def test_fault_names_its_cell(self, tmp_path, capsys, cells, flag, named):
+        campaign = tmp_path / "list.json"
+        campaign.write_text(json.dumps(cells))
+        out = tmp_path / "rep"
+        assert run_cli("reproduce", "--campaign", campaign, *flag, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: cannot parse campaign {campaign}: {named}\n"
+        assert not (out / "results.json").exists()
+
+    def test_cells_apart_until_mode_is_given_both_run(self, tmp_path):
+        campaign = tmp_path / "list.json"
+        campaign.write_text(json.dumps([
+            {**self.CELLS[1], "mode": mode} for mode in ("full", "known_cart")
+        ]))
+        assert run_cli("reproduce", "--campaign", campaign, "--out", tmp_path / "rep") == 0
+        assert len(list((tmp_path / "rep").glob("trace_*.csv"))) == 2
+
+    @pytest.mark.parametrize("flag_mode", [None, "full"])
+    def test_listed_cell_mode_is_the_flag_then_the_cell_then_the_scenario(
+        self, tmp_path, flag_mode
+    ):
+        scenario = tmp_path / "known_cart.json"
+        scenario.write_text(json.dumps(scenario_to_dict(default_scenario("known_cart"))))
+        fields = {"delta_x": 0.1, "repetitions": 1, "max_iter": 1}
+        campaign = tmp_path / "list.json"
+        campaign.write_text(json.dumps([
+            {**fields, "delta_y": 1e-3}, {**fields, "delta_y": 1e-2, "mode": "full"},
+        ]))
+        argv = ["reproduce", "--campaign", campaign, "--scenario", scenario, "--out", tmp_path]
+        assert run_cli(*argv, *(["--mode", flag_mode] if flag_mode else [])) == 0
+        modes = [e["spec"]["mode"] for e in json.loads((tmp_path / "results.json").read_text())]
+        assert modes == ([flag_mode] * 2 if flag_mode else ["known_cart", "full"])
+
+
 class TestCheck:
     def test_reference_scenario_report(self, scenario_files, capsys):
         assert run_cli("check", "--scenario", scenario_files["min"]) == 0
@@ -1193,7 +1290,8 @@ class TestReproduce:
         campaign = tmp_path / "campaign.json"
         campaign.write_text(json.dumps({**fields, "delta_x": 0.1}))
         args = build_parser().parse_args(["reproduce", "--campaign", str(campaign)])
-        assert _campaign_from_file(str(campaign), "full", args).settings == IrgnmSettings(
+        [spec] = _cells(json.loads(campaign.read_text()), "full", args)
+        assert spec.resolved_settings() == IrgnmSettings(
             a=800.0, b=0.2, tau=1.1, epsilon=1e-3, max_iter=max_iter,
             delta_estimate=fields["delta_y"],
         )

@@ -78,16 +78,19 @@ def test_simulate_bytes(tmp_path):
     assert digests == SIMULATE, pin_message()
 
 
+def reproduce_digests(out: Path) -> dict:
+    """The digests of a ``reproduce`` output directory, keyed as :data:`REPRODUCE`."""
+    traces = sorted(out.glob("trace_*.csv"))
+    assert len(traces) == 32
+    digests = {name: sha256((out / name).read_bytes()) for name in ("table1.csv", "results.json")}
+    digests["traces"] = sha256(b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in traces))
+    return digests
+
+
 def test_reproduce_all_bytes(tmp_path):
     argv = ["reproduce", "--all", "--repetitions", "1", "--seed", "5", "--out", str(tmp_path)]
     assert main(argv) == 0
-    traces = sorted(tmp_path.glob("trace_*.csv"))
-    assert len(traces) == 32
-    digests = {
-        name: sha256((tmp_path / name).read_bytes()) for name in ("table1.csv", "results.json")
-    }
-    digests["traces"] = sha256(b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in traces))
-    assert digests == REPRODUCE, pin_message()
+    assert reproduce_digests(tmp_path) == REPRODUCE, pin_message()
 
 
 def portable_rows(results: list) -> list:

@@ -8,9 +8,10 @@ regions whose rates have six or more distinct values each but no three
 regions distinct in both, two regions
 with their own blood times, data whose square overflows, data whose fit
 leaves the float range, a discrepancy stop, a start at the truth, a
-corrupted Jacobian, a campaign whose runs break down, ``reproduce --all``
-on one noise and one perturbation level, a bad flag and numbers too large
-for a float.  The traced commands take well under a second.
+corrupted Jacobian, a campaign whose runs break down, a campaign that
+lists two cells, ``reproduce --all`` on one noise and one perturbation
+level, a bad flag and numbers too large for a float.  The traced commands
+take well under a second.
 
 Two kinds of line may stay unreached: the lines of a block that ends in
 ``raise`` (the input-error branches, which the spoils of
@@ -212,6 +213,10 @@ def write_inputs(root: Path) -> dict:
         # both runs end on a numerically singular system, at iterations 74 and 77
         "breakdown.json": {"delta_y": 0, "delta_x": 0.15, "repetitions": 2, "seed": 0},
         "huge.json": {"delta_y": 10**400, "delta_x": 0.1},
+        "two_cells.json": [
+            {"delta_y": 1e-2, "delta_x": 0.1, "repetitions": 1, "max_iter": 2, "mode": mode}
+            for mode in ("full", "known_cart")
+        ],
     }
     paths = {}
     for name, data in contents.items():
@@ -220,9 +225,10 @@ def write_inputs(root: Path) -> dict:
     return paths
 
 
-#: The noise and perturbation levels of ``reproduce --all`` in the harness:
-#: one each keeps every line of the grid loop and costs 2 cells, not 32.
-SMALL_GRID = dict(DELTA_Y_GRID=(1e-2,), DELTA_X_GRID=(0.1,))
+#: The built-in campaign of ``reproduce --all`` in the harness: one noise and
+#: one perturbation level in both modes keeps every line of the cell loop and
+#: costs 2 cells, not 32.
+SMALL_GRID = dict(ALL_CELLS=[{"delta_y": 1e-2, "delta_x": 0.1, "mode": mode} for mode in cli.MODES])
 
 
 def run_commands(f: dict, out: Path) -> list:
@@ -251,6 +257,7 @@ def run_commands(f: dict, out: Path) -> list:
         ["reproduce", "--campaign", f["breakdown.json"], "--out", out],
         ["reproduce", "--all", "--repetitions", "2", "--out", out],
         ["reproduce", "--campaign", f["huge.json"], "--out", out],
+        ["reproduce", "--campaign", f["two_cells.json"], "--out", out],
         ["check", "--scenario", f["reference.json"], "--out", out],
     ]
     # the solver loads LAPACK at its first solve, as in a fresh process
@@ -294,7 +301,7 @@ def traced(tmp_path_factory):
 
 def test_commands_take_their_paths(traced):
     codes, output, _ = traced
-    assert codes == [0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 1, 0, 3, 0, 0, 2, 1]
+    assert codes == [0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 1, 0, 3, 0, 0, 2, 0, 1]
     assert "exponent 1, regions (1, 2, 3): k3 not pairwise distinct" in output
     assert "sufficient condition (6 regions with distinct rates): satisfied" in output
     assert "exponent 1, regions (6, 7, 8): k3 not pairwise distinct" in output
