@@ -31,7 +31,7 @@ import json
 import sys
 from dataclasses import replace
 from functools import partial
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +74,8 @@ EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 
 #: The built-in campaign of ``reproduce --all``: the cells of the paper's Table 1.
-ALL_CELLS = list(map(dict, map(zip, repeat(("delta_y", "delta_x", "mode")), product(
-    (0.0, 1e-4, 1e-3, 1e-2), (0.01, 0.05, 0.1, 0.15), MODES))))
+ALL_CELLS = [{"delta_y": dy, "delta_x": dx, "mode": mode} for dy, dx, mode in product(
+    (0.0, 1e-4, 1e-3, 1e-2), (0.01, 0.05, 0.1, 0.15), MODES)]
 
 
 class UsageError(Exception):

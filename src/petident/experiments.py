@@ -413,11 +413,12 @@ class CampaignSpec:
         for name, level in (("delta_y", self.delta_y), ("delta_x", self.delta_x)):
             if not (is_finite(level) and level >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {level!r}")
+            object.__setattr__(self, name, float(level))
 
     def resolved_settings(self) -> IrgnmSettings:
         if self.settings is not None:
             return self.settings
-        return IrgnmSettings.for_noise(float(self.delta_y))
+        return IrgnmSettings.for_noise(self.delta_y)
 
 
 @dataclass
@@ -538,7 +539,7 @@ def emit_results(summaries: list[CampaignSummary], out_dir) -> list[Path]:
     table = out / "table1.csv"
     header = ["delta_y", "delta_x", "mode", "repetitions", "diverged", "median_run"]
     write_table(table, header, [
-        [float(s.spec.delta_y), float(s.spec.delta_x), s.spec.mode, s.spec.repetitions,
+        [s.spec.delta_y, s.spec.delta_x, s.spec.mode, s.spec.repetitions,
          s.diverged_count, "" if s.median_run is None else s.median_run]
         for s in summaries
     ])

@@ -16,7 +16,9 @@ a noise estimate it runs for a fixed number of iterations.
 of runs (the repetitions of a campaign cell; a lone run is a batch of one),
 stops each run on its own and drops it from the stack, and evaluates the
 forward map once per iteration: the Jacobian call that yields
-``F(x_{k+1})`` for the residual also linearizes the next step.
+``F(x_{k+1})`` for the residual also linearizes the next step.  A run of
+``k`` iterations so makes ``k + 1`` Jacobian calls and one forward
+evaluation, at its start, whatever its stop.
 """
 
 from __future__ import annotations
@@ -72,8 +74,10 @@ class IrgnmSettings:
     def __post_init__(self):
         check_integer("max_iter", self.max_iter)
         for name in ("a", "b", "tau", "epsilon", "delta_estimate"):
-            if not is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not is_finite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.a <= 0 or self.b <= 0:
             raise ValueError("schedule parameters a and b must be positive")
         if self.tau <= 1:
@@ -249,12 +253,10 @@ def run_irgnm(
     and returns their ``B`` records; a single vector is a batch of one and
     returns its record.  Each trip of the loop takes one step of every run
     still going and evaluates their Jacobians and forward values in one
-    call; the next step reuses that linearization, and after the trip that
-    reaches ``max_iter`` only the forward values are read.  A run of
-    ``k > 0`` iterations so costs ``k + 1`` Jacobians and one forward
-    evaluation, or ``k`` Jacobians and two forward evaluations when ``k``
-    is ``max_iter``; a forward evaluation is a Jacobian call whose matrix
-    goes unread (:func:`.forward.forward_vector`).
+    call, which the next step reuses.  A run of ``k`` iterations so costs
+    ``k + 1`` Jacobians and one forward evaluation, at its start, whatever
+    its stop; a forward evaluation is a Jacobian call whose matrix goes
+    unread (:func:`.forward.forward_vector`).
     """
     single = x0.flat.ndim == 1
     data = y_delta.flat()  # rows follow x; sliced whenever runs leave
@@ -283,8 +285,8 @@ def run_irgnm(
     stops: list[tuple] = [()] * B
 
     active = np.arange(B)  # the runs still going, in the row order of x
-    value = forward_vector(x, y_delta)
-    J = None
+    value = forward_vector(x, y_delta)  # a call of its own for perfbench's spans (ROADMAP item 3)
+    J, _ = jacobian(x, y_delta)
     k = 0
     while True:
         going = []
@@ -319,10 +321,7 @@ def run_irgnm(
             active = active[going]
             x = ParamVector._adopt(x.flat[going], layout)  # a list index copies
             anchor = ParamVector._adopt(anchor.flat[going], layout)
-            data, misfit = data[going], misfit[going]
-            J = J[going] if J is not None else None
-        if J is None:
-            J, _ = jacobian(x, y_delta)
+            data, misfit, J = data[going], misfit[going], J[going]
 
         stepped, failures = irgnm_step(x, anchor, J, misfit, settings.alpha(k), settings.epsilon)
         for i, failure in enumerate(failures):
@@ -333,11 +332,7 @@ def run_irgnm(
                 stops[active[i]] = ("failure", k, x.flat[i], f"{failure} at iteration {k}")
         x = stepped
         k += 1
-        if k < settings.max_iter:
-            J, value = jacobian(x, y_delta)
-        else:
-            # every run still going stops at the next check: only F(x_k) is read
-            value = forward_vector(x, y_delta)
+        J, value = jacobian(x, y_delta)
 
     records = [
         _run_record(

@@ -37,14 +37,13 @@ def test_trace_point_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"petident.{module}"), attr))
 
 
-@pytest.mark.parametrize("k", [1, 4, pytest.param(None, id="discrepancy")])
-def test_run_irgnm_calls_the_traced_solver_names(known_cart_scenario, monkeypatch, k):
+@pytest.mark.parametrize("stop", [1, 4, "discrepancy", "start"])
+def test_run_irgnm_calls_the_traced_solver_names(known_cart_scenario, monkeypatch, stop):
     # perfbench's spans sit on these four names of petident.solver; a run
-    # of k iterations must reach every one of them there: one Jacobian per
-    # step (run_irgnm takes the first before its first step), one
-    # forward_vector at the start and one that gives the last iterate's
-    # residual at max_iter.  A run that stops on the discrepancy principle
-    # reads its last residual from a Jacobian call instead.
+    # of k iterations must reach every one of them there, whatever its
+    # stop: one forward_vector and one Jacobian at the start, then one
+    # Jacobian after each step, which gives the next residual and the next
+    # linearization.  A start that meets the discrepancy level takes no step.
     calls = Counter()
     for name in ("jacobian", "irgnm_step", "forward_vector", "project_to_domain"):
 
@@ -55,17 +54,18 @@ def test_run_irgnm_calls_the_traced_solver_names(known_cart_scenario, monkeypatc
         monkeypatch.setattr(solver, name, counted)
     x_true, y_true = experiments.simulate_ground_truth(known_cart_scenario)
     x0 = experiments.perturb_initial(x_true, 0.05, [5, 0])
-    if k is None:
+    if stop == "discrepancy":
         y_delta = experiments.add_noise(y_true, 1e-3, [5, 1])
         record = solver.run_irgnm(x0, y_delta, solver.IrgnmSettings.for_noise(1e-3))
         assert record.stop_reason == "discrepancy" and record.stop_iter >= 1
-        k = record.stop_iter
-        expected = (k + 1, k, 1)
+    elif stop == "start":
+        record = solver.run_irgnm(x_true, y_true, solver.IrgnmSettings.for_noise(1e-3))
+        assert (record.stop_reason, record.stop_iter) == ("discrepancy", 0)
     else:
-        record = solver.run_irgnm(x0, y_true, solver.IrgnmSettings(max_iter=k))
-        assert (record.stop_reason, record.stop_iter) == ("max_iter", k)
-        expected = (k, k, 2)
-    assert (calls["jacobian"], calls["irgnm_step"], calls["forward_vector"]) == expected
+        record = solver.run_irgnm(x0, y_true, solver.IrgnmSettings(max_iter=stop))
+        assert (record.stop_reason, record.stop_iter) == ("max_iter", stop)
+    k = record.stop_iter
+    assert (calls["jacobian"], calls["irgnm_step"], calls["forward_vector"]) == (k + 1, k, 1)
     assert calls["project_to_domain"] >= 1
 
 

@@ -1325,6 +1325,20 @@ class TestReproduce:
         [entry] = json.loads((tmp_path / "rep" / "results.json").read_text())
         assert entry["spec"]["seed"] == seed
 
+    def test_integer_numbers_write_the_results_of_their_float_twin(self, tmp_path):
+        # results.json holds the numbers of a cell, not how the file wrote them
+        written = []
+        for dy, a in ((0, 800), (0.0, 800.0)):
+            campaign = tmp_path / "campaign.json"
+            campaign.write_text(json.dumps(
+                {"delta_y": dy, "delta_x": 0.1, "a": a, "repetitions": 1, "max_iter": 2}
+            ))
+            out = tmp_path / f"rep_{dy!r}"
+            assert run_cli("reproduce", "--campaign", campaign, "--out", out) == 0
+            written.append((out / "results.json").read_bytes())
+        assert written[0] == written[1]
+        assert b'"delta_y": 0.0' in written[0] and b'"a": 800.0' in written[0]
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert run_cli("reproduce", "--out", tmp_path) == 1
 

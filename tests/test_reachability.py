@@ -68,13 +68,20 @@ def package_modules() -> dict:
 def executable_lines(path: str) -> set:
     """``(path, line)`` of every line that a ``def``, a ``lambda`` or a
     comprehension in one executes.  Module and class bodies (no
-    ``CO_NEWLOCALS``) and ``def`` lines run at import, not under a command."""
+    ``CO_NEWLOCALS``), the list, set and dict comprehensions outside a
+    function and ``def`` lines run at import, not under a command."""
     found = set()
-    stack = [compile(Path(path).read_text(encoding="utf-8"), path, "exec")]
+    # a code object and whether a function encloses it
+    stack = [(compile(Path(path).read_text(encoding="utf-8"), path, "exec"), False)]
     while stack:
-        code = stack.pop()
-        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        if code.co_flags & inspect.CO_NEWLOCALS:
+        code, in_function = stack.pop()
+        counted = bool(code.co_flags & inspect.CO_NEWLOCALS) and (
+            in_function or code.co_name not in ("<listcomp>", "<setcomp>", "<dictcomp>")
+        )
+        stack.extend(
+            (c, in_function or counted) for c in code.co_consts if isinstance(c, types.CodeType)
+        )
+        if counted:
             lines = {line for _, _, line in code.co_lines() if line is not None}
             if not code.co_name.startswith("<"):
                 lines.discard(code.co_firstlineno)
@@ -308,6 +315,18 @@ def test_commands_take_their_paths(traced):
     assert "stop: failure at iteration 0" in output
     assert "stop: failure at iteration 1" in output
     assert "stop: discrepancy" in output
+
+
+def test_comprehensions_outside_a_function_run_at_import(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "TOP = [i for i in range(3)]\n"
+        "class Body:\n"
+        "    CELLS = {i: i for i in range(3)}\n"
+        "def function():\n"
+        "    return {i for i in range(3)}\n"
+    )
+    assert executable_lines(str(path)) == {(str(path), 5)}
 
 
 def test_every_line_runs_under_a_command(traced):
