@@ -8,12 +8,7 @@ from .polyexp import (
     has_distinct_rate_regions,
     region_diversity_report,
 )
-from .kinetics import (
-    DomainError,
-    KineticParams,
-    RegionKernel,
-    region_kernel,
-)
+from .kinetics import DomainError, KineticParams
 from .plasma import PlasmaParams, plasma_fraction
 from .forward import (
     MeasurementSet,

@@ -276,6 +276,13 @@ def cmd_check(args) -> int:
     else:
         for v in report.violations:
             print(f"  {v}")
+    # the theorem assumes distinct exponents; PolyExp sorts them ascending
+    gaps = np.diff(scenario.c_art.exponents)
+    if gaps.size:
+        j = int(np.argmin(gaps))
+        print(f"arterial exponents: smallest gap {gaps[j]:.3e} (mu_{j + 1}, mu_{j + 2})")
+    else:
+        print("arterial exponents: one term")
     sufficient = has_distinct_rate_regions(scenario.kinetics, scenario.p)
     print(
         f"sufficient condition ({scenario.p + 3} regions with distinct rates): "

@@ -19,8 +19,9 @@ and maps to the measurement vector ``y = (F1(x), F2(x))``:
   (the plasma parameters ``m`` stay in the vector but do not enter).
 
 The tissue block, its derivatives and its rounding scale all come from the
-region-vectorized closed-form kernel :func:`.kinetics.region_kernel`; this
-module only adds the blood block and places the kernel's arrays.  The
+region-vectorized closed-form kernel :func:`.kinetics.region_kernel`, which
+:func:`jacobian` calls under its own error-state guard; this module only
+adds the blood block and places the kernel's arrays.  The
 forward map, the Jacobian and the projection also take a batch of points:
 ``ParamVector.flat`` of shape ``(..., dim)`` gives results with the same
 leading axes, each row bitwise equal to the single-point result.  All
@@ -40,8 +41,6 @@ import numpy as np
 
 from . import plasma
 from .kinetics import KineticParams, region_kernel, term_sum
-
-_kernel = region_kernel.__wrapped__  # unguarded: jacobian, its one caller, holds its guard
 
 MODES = ("full", "known_cart")
 
@@ -222,16 +221,16 @@ def jacobian(x: ParamVector, template: MeasurementSet):
     s = template.s_grid
     T = template.n_times
     nT = n * T
-    kernel = _kernel(lam, mu, x.kinetic_block, template.t_grid)
+    w, d_mu, d_rates = region_kernel(lam, mu, x.kinetic_block, template.t_grid)
 
     J = np.zeros(lead + (nT + template.q, layout.dim))
     # tissue rows: region i owns rows i*T .. (i+1)*T and its three rate columns
     tissue = J[..., :nT, :].reshape(lead + (n, T, layout.dim))
-    tissue[..., :p] = kernel.w.swapaxes(-1, -2)
-    tissue[..., p : 2 * p] = kernel.d_mu.swapaxes(-1, -2)
+    tissue[..., :p] = w.swapaxes(-1, -2)
+    tissue[..., p : 2 * p] = d_mu.swapaxes(-1, -2)
     # the diagonal blocks of the rate columns, a writeable view of J
     blocks = tissue[..., layout.kinetic_slice].reshape(lead + (n, T, n, 3))
-    np.einsum("...itic->...itc", blocks)[...] = kernel.d_rates
+    np.einsum("...itic->...itc", blocks)[...] = d_rates
 
     # -e^(mu_j s_l), (..., p, q): negated once, for the blood rows that
     # subtract the arterial curve
@@ -245,7 +244,7 @@ def jacobian(x: ParamVector, template: MeasurementSet):
         measured = measured * fraction
     # the value: the tissue curves, then the blood data's arterial
     # concentration (C_bl f_m or C_art_meas) minus the arterial curve
-    curves = term_sum(lam[..., None, None, :], kernel.w)
+    curves = term_sum(lam[..., None, None, :], w)
     blood = measured + term_sum(lam[..., None, :], nes)
     return J, np.concatenate([curves.reshape(lead + (-1,)), blood], axis=-1)
 

@@ -12,8 +12,9 @@ arterial input ``C_art = sum_j lambda_j e^(mu_j t)`` the solution is
 
 with ``beta = k2 + k3``, ``G1 = K1 k3 / beta`` and ``G2 = K1 k2 / beta``.
 :func:`region_kernel` is the one implementation of this closed form and of
-its exact parameter derivatives, vectorized over regions; the forward
-operator and Jacobian in :mod:`.forward` are views of its arrays, and every
+its exact parameter derivatives, vectorized over regions.  It is a helper of
+:func:`.forward.jacobian`, its one caller, which holds the error-state guard
+for it: the forward operator and Jacobian are views of its arrays, and every
 tissue curve the package writes comes from the forward operator.  The
 numerical routes that the tests check it against (quadrature and RK4) and
 the split into free and bound compartments live with the tests.
@@ -34,7 +35,6 @@ close to the resonant configurations ``mu_j = -(k2 + k3)`` and ``mu_j = 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class KineticParams:
 # -- stable elementary pieces -------------------------------------------------
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _psi_pair(z, t):
     """``psi0(z, t) = (e^(z t) - 1) / z`` and its derivative with respect to
     ``z``, elementwise, from one ``z t`` product and one ``expm1`` of it.
@@ -70,7 +69,8 @@ def _psi_pair(z, t):
     ``t psi0 - t^2 phi2(z t)`` with ``phi2(u) = (e^u - 1 - u) / u^2``, which
     switches to its series ``1/2 + u/6 + u^2/24`` for ``|u| < 1e-4``; it
     equals ``t^2 / 2`` at ``z = 0``.  Both quotients run on every entry; their
-    silent 0/0 at ``z = 0`` and below the switch are then overwritten.
+    0/0 at ``z = 0`` and below the switch are then overwritten, so the caller
+    holds an error-state guard that ignores invalid operations.
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -114,36 +114,23 @@ def term_sum(lam_row, terms):
 # -- the closed form ------------------------------------------------------------
 
 
-class RegionKernel(NamedTuple):
-    """Closed-form pieces of the tissue curves of ``n`` regions driven by a
-    ``p``-term arterial input, on ``T`` time points: the three arrays of
-    the Jacobian.
+def region_kernel(lam, mu, rates, t):
+    """The closed form and its parameter derivatives for ``n`` regions driven
+    by a ``p``-term arterial input, on ``T`` time points: the three arrays
+    ``(w, d_mu, d_rates)`` of the Jacobian.
 
+    ``lam`` and ``mu`` are ``(..., p)`` arrays, ``rates`` an ``(..., n, 3)``
+    array of rows ``(K1, k2, k3)`` and ``t`` a 1-d time grid; leading axes
+    are a batch of independent parameter points and prefix every result.
     ``w = G1 psi0 + G2 psi1``, with ``psi0[j, l] = psi0(mu_j, t_l)`` and
     ``psi1[i, j, l] = e^(-beta_i t_l) psi0(beta_i + mu_j, t_l)``, holds the
     per-term tissue contributions and ``lam @ w`` the tissue curves
     ``(n, T)``; ``d_mu[i, j, l]`` is the derivative of ``lam @ w`` with
     respect to ``mu_j`` and ``d_rates[i, l]`` the derivatives with respect
-    to ``(K1, k2, k3)`` of region ``i``.  A batch of parameter points
-    prefixes every array with its leading axes.
-    """
-
-    w: np.ndarray
-    d_mu: np.ndarray
-    d_rates: np.ndarray
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def region_kernel(lam, mu, rates, t) -> RegionKernel:
-    """Evaluate the closed form and its parameter derivatives for all
-    regions at once.
-
-    ``lam`` and ``mu`` are ``(..., p)`` arrays, ``rates`` an ``(..., n, 3)``
-    array of rows ``(K1, k2, k3)`` and ``t`` a 1-d time grid; leading axes
-    are a batch of independent parameter points.  Raises
-    :class:`DomainError` naming the first region with ``k2 + k3 <= 0``.
-    Callers that hold this error-state guard already call its body,
-    ``region_kernel.__wrapped__``.
+    to ``(K1, k2, k3)`` of region ``i``.  Raises :class:`DomainError` naming
+    the first region with ``k2 + k3 <= 0``.  The caller holds the
+    error-state guard that ignores division, overflow and invalid
+    operations (:func:`.forward.jacobian`, its one caller).
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)[..., None, :, None]  # (..., 1, p, 1)
@@ -159,9 +146,8 @@ def region_kernel(lam, mu, rates, t) -> RegionKernel:
     g1, g2 = g[..., :1, :], g[..., 1:, :]
     eb = np.exp(-beta * t)
     # psi0 at z = mu_j (first slot) and at z = beta_i + mu_j (one slot per
-    # region), from one array: (..., 1 + n, p, T); _psi_pair's body runs
-    # under this function's guard
-    psi, dpsi = _psi_pair.__wrapped__(np.concatenate([mu, beta + mu], axis=-3), t)
+    # region), from one array: (..., 1 + n, p, T)
+    psi, dpsi = _psi_pair(np.concatenate([mu, beta + mu], axis=-3), t)
     terms0 = psi[..., :1, :, :]
     psi1 = eb * psi[..., 1:, :, :]
     w = g1 * terms0 + g2 * psi1
@@ -183,5 +169,5 @@ def region_kernel(lam, mu, rates, t) -> RegionKernel:
     d_rates = np.empty(sums.shape[:-2] + (sums.shape[-1], 3))
     d_rates[..., 0] = sums[..., 0, :]
     d_rates[..., 1:] = cols.swapaxes(-1, -2)
-    return RegionKernel(w, d_mu, d_rates)
+    return w, d_mu, d_rates
 

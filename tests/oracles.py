@@ -6,8 +6,9 @@ numerical routes to the tissue curves that share nothing with that closed
 form (adaptive quadrature of the
 variation-of-constants formula and a fixed-step RK4 integration of the
 ODE pair), a damped Gauss-Newton minimizer of the Tikhonov functional,
-which gives the consistency test a second estimator beside the IRGNM, and
-the region-diversity report decided one region triple at a time.  No
+which gives the consistency test a second estimator beside the IRGNM, the
+region-diversity report decided one region triple at a time, and the map
+that divides the model's two exact symmetries out of a parameter vector.  No
 command of the package needs them, so they live with the tests.
 """
 
@@ -288,3 +289,25 @@ def region_diversity_report_by_triple(mu, lam, kinetics) -> DiversityReport:
         witnesses=tuple(witnesses),
         margin=min(w.margin for w in witnesses),
     )
+
+
+def canonical(x: ParamVector) -> np.ndarray:
+    """``x``'s flat vector with the forward map's two exact symmetries
+    divided out, for comparison only: the arterial pairs
+    ``(lambda_j, mu_j)`` sorted by ``mu``, and the plasma swap
+    ``(A, xi1, xi2) -> (1 - A, xi2, xi1)`` applied where ``xi1 < xi2``
+    (it leaves ``f = A e^(xi1 t) + (1 - A) e^(xi2 t)`` unchanged).  A batch
+    ``x`` is mapped row by row."""
+    layout = x.layout
+    flat = x.flat.copy()
+    order = np.argsort(x.mu, axis=-1, kind="stable")
+    flat[..., : layout.p] = np.take_along_axis(x.lam, order, -1)
+    flat[..., layout.p : 2 * layout.p] = np.take_along_axis(x.mu, order, -1)
+    if layout.q_hat:
+        A, xi1, xi2 = np.moveaxis(x.m, -1, 0)
+        swap = xi1 < xi2
+        flat[..., layout.m_slice] = np.stack(
+            [np.where(swap, 1.0 - A, A), np.where(swap, xi2, xi1), np.where(swap, xi1, xi2)],
+            axis=-1,
+        )
+    return flat

@@ -7,6 +7,7 @@ lines and measured margins.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from petident.cli import main as cli_main
 from petident.experiments import scenario_to_dict
 
 from oracles import (
+    canonical,
     integrate_compartments_rk4_grid,
     solve_tikhonov,
     tissue_concentration_quadrature,
@@ -418,3 +420,62 @@ def test_a12_local_identifiability_at_the_truth(capsys, tmp_path):
     report("A12", ok, "; ".join(details))
     assert nullities == expected
     assert max(outside.values()) <= 1e-10
+
+
+def test_a13_no_second_solution_from_wide_starts():
+    # the paper's first claim, globally: every noise-free fit from a wide
+    # start that reproduces the data equals the truth up to the forward
+    # map's two symmetries (arterial pair order, plasma swap); in known_cart
+    # the frozen m block is left out.  The third cell shares k2 + k3 = 0.292
+    # over its regions, so the sufficient region-diversity condition fails
+    start = time.perf_counter()
+    reference = default_scenario()
+    shared_beta = replace(reference, kinetics=(
+        KineticParams(0.157, 0.174, 0.118),
+        KineticParams(0.161, 0.196, 0.096),
+        KineticParams(0.177, 0.204, 0.088),
+    ))
+    assert any(
+        "k2+k3 not pairwise distinct" in v
+        for v in region_diversity_report(
+            shared_beta.c_art.exponents, shared_beta.c_art.coefficients, shared_beta.kinetics
+        ).violations
+    )
+    cells = {
+        "full": reference,
+        "known_cart": default_scenario("known_cart"),
+        "shared k2+k3": shared_beta,
+    }
+    details, fits, worst = [], {}, {}
+    for name, scenario in cells.items():
+        x_true, y_true = simulate_ground_truth(scenario)
+        keep = np.ones(x_true.layout.dim, dtype=bool)
+        if scenario.mode == "known_cart":
+            keep[x_true.layout.m_slice] = False
+        truth = canonical(x_true)[keep]
+        bound = 1e-9 * np.linalg.norm(y_true.flat())
+        spec = CampaignSpec(0.0, 1.0, 40, scenario.mode, 1)
+        fitted = [
+            record.final_x
+            for record in run_campaign(spec, scenario).records
+            if record.residual_norms[-1] <= bound
+        ]
+        plain = sum(
+            np.linalg.norm(x.flat[keep] - x_true.flat[keep]) > 1e-6 * np.linalg.norm(truth)
+            for x in fitted
+        )
+        fits[name] = len(fitted)
+        worst[name] = max(
+            (np.linalg.norm(canonical(x)[keep] - truth) / np.linalg.norm(truth) for x in fitted),
+            default=0.0,
+        )
+        details.append(
+            f"{name}: {len(fitted)} fits ({plain} off the truth as vectors), "
+            f"max rel dev up to symmetry {worst[name]:.1e}"
+        )
+    elapsed = time.perf_counter() - start
+    ok = min(fits.values()) >= 3 and max(worst.values()) <= 1e-12 and elapsed < 5.0
+    report("A13", ok, "; ".join(details) + f"; {elapsed:.1f} s")
+    assert min(fits.values()) >= 3
+    assert max(worst.values()) <= 1e-12
+    assert elapsed < 5.0

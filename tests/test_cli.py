@@ -1143,6 +1143,20 @@ class TestCheck:
         assert "VIOLATED" in out
         assert "exponent 1, regions (1, 2, 3): k2+k3 not pairwise distinct" in out
 
+    def test_names_the_smallest_exponent_gap(self, tmp_path, capsys):
+        # exponents 7e-5 apart pass PolyExp but leave J at the truth nearly
+        # rank deficient, which the region-diversity margin does not show
+        data = scenario_to_dict(default_scenario())
+        data["mu"] = [-0.5, -0.2, -0.2 + 7e-5]
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("check", "--scenario", path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "arterial exponents: smallest gap 7.000e-05 (mu_2, mu_3)" in lines
+        assert lines.index("sufficient condition (6 regions with distinct rates): not satisfied") == (
+            lines.index("arterial exponents: smallest gap 7.000e-05 (mu_2, mu_3)") + 1
+        )
+
     def test_single_time_at_zero_has_rank_0(self, tmp_path, capsys):
         # every tissue curve is zero at t = 0, so the tissue rows are zero
         data = scenario_to_dict(default_scenario())

@@ -2,8 +2,10 @@
 
 Every value, derivative and rounding scale of the tissue curves comes from
 :func:`petident.forward.jacobian`; a second call of
-:func:`petident.kinetics.region_kernel` (or of ``forward._kernel``, its
-unguarded body) would be a second evaluation path that can drift from it.
+:func:`petident.kinetics.region_kernel`, which runs under ``jacobian``'s
+error-state guard, would be a second evaluation path that can drift from it.
+No module reads a ``__wrapped__`` attribute either: a decorated function
+called through it is a second, unguarded function object of one body.
 """
 
 import ast
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import petident
 
-KERNEL_NAMES = {"region_kernel", "_kernel"}
+KERNEL_NAMES = {"region_kernel"}
 
 #: ``module.function`` of every function that may call the kernel.
 CALLERS = {"forward.jacobian"}
@@ -43,11 +45,17 @@ def kernel_calls(tree, prefix):
         yield from kernel_calls(node, name)
 
 
-def package_kernel_calls() -> set:
-    found = set()
+def package_trees():
+    """``(name, tree)`` of each module of the package."""
     for info in pkgutil.iter_modules(petident.__path__):
         path = Path(petident.__path__[0]) / f"{info.name}.py"
-        found.update(kernel_calls(ast.parse(path.read_text(encoding="utf-8")), info.name))
+        yield info.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def package_kernel_calls() -> set:
+    found = set()
+    for name, tree in package_trees():
+        found.update(kernel_calls(tree, name))
     return found
 
 
@@ -59,11 +67,43 @@ def test_guard_sees_each_call_form():
     source = (
         "def direct(): region_kernel(1)\n"
         "def body(): region_kernel.__wrapped__(1)\n"
-        "def alias(): _kernel(1)\n"
         "class Holder:\n"
         "    def method(self): kinetics.region_kernel(1)\n"
         "def other(): term_sum(1)\n"
     )
     assert set(kernel_calls(ast.parse(source), "m")) == {
-        "m.direct", "m.body", "m.alias", "m.Holder.method",
+        "m.direct", "m.body", "m.Holder.method",
     }
+
+
+def wrapped_reads(tree):
+    """Line numbers of every read of a ``__wrapped__`` attribute under
+    ``tree``, as ``f.__wrapped__`` or ``getattr(f, "__wrapped__")``; a
+    module-level alias ``_body = f.__wrapped__`` is such a read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__wrapped__":
+            yield node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and any(isinstance(a, ast.Constant) and a.value == "__wrapped__" for a in node.args)
+        ):
+            yield node.lineno
+
+
+def test_no_module_reaches_under_a_decorator():
+    found = [
+        f"{name}.py:{line}" for name, tree in package_trees() for line in sorted(wrapped_reads(tree))
+    ]
+    assert found == []
+
+
+def test_wrapped_guard_sees_each_read_form():
+    source = (
+        "_body = region_kernel.__wrapped__\n"
+        "def call(): _psi_pair.__wrapped__(1)\n"
+        "def lookup(): getattr(f, '__wrapped__')\n"
+        "def unrelated(): f.wrapped(1)\n"
+    )
+    assert sorted(wrapped_reads(ast.parse(source))) == [1, 2, 3]

@@ -44,7 +44,7 @@ REPRODUCE = {
 #: the stdout of each command, run from the output directory's parent; the
 #: identify line also digests ``identify_trace.csv``
 STDOUT = {
-    "check": "86941969ed2aa4b31f8a0e95de9053cab6558db473420bc798ea859ad48b2e80",
+    "check": "e59dcef439435d0cb0df03d8b801fd4171294dc726b8a79930ac787ec7ad5f3f",
     "jaccheck": "1e61c90f56e0aaf6a4d33b5a0d7896d50e23b74758d69a0a07708ed2fc2dbe7c",
     "identify": "5b0d255cd022feeb3967b85f5195ac24aa5a9867b80528344818705b4698bb0a",
 }

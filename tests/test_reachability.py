@@ -5,8 +5,8 @@ still take each line's path, all written before tracing starts: a
 six-region scenario of pairwise distinct rates, a six-region scenario that
 fails every clause of the diversity condition on a short grid, twelve
 regions whose rates have six or more distinct values each but no three
-regions distinct in both, two regions
-with their own blood times, data whose square overflows, data whose fit
+regions distinct in both, two regions with their own blood times, a
+one-term arterial input, data whose square overflows, data whose fit
 leaves the float range, a discrepancy stop, a start at the truth, a
 corrupted Jacobian, a campaign whose runs break down, a campaign that
 lists two cells, ``reproduce --all`` on one noise and one perturbation
@@ -214,6 +214,9 @@ def write_inputs(root: Path) -> dict:
         "violating.json": violating_scenario(),
         "few_levels.json": few_levels_scenario(),
         "two.json": two_region_scenario(),
+        "one_term.json": {
+            **scenario_to_dict(default_scenario()), "p": 1, "lambda": [1.0], "mu": [-0.2],
+        },
         "overflowing.json": {"y": overflowing.tolist()},
         # data 1e20 times the truth's: the first step leaves the float range
         "scaled.json": {"y": (1e20 * y).tolist()},
@@ -246,6 +249,7 @@ def run_commands(f: dict, out: Path) -> list:
         ["check", "--scenario", f["violating.json"]],
         ["check", "--scenario", f["few_levels.json"]],
         ["check", "--scenario", f["two.json"]],
+        ["check", "--scenario", f["one_term.json"]],
         ["simulate", "--scenario", f["reference.json"], "--out", out],
         ["identify", "--scenario", f["reference.json"], "--data", out / "y_true.csv",
          "--max-iter", "2", "--out", out],
@@ -308,9 +312,10 @@ def traced(tmp_path_factory):
 
 def test_commands_take_their_paths(traced):
     codes, output, _ = traced
-    assert codes == [0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 1, 0, 3, 0, 0, 2, 0, 1]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 1, 0, 3, 0, 0, 2, 0, 1]
     assert "exponent 1, regions (1, 2, 3): k3 not pairwise distinct" in output
     assert "sufficient condition (6 regions with distinct rates): satisfied" in output
+    assert "arterial exponents: one term" in output
     assert "exponent 1, regions (6, 7, 8): k3 not pairwise distinct" in output
     assert "stop: failure at iteration 0" in output
     assert "stop: failure at iteration 1" in output
