@@ -209,14 +209,12 @@ def cmd_identify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     x_true, y_true = simulate_ground_truth(scenario)
-    if not args.synthesize:
-        measured = _read_measurements(args.data, y_true)
-    out = _out_dir(args.out)
     x0, y_delta = draw_inputs(
         x_true, y_true, args.delta_x, args.delta_y, args.seed, 0, settings.epsilon
     )
     if not args.synthesize:  # no known truth: the scenario is only the prior
-        y_delta, x_true = measured, None
+        y_delta, x_true = _read_measurements(args.data, y_true), None
+    out = _out_dir(args.out)
     record = run_irgnm(x0, y_delta, settings, x_true=x_true)
 
     lam, mu, m = record.final_x.lam, record.final_x.mu, record.final_x.m

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import plasma
-from .kinetics import KineticParams, region_kernel, term_sum
+from .kinetics import KineticParams, region_kernel
 
 MODES = ("full", "known_cart")
 
@@ -212,7 +212,9 @@ def jacobian(x: ParamVector, template: MeasurementSet):
     computed from the same intermediates: ``(J, F(x))``.
 
     Blood rows have zero derivatives with respect to every kinetic rate; in
-    ``known_cart`` mode the plasma columns vanish as well.
+    ``known_cart`` mode the plasma columns vanish as well.  Each arterial
+    sum takes its weights as a row ``(..., 1, p)``: a stack of vector-matrix
+    products, so each row of a batch is the single-point result bit for bit.
     """
     layout = x.layout
     p, n = layout.p, layout.n
@@ -244,8 +246,8 @@ def jacobian(x: ParamVector, template: MeasurementSet):
         measured = measured * fraction
     # the value: the tissue curves, then the blood data's arterial
     # concentration (C_bl f_m or C_art_meas) minus the arterial curve
-    curves = term_sum(lam[..., None, None, :], w)
-    blood = measured + term_sum(lam[..., None, :], nes)
+    curves = (lam[..., None, None, :] @ w)[..., 0, :]
+    blood = measured + (lam[..., None, :] @ nes)[..., 0, :]
     return J, np.concatenate([curves.reshape(lead + (-1,)), blood], axis=-1)
 
 

@@ -72,12 +72,10 @@ def _psi_pair(z, t):
     0/0 at ``z = 0`` and below the switch are then overwritten, so the caller
     holds an error-state guard that ignores invalid operations.
     """
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
     zt = z * t
     em = np.expm1(zt)
     psi0 = em / z
-    phi2 = np.asarray((em - zt) / (zt * zt))
+    phi2 = (em - zt) / (zt * zt)
     if np.count_nonzero(z) < z.size:
         psi0 = np.where(z == 0.0, t, psi0)
     small = np.abs(zt) < 1e-4
@@ -99,18 +97,6 @@ def _check_clearance(beta):
         )
 
 
-def term_sum(lam_row, terms):
-    """``sum_j lam_j * terms[..., j, :]``: the arterial weights applied to
-    per-term arrays whose term axis is the second to last.
-
-    ``lam_row`` holds the weights as a row, ``(..., 1, p)``, with one more
-    axis before it for each broadcast axis of ``terms`` (e.g. regions).
-    Each row of a batch is the same vector-matrix product as ``lam @ terms``
-    of a single point, so a batch gives the single-point results bit for
-    bit."""
-    return (lam_row @ terms)[..., 0, :]
-
-
 # -- the closed form ------------------------------------------------------------
 
 
@@ -119,9 +105,9 @@ def region_kernel(lam, mu, rates, t):
     by a ``p``-term arterial input, on ``T`` time points: the three arrays
     ``(w, d_mu, d_rates)`` of the Jacobian.
 
-    ``lam`` and ``mu`` are ``(..., p)`` arrays, ``rates`` an ``(..., n, 3)``
-    array of rows ``(K1, k2, k3)`` and ``t`` a 1-d time grid; leading axes
-    are a batch of independent parameter points and prefix every result.
+    ``lam`` and ``mu`` are ``(..., p)`` float arrays, ``rates`` is
+    ``(..., n, 3)`` with rows ``(K1, k2, k3)`` and ``t`` a 1-d float grid;
+    leading axes are a batch of parameter points and prefix every result.
     ``w = G1 psi0 + G2 psi1``, with ``psi0[j, l] = psi0(mu_j, t_l)`` and
     ``psi1[i, j, l] = e^(-beta_i t_l) psi0(beta_i + mu_j, t_l)``, holds the
     per-term tissue contributions and ``lam @ w`` the tissue curves
@@ -132,10 +118,7 @@ def region_kernel(lam, mu, rates, t):
     error-state guard that ignores division, overflow and invalid
     operations (:func:`.forward.jacobian`, its one caller).
     """
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)[..., None, :, None]  # (..., 1, p, 1)
-    t = np.asarray(t, dtype=float)
-    rates = np.asarray(rates, dtype=float)
+    mu = mu[..., None, :, None]  # (..., 1, p, 1)
     # each (..., n, 1, 1): broadcasts against (..., 1, p, T) term arrays;
     # the pairs (k3, k2) and (g1, g2) are (..., n, 2, 1)
     K1 = rates[..., :1, None]
@@ -162,7 +145,7 @@ def region_kernel(lam, mu, rates, t):
     terms[..., 1, :, :] = psi1 - terms0
     terms[..., 2, :, :] = terms0 - psi1
     terms[..., 3, :, :] = -t * psi1 + eb * dpsid
-    sums = term_sum(lam[..., None, None, None, :], terms)
+    sums = (lam[..., None, None, None, :] @ terms)[..., 0, :]
     # d_rates: the K1 sum, then (g1, g2) / beta times a sum plus a shared one
     cols = (g / beta) * sums[..., 1:3, :]
     cols += g2 * sums[..., 3:, :]

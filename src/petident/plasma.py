@@ -73,6 +73,5 @@ def project_in_place(m: np.ndarray) -> None:
 def magnitude(m, t):
     """Sum of the magnitudes of the two additive pieces of ``f_m(t)``, an
     upper bound on the rounding scale of its evaluation."""
-    m = np.asarray(m, dtype=float)
     A, xi1, xi2 = (m[..., i, None] for i in range(3))
     return np.abs(A) * np.exp(xi1 * t) + np.abs(1.0 - A) * np.exp(xi2 * t)

@@ -6,7 +6,9 @@ AVX2) and of the OpenBLAS ``dgemm`` kernel that sums the Gram ``J^T J``.
 So each pin holds on one platform only, named here as the NumPy version,
 the highest CPU feature NumPy dispatches to and the OpenBLAS core.  A pin
 that fails says where it was recorded and where it ran; on another platform
-it is recorded anew, with that reason.
+it is recorded anew, with that reason.  :data:`AVX2_PLATFORM` is the one
+second platform that the portable check of ``test_output_bytes.py`` and the
+Table 1 comparison of ``platform_table.py`` run under.
 """
 
 import ctypes
@@ -17,6 +19,13 @@ from numpy._core import _multiarray_umath
 
 #: where every exact pin of the suite was recorded
 PINNED = "numpy 2.4.6, AVX512_SPR, OpenBLAS SkylakeX"
+
+#: environment of a platform that rounds the exponentials and the Gram
+#: differently from an AVX-512 machine, and that any AVX2 machine can run
+AVX2_PLATFORM = {
+    "OPENBLAS_CORETYPE": "Haswell",
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+}
 
 
 def _openblas_core() -> str:

@@ -69,7 +69,7 @@ def test_guard_sees_each_call_form():
         "def body(): region_kernel.__wrapped__(1)\n"
         "class Holder:\n"
         "    def method(self): kinetics.region_kernel(1)\n"
-        "def other(): term_sum(1)\n"
+        "def other(): helper(1)\n"
     )
     assert set(kernel_calls(ast.parse(source), "m")) == {
         "m.direct", "m.body", "m.Holder.method",

@@ -72,7 +72,7 @@ class TestClosedForm:
     def test_domain_error_numbers_regions_from_one(self):
         rates = [[0.1, 0.1, 0.1], [0.1, 0.0, 0.0]]
         with pytest.raises(DomainError, match=r"\(region 2: 0\.0\)"):
-            region_kernel([1.0], [-0.5], rates, [1.0])
+            region_kernel(np.array([1.0]), np.array([-0.5]), np.array(rates), np.array([1.0]))
 
     def test_linearity_in_influx_exact(self):
         # doubling K1 scales by a power of two: bit-identical result

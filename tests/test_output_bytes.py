@@ -24,7 +24,7 @@ import pytest
 from petident.cli import main
 from petident.experiments import default_scenario, scenario_to_dict
 
-from numeric_platform import pin_message
+from numeric_platform import AVX2_PLATFORM, pin_message
 
 SIMULATE = {
     "x_true.csv": "0ae0c06e3767a072ea5661713814cc926c2f0fc4f603d26dbb55c685557dcc45",
@@ -56,13 +56,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PORTABLE = ROOT / "tests" / "reproduce_all_seed5.json"
 STOP_KEYS = ("stop_reason", "stop_iter", "diverged")
 VALUE_KEYS = ("final_residual", "rho_opt", "rho_d", "rel_error_best")
-
-#: environment of a platform that rounds the exponentials and the Gram
-#: differently from an AVX-512 machine, and that any AVX2 machine can run
-AVX2_PLATFORM = {
-    "OPENBLAS_CORETYPE": "Haswell",
-    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
-}
 
 
 def sha256(data: bytes) -> str:

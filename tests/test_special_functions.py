@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import petident
 from petident import forward
-from petident.kinetics import KineticParams, _check_clearance, _psi_pair, region_kernel, term_sum
+from petident.kinetics import KineticParams, _check_clearance, _psi_pair, region_kernel
 
 EPS = np.finfo(float).eps
 
@@ -72,12 +72,12 @@ def region_kernel_reference(lam, mu, rates, t):
         g1 * _psi0_dz_reference(mu, t)[..., None, :, :] + g2 * eb * dpsid
     )
     lam_row = lam[..., None, None, :]
-    shared = g2[..., 0] * term_sum(lam_row, -t * psi1 + eb * dpsid)
+    shared = g2[..., 0] * (lam_row @ (-t * psi1 + eb * dpsid))[..., 0, :]
     d_rates = np.stack(
         [
-            term_sum(lam_row, (k3 / beta) * terms0 + (k2 / beta) * psi1),
-            (g1 / beta)[..., 0] * term_sum(lam_row, psi1 - terms0) + shared,
-            (g2 / beta)[..., 0] * term_sum(lam_row, terms0 - psi1) + shared,
+            (lam_row @ ((k3 / beta) * terms0 + (k2 / beta) * psi1))[..., 0, :],
+            (g1 / beta)[..., 0] * (lam_row @ (psi1 - terms0))[..., 0, :] + shared,
+            (g2 / beta)[..., 0] * (lam_row @ (terms0 - psi1))[..., 0, :] + shared,
         ],
         axis=-1,
     )
