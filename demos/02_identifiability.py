@@ -47,7 +47,7 @@ x_true, base = simulate_ground_truth(scenario)
 print("\ncommon-factor degeneracy (z * lambda, K1 / z):")
 print("     z    tissue-block shift   blood-block shift")
 for z in (0.5, 2.0, 10.0):
-    x = ParamVector(x_true.flat, x_true.layout)  # a copy, written through its views
+    x = ParamVector(x_true.flat.copy(), x_true.layout)  # written through its views
     x.lam[:] *= z
     x.kinetic_block[:, 0] /= z
     moved = base.with_flat(forward_vector(x, base))

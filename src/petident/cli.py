@@ -96,7 +96,7 @@ def _read_file(kind: str, path: str, build, parse=json.load):
     """``build`` applied to ``parse`` of a ``kind`` file: a file that cannot
     be read, or any fault inside it, is an input error that names the file."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:  # skips a BOM
             return build(parse(fh))
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"{kind} file not found: {path}") from exc
@@ -180,9 +180,9 @@ def _csv_values(fh) -> list[float]:
 
 
 def _read_measurements(path: str, like: MeasurementSet) -> MeasurementSet:
-    """The ``--data`` file: a CSV ``value`` column, or a JSON list, bare or
-    as the only key ``"y"`` of an object, of finite numbers, as many as
-    ``like`` holds."""
+    """The ``--data`` file: a CSV ``value`` column, or in a ``.json`` file
+    (the suffix in any case) a JSON list, bare or as the only key ``"y"`` of
+    an object, of finite numbers, as many as ``like`` holds."""
     expected = like.flat().size
 
     def build(payload) -> MeasurementSet:
@@ -193,7 +193,7 @@ def _read_measurements(path: str, like: MeasurementSet) -> MeasurementSet:
             raise ValueError(f"{values.size} values, scenario requires {expected}")
         return like.with_flat(values)
 
-    parse = json.load if Path(path).suffix == ".json" else _csv_values
+    parse = json.load if Path(path).suffix.lower() == ".json" else _csv_values
     return _read_file("data", path, build, parse)
 
 

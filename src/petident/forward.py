@@ -84,7 +84,8 @@ class ParamVector:
     """Flat parameter vector plus its layout descriptor.
 
     ``flat`` may carry leading batch axes, ``(..., dim)``; the block views
-    then carry them too.
+    then carry them too.  A float array is held as given, not copied: a
+    caller that keeps writing the array it hands over passes a copy.
     """
 
     flat: np.ndarray
@@ -97,15 +98,7 @@ class ParamVector:
                 f"flat vector has shape {flat.shape}, layout requires {layout.dim} "
                 "entries in the last axis"
             )
-        object.__setattr__(self, "flat", flat.copy())
-        object.__setattr__(self, "layout", layout)
-
-    @classmethod
-    def _adopt(cls, flat: np.ndarray, layout: ParamLayout) -> "ParamVector":
-        """``flat`` itself as a vector, unchecked and uncopied: a fresh array."""
-        vector = object.__new__(cls)
-        vector.__dict__.update(flat=flat, layout=layout)
-        return vector
+        self.__dict__.update(flat=flat, layout=layout)  # past the frozen __setattr__
 
     @property
     def lam(self) -> np.ndarray:
@@ -264,7 +257,7 @@ def project_to_domain(x: ParamVector, eps: float = DEFAULT_EPSILON,
     np.maximum(rates, eps, out=rates)
     if x.layout.q_hat:
         plasma.project_in_place(flat[..., x.layout.m_slice])
-    return ParamVector._adopt(flat, x.layout)
+    return ParamVector(flat, x.layout)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -339,7 +332,7 @@ def finite_difference_check(
     diag = np.arange(dim)
     points[1 + diag, diag] += h
     points[1 + dim + diag, diag] -= h
-    jacobians, values = jacobian(ParamVector._adopt(points, x.layout), template)
+    jacobians, values = jacobian(ParamVector(points, x.layout), template)
     J = jacobians[0]
     noise = (32.0 * np.finfo(float).eps * _forward_scale(x, template, J))[:, None] / (2.0 * h)
     if corrupt_entry is not None:

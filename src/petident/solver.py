@@ -114,7 +114,7 @@ class IrgnmSettings:
         return self.a * math.exp(-self.b * k)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
     """Trace of one solver run.
 
@@ -225,7 +225,7 @@ def irgnm_step(
     steps, failures = _solve_systems(gram.reshape(-1, dim, dim), rhs.reshape(-1, dim), alpha_k)
     # a fresh sum: project_to_domain's copy is its only one
     stepped = project_to_domain(
-        ParamVector._adopt(x_k.flat + steps.reshape(rhs.shape), x_k.layout), epsilon
+        ParamVector(x_k.flat + steps.reshape(rhs.shape), x_k.layout), epsilon
     )
     return stepped, failures
 
@@ -319,8 +319,8 @@ def run_irgnm(
         if len(going) < active.size:
             # finished runs leave the batch and cost nothing from here on
             active = active[going]
-            x = ParamVector._adopt(x.flat[going], layout)  # a list index copies
-            anchor = ParamVector._adopt(anchor.flat[going], layout)
+            x = ParamVector(x.flat[going], layout)  # a list index copies
+            anchor = ParamVector(anchor.flat[going], layout)
             data, misfit, J = data[going], misfit[going], J[going]
 
         stepped, failures = irgnm_step(x, anchor, J, misfit, settings.alpha(k), settings.epsilon)
@@ -348,22 +348,17 @@ def _run_record(
     residuals, reason, k, final, failure, layout, truth_norm, rel_errors
 ) -> RunRecord:
     """One finished run's record, verdict and metrics (``truth_norm``: ``|x_true|``)."""
-    record = RunRecord(
-        residual_norms=residuals,
-        stop_reason=reason,
-        stop_iter=k,
-        final_x=ParamVector(final, layout),
-        rel_errors=rel_errors,
-        failure=failure,
-    )
-    if rel_errors is not None and rel_errors[0] > 0:
-        improved = k >= 1 and min(rel_errors[1:]) < rel_errors[0]
-        record.diverged = reason == "failure" or (k >= 1 and not improved)
-        if k >= 1:
+    diverged = rho_opt = rho_d = None
+    if rel_errors is not None:
+        diverged = reason == "failure"
+        if rel_errors[0] > 0 and k >= 1:
+            diverged = diverged or not min(rel_errors[1:]) < rel_errors[0]
             errors = rel_errors * truth_norm
-            record.rho_opt = float(100.0 * (1.0 - errors[1:].min() / errors[0]))
+            rho_opt = float(100.0 * (1.0 - errors[1:].min() / errors[0]))
             if reason == "discrepancy":
-                record.rho_d = 100.0 * (1.0 - errors[-1] / errors[0])
-    elif rel_errors is not None:
-        record.diverged = reason == "failure"
-    return record
+                rho_d = 100.0 * (1.0 - errors[-1] / errors[0])
+    return RunRecord(
+        residual_norms=residuals, stop_reason=reason, stop_iter=k,
+        final_x=ParamVector(final.copy(), layout),  # a row of the batch: its own array
+        rel_errors=rel_errors, rho_opt=rho_opt, rho_d=rho_d, diverged=diverged, failure=failure,
+    )

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import csv
 import json
 import re
@@ -795,6 +796,58 @@ class TestUnreadableFile:
         assert captured.err.startswith(f"input error: cannot parse {kind} {path}: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
+
+
+def outputs_in(root, monkeypatch, capsys, files, *argv):
+    """Exit code, stdout and the bytes of each output file of ``argv`` run
+    from ``root`` on ``files`` (name: bytes), all by relative paths, so that
+    nothing printed or written names ``root``."""
+    root.mkdir()
+    monkeypatch.chdir(root)
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    code = run_cli(*argv, "--out", "out")
+    return code, capsys.readouterr().out, {p.name: p.read_bytes() for p in Path().glob("out/*")}
+
+
+class TestByteOrderMark:
+    """A scenario, campaign or data file may start with a UTF-8 byte-order
+    mark, which is skipped: the file reads as its twin without one."""
+
+    @pytest.mark.parametrize("kind", ["scenario", "campaign", "data-csv"])
+    def test_reads_as_its_plain_twin(self, tmp_path, monkeypatch, capsys, kind):
+        y = simulate_ground_truth(default_scenario())[1].flat().tolist()
+        name, text, argv = {
+            "scenario": (
+                "scenario.json", json.dumps(scenario_to_dict(default_scenario(), "s")),
+                ["simulate", "--scenario"],
+            ),
+            "campaign": (
+                "campaign.json",
+                json.dumps({"delta_y": 1e-3, "delta_x": 0.05, "repetitions": 2, "max_iter": 3}),
+                ["reproduce", "--campaign"],
+            ),
+            # the BOM sits before the header's first column
+            "data-csv": (
+                "y.csv", "value\n" + "".join(f"{v!r}\n" for v in y),
+                ["identify", "--max-iter", "3", "--data"],
+            ),
+        }[kind]
+        plain, bom = (
+            outputs_in(tmp_path / twin, monkeypatch, capsys, {name: mark + text.encode()}, *argv, name)
+            for twin, mark in (("plain", b""), ("bom", codecs.BOM_UTF8))
+        )
+        assert plain[0] == 0 and bom == plain
+
+
+def test_data_json_suffix_in_any_case(tmp_path, monkeypatch, capsys):
+    y = json.dumps(simulate_ground_truth(default_scenario())[1].flat().tolist()).encode()
+    lower, upper = (
+        outputs_in(tmp_path / case, monkeypatch, capsys, {name: y}, "identify", "--max-iter", "3",
+                   "--data", name)
+        for case, name in (("lower", "y.json"), ("upper", "y.JSON"))
+    )
+    assert lower[0] == 0 and upper == lower
 
 
 class TestOutDirectory:

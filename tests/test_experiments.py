@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -387,6 +388,14 @@ class TestBatchedCampaign:
         # the batched runs equal the lone ones anywhere; the golden stops
         # hold on the platform they were recorded on
         assert stops == self.GOLDEN[cell], pin_message()
+
+    def test_records_are_frozen_and_own_their_final_iterates(self, scenario):
+        # a record's final iterate is not a view of the batch it ran in
+        summary = run_campaign(CampaignSpec(1e-3, 0.05, repetitions=3, seed=13), scenario)
+        for record in summary.records:
+            assert record.final_x.flat.flags.owndata
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.diverged = True
 
 
 class TestEmitResults:

@@ -139,6 +139,11 @@ class TestCodec:
         with pytest.raises(ValueError):
             ParamVector(np.zeros(7), ParamLayout(p=1, q_hat=1, n=2))
 
+    def test_a_float_array_is_held_as_given(self):
+        # checked, not copied: project_to_domain makes the stepped vector's one copy
+        flat = np.arange(9.0)
+        assert ParamVector(flat, ParamLayout(p=1, q_hat=1, n=2)).flat is flat
+
 
 class TestMeasurementSet:
     # a MeasurementSet built in Python reaches these checks without the
