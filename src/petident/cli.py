@@ -48,6 +48,7 @@ from .experiments import (
     draw_inputs,
     emit_results,
     make_rng,
+    remove_results,
     run_campaign,
     scenario_from_dict,
     simulate_ground_truth,
@@ -357,8 +358,7 @@ def cmd_reproduce(args) -> int:
     specs = cells(ALL_CELLS) if args.all else _read_file("campaign", args.campaign, cells)
     # every input is read before the outputs of an earlier run go
     out = _out_dir(args.out)
-    for stale in [out / "table1.csv", out / "results.json", *out.glob("trace_*.csv")]:
-        stale.unlink(missing_ok=True)
+    remove_results(out)
 
     failures = 0
     summaries = []

@@ -526,6 +526,14 @@ def summary_to_dict(summary: CampaignSummary) -> dict:
     }
 
 
+def remove_results(out_dir) -> None:
+    """Remove from ``out_dir`` every output that :func:`emit_results` writes,
+    so that none of an earlier run is left beside a new run's."""
+    out = Path(out_dir)
+    for stale in [out / "table1.csv", out / "results.json", *out.glob("trace_*.csv")]:
+        stale.unlink(missing_ok=True)
+
+
 def emit_results(summaries: list[CampaignSummary], out_dir) -> list[Path]:
     """Write the outputs of campaign cells, one per cell in the given order:
     a row of the divergence-count table, the median run's per-iteration

@@ -1,24 +1,23 @@
-"""The numeric platform the suite's exact pins were recorded on.
+"""The numeric platform of this process, and how to run under another.
 
 A bitwise pin follows the last bits of NumPy's SIMD loops (``np.exp``,
 ``np.expm1`` and ``np.log1p`` round differently under AVX-512 than under
 AVX2) and of the OpenBLAS ``dgemm`` kernel that sums the Gram ``J^T J``.
-So each pin holds on one platform only, named here as the NumPy version,
-the highest CPU feature NumPy dispatches to and the OpenBLAS core.  A pin
-that fails says where it was recorded and where it ran; on another platform
-it is recorded anew, with that reason.  :data:`AVX2_PLATFORM` is the one
-second platform that the portable check of ``test_output_bytes.py`` and the
-Table 1 comparison of ``platform_table.py`` run under.
+So each pin holds on one platform only, named by :func:`numeric_platform`
+as the NumPy version, the highest CPU feature NumPy dispatches to and the
+OpenBLAS core.  ``golden.json`` holds every pin with the platform it was
+recorded on, and ``regold.py`` records them anew on this one.
+:data:`AVX2_PLATFORM` is the one second platform that the portable check of
+``test_output_bytes.py`` and the Table 1 comparison of ``platform_table.py``
+run under, in a subprocess whose environment :func:`platform_env` gives.
 """
 
 import ctypes
+import os
 from pathlib import Path
 
 import numpy as np
 from numpy._core import _multiarray_umath
-
-#: where every exact pin of the suite was recorded
-PINNED = "numpy 2.4.6, AVX512_SPR, OpenBLAS SkylakeX"
 
 #: environment of a platform that rounds the exponentials and the Gram
 #: differently from an AVX-512 machine, and that any AVX2 machine can run
@@ -50,6 +49,13 @@ def numeric_platform() -> str:
     return f"numpy {np.__version__}, {feature}, OpenBLAS {_openblas_core()}"
 
 
-def pin_message() -> str:
-    """The message of a pin that fails."""
-    return f"pinned on {PINNED}; this platform is {numeric_platform()}"
+def platform_env(platform: dict) -> dict:
+    """This process's environment under ``platform``, with the package and
+    the test tools on ``PYTHONPATH``."""
+    env = dict(os.environ, **platform)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root / "tests")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env

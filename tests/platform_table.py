@@ -14,22 +14,30 @@ module is a tool, not a test module: pytest does not collect it.
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from numeric_platform import AVX2_PLATFORM, numeric_platform
+from numeric_platform import AVX2_PLATFORM, numeric_platform, platform_env
 
-ROOT = Path(__file__).resolve().parent.parent
 #: the fields of a run that say how and whether it stopped
-STOP_KEYS = ("diverged", "stop_reason", "stop_iter")
+STOP_KEYS = ("stop_reason", "stop_iter", "diverged")
 
 
-def cell_name(cell: dict) -> str:
-    spec = cell["spec"]
+def cell_name(spec: dict) -> str:
     return f"{spec['mode']} dy={spec['delta_y']:g} dx={spec['delta_x']:g}"
+
+
+def moved_stops(a: dict, b: dict) -> dict:
+    """``{key: (a's, b's)}`` over the keys of :data:`STOP_KEYS` where runs
+    ``a`` and ``b`` differ."""
+    return {key: (a[key], b[key]) for key in STOP_KEYS if a[key] != b[key]}
+
+
+def describe(moved: dict) -> str:
+    """A result of :func:`moved_stops` as ``key before -> after, ...``."""
+    return ", ".join(f"{key} {a} -> {b}" for key, (a, b) in moved.items())
 
 
 def compare(here: list, there: list):
@@ -41,11 +49,11 @@ def compare(here: list, there: list):
         raise ValueError("the two results hold different cells")
     cells, runs = [], []
     for a, b in zip(here, there):
-        name = cell_name(a)
+        name = cell_name(a["spec"])
         cells.append((name, a["diverged_count"], b["diverged_count"],
                       a["median_run"] != b["median_run"]))
         for ra, rb in zip(a["runs"], b["runs"]):
-            moved = {key: (ra[key], rb[key]) for key in STOP_KEYS if ra[key] != rb[key]}
+            moved = moved_stops(ra, rb)
             if moved:
                 runs.append((name, ra["repetition"], moved))
     return cells, runs
@@ -66,20 +74,8 @@ def report(cells: list, runs: list) -> list:
         f"diverged flag differs in {len(flags)} runs in {len({n for n, _ in flags})} cells",
         f"stop differs in {len(runs)} runs in {len({n for n, *_ in runs})} cells:",
     ]
-    lines += [
-        f"  {name} run {r}: " + ", ".join(f"{k} {a} -> {b}" for k, (a, b) in moved.items())
-        for name, r, moved in runs
-    ]
+    lines += [f"  {name} run {r}: {describe(moved)}" for name, r, moved in runs]
     return lines
-
-
-def platform_env(platform: dict) -> dict:
-    env = dict(os.environ, **platform)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "tests")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    return env
 
 
 def main(argv=None) -> int:

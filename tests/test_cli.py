@@ -17,8 +17,7 @@ from petident.experiments import (
 from petident.forward import MODES
 from petident.solver import IrgnmSettings
 
-from numeric_platform import pin_message
-from test_output_bytes import REPRODUCE, reproduce_digests
+from golden import pin_message, pinned, reproduce_digests
 
 
 @pytest.fixture(scope="module")
@@ -1086,7 +1085,7 @@ class TestCampaignList:
         out = tmp_path / "rep"
         argv = ["--repetitions", "1", "--seed", "5", "--out", out]
         assert run_cli("reproduce", "--campaign", campaign, *argv) == 0
-        assert reproduce_digests(out) == REPRODUCE, pin_message()
+        assert reproduce_digests(out) == pinned("reproduce"), pin_message()
 
     def test_a_list_writes_what_its_cells_write_one_at_a_time(self, tmp_path, capsys):
         campaign = tmp_path / "list.json"

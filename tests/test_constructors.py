@@ -6,7 +6,7 @@ checked: a second, unchecked constructor beside the class's own.
 
 import ast
 
-from test_kernel_path import package_trees
+from package_source import package_trees
 
 
 def object_new_calls(tree):

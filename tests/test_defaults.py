@@ -8,10 +8,8 @@ caller is looked for; an entry whose default is gone fails it too.
 """
 
 import ast
-import pkgutil
-from pathlib import Path
 
-import petident
+from package_source import package_trees
 
 DEFAULTED = {
     "cli._read_file: parse",
@@ -52,11 +50,7 @@ def defaulted(tree, prefix):
 
 
 def package_defaults() -> set:
-    found = set()
-    for info in pkgutil.iter_modules(petident.__path__):
-        path = Path(petident.__path__[0]) / f"{info.name}.py"
-        found.update(defaulted(ast.parse(path.read_text(encoding="utf-8")), info.name))
-    return found
+    return {entry for name, tree in package_trees() for entry in defaulted(tree, name)}
 
 
 def test_every_default_is_listed():

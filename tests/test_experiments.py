@@ -23,7 +23,7 @@ from petident import (
 )
 from petident.experiments import SECONDS_PER_MINUTE, draw_inputs, summary_to_dict
 
-from numeric_platform import pin_message
+from golden import BATCHED_CELLS, batched_campaign, golden_stops, pin_message, pinned
 
 
 class TestTimeGrid:
@@ -337,35 +337,12 @@ class TestBatchedCampaign:
     """One solver loop runs all repetitions of a cell; each run must come
     out as it does alone.  Both cells have ragged run lengths."""
 
-    # (stop reason, stop iteration, final residual at 12 digits) per run of
-    # the full-mode cells with 5 repetitions and seed 5, as lone runs give
-    # them; three runs end on a failed Cholesky factorization
-    GOLDEN = {
-        (0.0, 0.15): [
-            ("max_iter", 300, "2.2681292296e-15"),
-            ("max_iter", 300, "3.88371877846e-15"),
-            ("max_iter", 300, "2.62057420225e-15"),
-            ("failure", 92, "9.04402996611e+27"),
-            ("failure", 77, "3897755401.04"),
-        ],
-        # run 3's Cholesky fails at a condition number near 6e36: the run
-        # stops on its last iterate, whose residual norm is finite
-        (1e-4, 0.15): [
-            ("discrepancy", 115, "0.000109732566113"),
-            ("discrepancy", 104, "0.000108576022381"),
-            ("discrepancy", 103, "0.000103473388105"),
-            ("failure", 88, "2.22430760843e+17"),
-            ("discrepancy", 110, "0.000101845776356"),
-        ],
-    }
-
-    @pytest.mark.parametrize("cell", sorted(GOLDEN))
+    @pytest.mark.parametrize("cell", BATCHED_CELLS)
     def test_runs_equal_lone_runs_and_golden_stops(self, scenario, cell):
         delta_y, delta_x = cell
-        spec = CampaignSpec(delta_y, delta_x, repetitions=5, mode="full", seed=5)
-        with np.errstate(over="ignore"):
-            summary = run_campaign(spec, scenario)
+        summary = batched_campaign(delta_y, delta_x)
         x_true, y_true = simulate_ground_truth(scenario)
+        spec = summary.spec
         settings = spec.resolved_settings()
         for r, record in enumerate(summary.records):
             x0, y_delta = draw_inputs(
@@ -381,13 +358,9 @@ class TestBatchedCampaign:
             assert record.failure == alone.failure
             if record.stop_reason == "failure":
                 assert f"iteration {record.stop_iter}" in record.failure
-        stops = [
-            (rec.stop_reason, rec.stop_iter, format(float(rec.residual_norms[-1]), ".12g"))
-            for rec in summary.records
-        ]
         # the batched runs equal the lone ones anywhere; the golden stops
         # hold on the platform they were recorded on
-        assert stops == self.GOLDEN[cell], pin_message()
+        assert golden_stops(summary) == pinned("golden_stops")[str(cell)], pin_message()
 
     def test_records_are_frozen_and_own_their_final_iterates(self, scenario):
         # a record's final iterate is not a view of the batch it ran in

@@ -9,10 +9,8 @@ called through it is a second, unguarded function object of one body.
 """
 
 import ast
-import pkgutil
-from pathlib import Path
 
-import petident
+from package_source import package_trees
 
 KERNEL_NAMES = {"region_kernel"}
 
@@ -43,13 +41,6 @@ def kernel_calls(tree, prefix):
         elif isinstance(node, ast.Call) and KERNEL_NAMES & set(callee_names(node.func)):
             yield prefix
         yield from kernel_calls(node, name)
-
-
-def package_trees():
-    """``(name, tree)`` of each module of the package."""
-    for info in pkgutil.iter_modules(petident.__path__):
-        path = Path(petident.__path__[0]) / f"{info.name}.py"
-        yield info.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def package_kernel_calls() -> set:

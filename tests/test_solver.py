@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -8,24 +7,21 @@ import pytest
 from scipy.linalg import get_lapack_funcs
 
 from petident import (
-    CampaignSpec,
     IrgnmSettings,
     ParamVector,
     add_noise,
-    default_scenario,
     forward_vector,
     irgnm_step,
     jacobian,
     perturb_initial,
     project_to_domain,
-    run_campaign,
     run_irgnm,
     simulate_ground_truth,
 )
 from petident.forward import DEFAULT_EPSILON
 from petident.solver import _residual_norm, _run_record, _solve_systems
 
-from numeric_platform import pin_message
+from golden import pin_message, pinned, records_digest
 from oracles import solve_tikhonov
 
 
@@ -461,28 +457,8 @@ class TestResidualNorm:
             assert _residual_norm(np.array([1.5e308, 1.5e308])) == math.inf
 
 
-def _records_digest() -> str:
-    """sha256 over ``(stop_reason, stop_iter, residual_norms, rel_errors,
-    final_x)`` of a noise-free ``known_cart`` run of 300 iterations and of
-    the five runs of the reference cell (delta_y = 1e-3, delta_x = 0.1)."""
-    scenario = default_scenario("known_cart")
-    x_true, y_true = simulate_ground_truth(scenario)
-    x0 = perturb_initial(x_true, 0.05, [5, 0])
-    records = [run_irgnm(x0, y_true, IrgnmSettings(max_iter=300), x_true=x_true)]
-    spec = CampaignSpec(1e-3, 0.1, repetitions=5, seed=300)
-    records += run_campaign(spec, default_scenario()).records
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(f"{record.stop_reason} {record.stop_iter}".encode())
-        for array in (record.residual_norms, record.rel_errors, record.final_x.flat):
-            digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
 def test_results_are_bit_pinned():
     # the solver's speed-ups must not move a single result bit; another
     # NumPy SIMD loop or BLAS kernel may legitimately change the last bits,
-    # which calls for recording the digest anew
-    assert _records_digest() == (
-        "92a4bd87ea09771c319abf0c410d79efaa52c51e01556023bfa8efa38b29a067"
-    ), pin_message()
+    # which calls for recording the ledger anew with tests/regold.py
+    assert records_digest() == pinned("records"), pin_message()
